@@ -1,5 +1,8 @@
+import hashlib
+import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +14,13 @@ from lensgrid import (Generator, GridDiagram, LensParams, SizeCapError,
                       square_is_zero)
 from lensgrid.complexes import (SparseBoundary, embedded_candidates,
                                 raw_pair_candidates, torus_winding)
-from lensgrid.corpus import coprime_qs, random_diagram, random_knot_diagram
+from lensgrid.corpus import (coprime_qs, random_diagram, random_knot_diagram,
+                             random_knot_diagrams)
+from lensgrid.grid import format_grid
+from lensgrid.selftest import build_corpus
+
+GOLDEN = Path(__file__).parent / "golden" / "boundary_digests.json"
+VARIANTS = ("tilde", "assoc-graded", "hat", "minus")
 
 L21 = GridDiagram(LensParams(2, 1), 2, ((0, 0), (1, 1)), ((1, 0), (0, 1)))
 
@@ -207,3 +216,37 @@ def test_export_lines_deterministic():
     assert all(" -> " in ln and "U0^" in ln and "U1^" in ln for ln in lines)
     x = Generator((0, 1), (0, 1))
     assert any(ln.startswith("[0 1|0 1] -> ") for ln in lines)
+
+
+def golden_digests():
+    """sha256 of each variant's export lines, per diagram of three sets.
+
+    tests/golden/boundary_digests.json holds this dict as computed by the
+    Fraction-based parallelogram engine that preceded the doubled-integer
+    kernel; ``json.dumps(golden_digests(), indent=1, sort_keys=True)``
+    regenerates it.
+    """
+    gn1, rnd = build_corpus()
+    sets = {
+        "selftest.build_corpus()": gn1 + rnd,
+        "random_knot_diagrams(p, q, 3, 2, seed=1)": [
+            d for (p, q) in ((3, 1), (3, -1), (5, 2))
+            for d in random_knot_diagrams(p, q, 3, 2, seed=1)],
+        "random_knot_diagrams(2, 1, 4, 1, seed=1)":
+            random_knot_diagrams(2, 1, 4, 1, seed=1),
+    }
+    out = {}
+    for name, diagrams in sets.items():
+        rows = []
+        for d in diagrams:
+            row = {"grid": format_grid(d)}
+            for variant in VARIANTS:
+                text = "\n".join(boundary_export_lines(build_boundary(d, variant)))
+                row[variant] = hashlib.sha256(text.encode()).hexdigest()
+            rows.append(row)
+        out[name] = rows
+    return out
+
+
+def test_boundary_exports_match_golden_digests():
+    assert golden_digests() == json.loads(GOLDEN.read_text())
