@@ -10,6 +10,7 @@ import argparse
 import hashlib
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import selftest
 from .complexes import (DEFAULT_GENERATOR_CAP, SparseBoundary,
@@ -17,8 +18,8 @@ from .complexes import (DEFAULT_GENERATOR_CAP, SparseBoundary,
                         enumerate_generators, generator_count,
                         generator_label, square_is_zero)
 from .cover import format_s3_grid, lift_diagram, s3_link_components
-from .errors import (InternalInvariantError, LensGridError, SizeCapError,
-                     ValidationError)
+from .errors import (InternalInvariantError, LensGridError, ParseError,
+                     SizeCapError, ValidationError)
 from .gradings import gradings_table
 from .grid import (GridDiagram, LensParams, enumerate_grid_number_one,
                    format_grid, parse_grid, reconstruct_link, require_valid,
@@ -35,7 +36,21 @@ EXPORT_VARIANTS = ("tilde", "assoc-graded", "hat", "minus")
 def _read(path):
     with open(path, "rb") as fh:
         raw = fh.read()
-    return raw.decode(), hashlib.sha256(raw).hexdigest()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(raw.count(b"\n", 0, exc.start) + 1,
+                         "byte 0x%02x at offset %d is not UTF-8 text"
+                         % (raw[exc.start], exc.start)) from None
+    return text, hashlib.sha256(raw).hexdigest()
+
+
+def _require_nonnegative_caps(args):
+    for name in ("cap", "piece_cap"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            raise ValidationError("range-error: --%s must be >= 0 (got %d)"
+                                  % (name.replace("_", "-"), value))
 
 
 def _emit(doc):
@@ -244,7 +259,9 @@ def cmd_selftest(args):
     return 0 if all(r.ok for r in results) else 1
 
 
+@cache
 def build_parser():
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="lensgrid",
         description="Knot Floer invariants of knots in lens spaces from "
@@ -315,6 +332,7 @@ COMMANDS = {
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        _require_nonnegative_caps(args)
         return COMMANDS[args.command](args)
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)

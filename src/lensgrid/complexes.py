@@ -23,6 +23,18 @@ Interiors are tested with strict inequalities in the cover; components
 are corner points and markers are cell centres, so no boundary ties can
 occur.  Each marker meets an embedded parallelogram's interior at most
 once, hence every interior count is 0 or 1.
+
+All arithmetic is on integers.  Component and corner tests use the
+sheared coordinates as they are.  Marker tests double every coordinate
+once per diagram, as the grading code does: the centre of cell (s, t)
+becomes the odd point (2s+1, 2t+1), and a box's corner, width and height
+are doubled together with the row period, the width period and the
+shear, which leaves every strict inequality unchanged.
+
+The tilde boundary needs only the parallelograms that contain no marker
+at all, so ``empty_targets`` stops testing a parallelogram at its first
+marker; ``parallelograms_from`` counts every marker and serves the other
+three variants.
 """
 
 from __future__ import annotations
@@ -33,7 +45,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 
 from .errors import SizeCapError, ValidationError
-from .grid import Generator, cell_to_sheared, require_valid
+from .grid import Generator, require_valid
 from .gradings import gradings_table
 
 DEFAULT_GENERATOR_CAP = 10 ** 7
@@ -127,23 +139,30 @@ def is_embedded(w, h, n_rows, width, shear):
 
 
 def interior_count(s_z, t_z, sw_col, sw_row, w, h, n_rows, width, shear):
-    """Number of lattice translates of (s_z, t_z) strictly inside the box
-    with lower-left corner (sw_col, sw_row).  Coordinates may be integers
-    (generator components) or half-integers (marker centres)."""
+    """Number of lattice translates of (s_z, t_z) strictly inside the w-by-h
+    box with lower-left corner (sw_col, sw_row).
+
+    Every argument is an integer.  A marker centre is a half-integer point,
+    so marker tests pass doubled coordinates throughout (see
+    ``doubled_centres``): the odd centre, and twice the corner, the box
+    size, the row period, the width period and the shear.
+    """
     hits = 0
-    b = _first_level(t_z, sw_row, n_rows)
-    while t_z + b * n_rows < sw_row + h:
-        if 0 < (s_z + b * shear - sw_col) % width < w:
+    b = (sw_row - t_z) // n_rows + 1   # lowest level strictly above sw_row
+    t = t_z + b * n_rows
+    s = s_z + b * shear - sw_col
+    top = sw_row + h
+    while t < top:
+        if 0 < s % width < w:
             hits += 1
-        b += 1
+        t += n_rows
+        s += shear
     return hits
 
 
-def _first_level(t_z, sw_row, n_rows):
-    # smallest integer b with t_z + b*n_rows > sw_row
-    if isinstance(t_z, int):
-        return (sw_row - t_z) // n_rows + 1
-    return math.floor((sw_row - t_z) / n_rows) + 1
+def doubled_centres(cells):
+    """Marker centres in doubled coordinates: cell (s, t) -> (2s+1, 2t+1)."""
+    return tuple((2 * s + 1, 2 * t + 1) for (s, t) in cells)
 
 
 def torus_parallelograms(cols, n_rows, width, shear):
@@ -176,18 +195,40 @@ def embedded_candidates(x, diagram):
             if is_embedded(rec[3], rec[4], n, width, shear)]
 
 
+def empty_targets(cols, n_rows, width, shear, centres):
+    """Targets of the admissible parallelograms from ``cols`` that contain
+    none of the doubled marker ``centres``.
+
+    Yields each target's column placement; a parallelogram is dropped at
+    the first marker found inside it.
+    """
+    rows2, width2, shear2 = 2 * n_rows, 2 * width, 2 * shear
+    for (i, j, m, w, h, target) in torus_parallelograms(cols, n_rows, width, shear):
+        sw_col, sw_row, w2, h2 = 2 * cols[i], 2 * i, 2 * w, 2 * h
+        for (sc, tc) in centres:
+            if interior_count(sc, tc, sw_col, sw_row, w2, h2,
+                              rows2, width2, shear2):
+                break
+        else:
+            yield target
+
+
 def parallelograms_from(x, diagram):
     """All admissible parallelograms leaving x, with marker counts."""
     n, width, shear = diagram.n, diagram.width, diagram.n * diagram.lens.q
-    o_centers = [cell_to_sheared(c, center=True) for c in diagram.O]
-    x_centers = [cell_to_sheared(c, center=True) for c in diagram.X]
+    rows2, width2, shear2 = 2 * n, 2 * width, 2 * shear
+    o_centres = doubled_centres(diagram.O)
+    x_centres = doubled_centres(diagram.X)
     cols = x.columns
     out = []
     for (i, j, m, w, h, target) in torus_parallelograms(cols, n, width, shear):
-        o_counts = tuple(interior_count(sc, tc, cols[i], i, w, h, n, width, shear)
-                         for (sc, tc) in o_centers)
-        x_counts = tuple(interior_count(sc, tc, cols[i], i, w, h, n, width, shear)
-                         for (sc, tc) in x_centers)
+        sw_col, sw_row, w2, h2 = 2 * cols[i], 2 * i, 2 * w, 2 * h
+        o_counts = tuple(interior_count(sc, tc, sw_col, sw_row, w2, h2,
+                                        rows2, width2, shear2)
+                         for (sc, tc) in o_centres)
+        x_counts = tuple(interior_count(sc, tc, sw_col, sw_row, w2, h2,
+                                        rows2, width2, shear2)
+                         for (sc, tc) in x_centres)
         out.append(Parallelogram(
             source=x, target=Generator.from_columns(target),
             moved_rows=(i, j), sw=(cols[i], i), width=w, height=h,
@@ -196,15 +237,15 @@ def parallelograms_from(x, diagram):
 
 
 def _keep(P, variant):
-    if variant == "tilde":
-        return not any(P.o_counts) and not any(P.x_counts)
     if variant == "assoc-graded":
         return not any(P.x_counts)
     if variant == "hat":
         return P.o_counts[0] == 0
-    if variant == "minus":
-        return True
-    raise ValidationError("unknown boundary variant %r" % (variant,))
+    return True
+
+
+def _term_key(term):
+    return (term[0].sort_key(), term[1])
 
 
 def build_boundary(diagram, variant, cap=DEFAULT_GENERATOR_CAP, reverse=False):
@@ -217,25 +258,29 @@ def build_boundary(diagram, variant, cap=DEFAULT_GENERATOR_CAP, reverse=False):
     the map (the deliberately wrong corner convention, for tests).
     """
     require_valid(diagram)
-    n = diagram.n
+    if variant not in VARIANTS:
+        raise ValidationError("unknown boundary variant %r" % (variant,))
+    n, width, shear = diagram.n, diagram.width, diagram.n * diagram.lens.q
     zero = (0,) * n
+    centres = doubled_centres(diagram.O + diagram.X)
     collected = {}
     for x in enumerate_generators(diagram, cap):
-        bucket = Counter()
-        for P in parallelograms_from(x, diagram):
-            if not _keep(P, variant):
-                continue
-            mono = zero if variant == "tilde" else P.o_counts
-            bucket[(P.target, mono)] += 1
-        collected[x] = tuple(sorted(
-            (term for term, c in bucket.items() if c % 2),
-            key=lambda term: (term[0].sort_key(), term[1])))
+        if variant == "tilde":
+            bucket = Counter(empty_targets(x.columns, n, width, shear, centres))
+            terms = ((Generator.from_columns(t), zero)
+                     for t, c in bucket.items() if c % 2)
+        else:
+            bucket = Counter((P.target, P.o_counts)
+                             for P in parallelograms_from(x, diagram)
+                             if _keep(P, variant))
+            terms = (term for term, c in bucket.items() if c % 2)
+        collected[x] = tuple(sorted(terms, key=_term_key))
     if reverse:
         flipped = {x: [] for x in collected}
         for x, terms in collected.items():
             for (y, mono) in terms:
                 flipped[y].append((x, mono))
-        collected = {x: tuple(sorted(v, key=lambda t: (t[0].sort_key(), t[1])))
+        collected = {x: tuple(sorted(v, key=_term_key))
                      for x, v in flipped.items()}
     return SparseBoundary(n=n, variant=variant, terms=collected)
 

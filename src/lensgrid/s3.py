@@ -17,12 +17,13 @@ is where the cross-validation has its teeth.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .complexes import (DEFAULT_GENERATOR_CAP, enumerate_generators,
-                        interior_count, torus_parallelograms)
+from .complexes import (DEFAULT_GENERATOR_CAP, doubled_centres,
+                        empty_targets, enumerate_generators)
 from .cover import (lift_diagram, lift_generator, require_valid_s3,
                     s3_link_components)
 from .errors import InternalInvariantError, SizeCapError
@@ -35,10 +36,6 @@ def _scaled(points):
     return tuple((2 * a, 2 * b) for (a, b) in points)
 
 
-def _scaled_centers(cells):
-    return tuple((2 * c + 1, 2 * r + 1) for (c, r) in cells)
-
-
 def s3_maslov(points, marker_cells):
     """Integer Maslov grading of a grid generator on the square torus.
 
@@ -46,7 +43,7 @@ def s3_maslov(points, marker_cells):
     the cells of the marker family playing the anchoring role.
     """
     gen = _scaled(points)
-    base = _scaled_centers(marker_cells)
+    base = doubled_centres(marker_cells)
     return (dominance_count(gen, gen) - dominance_count(gen, base)
             - dominance_count(base, gen) + dominance_count(base, base) + 1)
 
@@ -62,15 +59,15 @@ def s3_alexander_multi(points, diagram):
     """Alexander multi-grading of a generator, one rational per component."""
     require_valid_s3(diagram)
     gen = _scaled(points)
-    all_o = _scaled_centers(diagram.O)
-    all_x = _scaled_centers(diagram.X)
+    all_o = doubled_centres(diagram.O)
+    all_x = doubled_centres(diagram.X)
     # weights doubled so the 1/2 coefficients stay integral
     left = [(pt, 2) for pt in gen] + [(pt, -1) for pt in all_x] \
         + [(pt, -1) for pt in all_o]
     out = []
     for (o_cells, x_cells) in basepoint_partition(diagram):
-        right = [(pt, 1) for pt in _scaled_centers(x_cells)] \
-            + [(pt, -1) for pt in _scaled_centers(o_cells)]
+        right = [(pt, 1) for pt in doubled_centres(x_cells)] \
+            + [(pt, -1) for pt in doubled_centres(o_cells)]
         j = Fraction(_wdom(left, right) + _wdom(right, left), 4)
         out.append(j - Fraction(len(o_cells) - 1, 2))
     return tuple(out)
@@ -81,8 +78,8 @@ def s3_alexander_total(points, diagram, components=None):
     require_valid_s3(diagram)
     ell = components if components is not None else len(s3_link_components(diagram))
     gen = _scaled(points)
-    all_o = _scaled_centers(diagram.O)
-    all_x = _scaled_centers(diagram.X)
+    all_o = doubled_centres(diagram.O)
+    all_x = doubled_centres(diagram.X)
     left = [(pt, 2) for pt in gen] + [(pt, -1) for pt in all_x] \
         + [(pt, -1) for pt in all_o]
     right = [(pt, 1) for pt in all_x] + [(pt, -1) for pt in all_o]
@@ -112,8 +109,7 @@ def s3_tilde_homology(diagram, cap=DEFAULT_GENERATOR_CAP, pivot="low"):
         raise SizeCapError("refusing to enumerate %d! = %d generators (cap %d)"
                            % (N, total, cap))
     ell = len(s3_link_components(diagram))
-    o_centers = [(c + Fraction(1, 2), r + Fraction(1, 2)) for (c, r) in diagram.O]
-    x_centers = [(c + Fraction(1, 2), r + Fraction(1, 2)) for (c, r) in diagram.X]
+    centres = doubled_centres(diagram.O + diagram.X)
 
     gens = [tuple((perm[r], r) for r in range(N))
             for perm in permutations(range(N))]
@@ -122,17 +118,6 @@ def s3_tilde_homology(diagram, cap=DEFAULT_GENERATOR_CAP, pivot="low"):
         m = s3_maslov(pts, diagram.O)
         a = s3_alexander_total(pts, diagram, components=ell)
         grading[pts] = (m, a)
-
-    def blocked_targets(pts):
-        cols = tuple(c for (c, _) in sorted(pts, key=lambda t: t[1]))
-        out = []
-        for (i, j, _, w, h, target) in torus_parallelograms(cols, N, N, 0):
-            hit = any(
-                interior_count(sc, tc, cols[i], i, w, h, N, N, 0)
-                for (sc, tc) in o_centers + x_centers)
-            if not hit:
-                out.append(tuple((target[r], r) for r in range(N)))
-        return out
 
     groups = {}
     for pts in gens:
@@ -147,12 +132,12 @@ def s3_tilde_homology(diagram, cap=DEFAULT_GENERATOR_CAP, pivot="low"):
             rows = []
             for pts in basis:
                 row = 0
-                acc = {}
-                for y in blocked_targets(pts):
-                    acc[y] = acc.get(y, 0) + 1
-                for y, c in acc.items():
-                    if c % 2 == 0:
+                cols = tuple(c for (c, _) in pts)
+                for target, count in Counter(
+                        empty_targets(cols, N, N, 0, centres)).items():
+                    if count % 2 == 0:
                         continue
+                    y = tuple((target[r], r) for r in range(N))
                     if grading[y] != (m - 1, a):
                         raise InternalInvariantError(
                             "blocked term changes Alexander or drops Maslov != 1")

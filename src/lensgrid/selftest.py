@@ -105,10 +105,7 @@ def criterion_03(gn1, rnd):
 def criterion_04(gn1, rnd):
     count = 0
     for d in gn1 + rnd:
-        variants = ["tilde", "assoc-graded", "hat"]
-        if d.lens.p <= 3:
-            variants.append("minus")
-        for variant in variants:
+        for variant in ("tilde", "assoc-graded", "hat", "minus"):
             if not square_is_zero(build_boundary(d, variant)):
                 return CheckResult("C04", CRITERIA[3][1], False,
                                    "d^2 != 0 for %s on %r" % (variant, d))

@@ -46,6 +46,20 @@ def test_parse_error_exit_one(grid_file, capsys):
     assert code == 1
 
 
+def test_non_utf8_file_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "d.grid"
+    path.write_bytes(b"5 2 1\nO: 0\n\xff\xfeX: 2\n")
+    code, _, err = run(capsys, "info", str(path))
+    assert code == 1
+    assert err.startswith("error: line 3:") and "0xff" in err
+
+
+@pytest.mark.parametrize("flag", ["--cap", "--piece-cap"])
+def test_negative_caps_exit_one(grid_file, capsys, flag):
+    code, _, err = run(capsys, "homology", grid_file(KNOT_N2), flag, "-1")
+    assert code == 1 and "error: range-error: %s must be >= 0" % flag in err
+
+
 def test_info(grid_file, capsys):
     code, out, _ = run(capsys, "info", grid_file(GN1), "--format", "structured")
     assert code == 0

@@ -201,6 +201,23 @@ def test_term_set_inclusions_and_monomials():
         assert set(minus.terms[x]) == {t for t, c in expected.items() if c % 2}
 
 
+def test_early_stop_tilde_matches_counted_parallelograms():
+    """The tilde boundary, built by the early-stop kernel, equals the mod-2
+    collection of the counted parallelograms that meet no marker."""
+    rng = random.Random(61)
+    kept = 0
+    for (p, q) in ((2, 1), (3, 1), (3, -2), (4, 1), (4, -1)):
+        d = random_diagram(p, q, 3, rng)
+        tilde = build_boundary(d, "tilde")
+        for x in enumerate_generators(d):
+            bucket = Counter(P.target for P in parallelograms_from(x, d)
+                             if not any(P.o_counts) and not any(P.x_counts))
+            expected = {(y, (0, 0, 0)) for y, c in bucket.items() if c % 2}
+            assert set(tilde.terms[x]) == expected, (d, x)
+            kept += len(expected)
+    assert kept > 0
+
+
 def test_grading_drops_clean_and_reversed():
     rng = random.Random(51)
     d = random_knot_diagram(3, 1, 2, rng)
