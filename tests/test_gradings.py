@@ -1,5 +1,10 @@
+import contextlib
+import hashlib
+import io
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,8 +14,15 @@ from lensgrid import (Generator, GridDiagram, LensParams, ValidationError,
                       element_grading, gradings_table, maslov_grading,
                       monomial_grading, spin_grading, symmetric_dominance,
                       symmetric_dominance_weighted)
-from lensgrid.corpus import coprime_qs, random_knot_diagram
+from lensgrid.cli import main
+from lensgrid.corpus import (coprime_qs, random_knot_diagram,
+                             random_knot_diagrams)
 from lensgrid.errors import KnotRequiredError
+from lensgrid.grid import enumerate_grid_number_one, format_grid
+from lensgrid.selftest import build_corpus
+
+GOLDEN = Path(__file__).parent / "golden" / "grading_digests.json"
+GRADED_COMMANDS = ("gradings", "verify-cover", "homology")
 
 STAIRCASE = ((0, 0), (2, 1), (4, 2), (1, 3), (3, 4))
 
@@ -167,3 +179,47 @@ def test_monomial_and_element_gradings():
     assert t.maslov == base.maslov - 2 and t.alexander == base.alexander - 1
     with pytest.raises(ValidationError):
         element_grading(L21, [])
+
+
+def grading_golden_digests(tmp_path):
+    """sha256 of the structured gradings, verify-cover and homology
+    documents, per diagram of three sets.
+
+    tests/golden/grading_digests.json holds this dict as computed by the
+    per-generator dominance scans that preceded the per-diagram grading
+    tables; ``json.dumps(grading_golden_digests(tmp), indent=1,
+    sort_keys=True)`` regenerates it.
+    """
+    gn1, rnd = build_corpus()
+    families = ((29, 3), (29, -12), (37, 7), (37, -5), (61, 2), (61, -17))
+    sets = {
+        "selftest.build_corpus()": gn1 + rnd,
+        "enumerate_grid_number_one(L(p, q))": [
+            d for (p, q) in families
+            for d in enumerate_grid_number_one(LensParams(p, q))],
+        "random_knot_diagrams(p, q, n, count, seed=1)": [
+            d for (p, q, n, count) in ((11, 3, 2, 2), (3, 1, 3, 2),
+                                       (3, -1, 3, 2), (5, 2, 3, 2),
+                                       (2, 1, 4, 1))
+            for d in random_knot_diagrams(p, q, n, count, seed=1)],
+    }
+    path = tmp_path / "d.grid"
+    out = {}
+    for name, diagrams in sets.items():
+        rows = []
+        for d in diagrams:
+            row = {"grid": format_grid(d)}
+            path.write_text(row["grid"])
+            for command in GRADED_COMMANDS:
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf):
+                    code = main([command, str(path), "--format", "structured"])
+                assert code == 0, (command, row["grid"])
+                row[command] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+            rows.append(row)
+        out[name] = rows
+    return out
+
+
+def test_graded_documents_match_golden_digests(tmp_path):
+    assert grading_golden_digests(tmp_path) == json.loads(GOLDEN.read_text())
