@@ -217,6 +217,9 @@ def cmd_verify_cover(args):
 
 
 def cmd_enumerate_gn1(args):
+    if args.p > DEFAULT_GENERATOR_CAP:
+        raise SizeCapError("refusing to build %d grid-number-one diagrams "
+                           "(cap %d)" % (args.p, DEFAULT_GENERATOR_CAP))
     diagrams = enumerate_grid_number_one(LensParams(args.p, args.q))
     if args.format == "structured":
         _emit({"p": args.p, "q": args.q,

@@ -12,6 +12,7 @@ and the X markers, shifted by (n-1)/2.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -144,8 +145,75 @@ def alexander_grading_swapped(x, diagram):
             - (diagram.n - 1)) / 2
 
 
+def _non_inversions(seq):
+    """Number of pairs i < j with seq[i] < seq[j]."""
+    seen = []
+    total = 0
+    for v in seq:
+        total += bisect_left(seen, v)
+        insort(seen, v)
+    return total
+
+
+def _lift_non_inversions(p, q):
+    """``NI[a]``: non-inversions of ``k -> (a + q*k) mod p``, for every a.
+
+    This is the self-dominance count of the lift of one generator
+    component whose column is ``sigma + n*a``.  Moving a to a + 1 turns
+    the value p - 1, taken at the k* with ``a + q*k* = p - 1 (mod p)``,
+    into 0 and leaves the order of every other pair alone, so
+    ``NI[a+1] = NI[a] + (p - 1) - 2*k*``.
+    """
+    out = [_non_inversions([q * k % p for k in range(p)])]
+    q_inv = pow(q, -1, p)
+    for a in range(p - 1):
+        k_star = (p - 1 - a) * q_inv % p
+        out.append(out[-1] + (p - 1) - 2 * k_star)
+    return out
+
+
+def _marker_cross_table(cells, p, q, n):
+    """Per-cell cross terms and the self term of one marker family.
+
+    Returns ``(cross, self_count)``.  ``cross[r][c]`` is, summed over the
+    p lifts of the generator point (c, r), the number of lifted markers
+    weakly above-right of the lift plus the number strictly below-left of
+    it: the lift's share of ``I(g, B) + I(B, g)``.  ``self_count`` is
+    ``I(B, B)``.  One sweep over the cover's rows keeps ``below[C]``, the
+    markers in lower rows with column < C; the lifted markers meet every
+    row and column once, so the markers weakly above-right of (C, R)
+    number ``width - R - C + below[C]``.
+    """
+    width = n * p
+    marker_col = [0] * width
+    for (c, row) in lift_points(cells, p, q, n):
+        marker_col[row] = c
+    below = [0] * width
+    cross = [[0] * width for _ in range(n)]
+    self_count = 0
+    for row in range(width):
+        vals = [width - row - c + 2 * b for c, b in enumerate(below)]
+        # the lift of cell (c, row % n) into this row sits in column c + shift
+        shift = n * q * (row // n) % width
+        rotated = vals[shift:] + vals[:shift]
+        r = row % n
+        cross[r] = [s + v for s, v in zip(cross[r], rotated)]
+        mc = marker_col[row]
+        self_count += below[mc]
+        below[mc + 1:] = [b + 1 for b in below[mc + 1:]]
+    return cross, self_count
+
+
 def gradings_table(diagram, generators):
-    """GradingTriple for each generator, with the per-diagram work shared.
+    """GradingTriple for each generator, from per-diagram integer tables.
+
+    The dominance counts of ``maslov_grading`` are bilinear in the lifted
+    points, so the generator-against-marker terms are sums of per-cell
+    table entries, and the generator-against-itself term is a sum over
+    pairs of components: ``NI[a]`` for a component with itself, a
+    memoised count for two components in different rows.  Tables and
+    memo live for this call only: the tables take O(n*n*p) memory and
+    the memo at most 2*p*p entries, none when n = 1.
 
     Requires a knot diagram (the Alexander grading is only defined then).
     """
@@ -153,27 +221,48 @@ def gradings_table(diagram, generators):
     require_knot(diagram)
     p, q, n = diagram.lens.p, diagram.lens.q, diagram.n
     qn = q % p
-    const = d_invariant(p, qn, qn - 1) + Fraction(p - 1, p)
-    base_o = _scaled_center_lift(diagram.O, p, q, n)
-    base_x = _scaled_center_lift(diagram.X, p, q, n)
-    self_o = dominance_count(base_o, base_o)
-    self_x = dominance_count(base_x, base_x)
-    base_gen = canonical_generator(diagram)
-    base_sum = sum(base_gen.a)
+    d = d_invariant(p, qn, qn - 1)
+    width = n * p
+    cross_o, self_o = _marker_cross_table(diagram.O, p, q, n)
+    cross_x, self_x = _marker_cross_table(diagram.X, p, q, n)
+    ni = _lift_non_inversions(p, qn)
+    pair_memo = {}
+
+    def pair_term(c1, c2):
+        # dominance pairs between the lifts of components in columns c1 and
+        # c2 of rows t1 < t2.  Read by row, the lifts interleave as c1, c2,
+        # c1 + nq, c2 + nq, ... (mod n*p); their order depends only on
+        # c1 // n, c2 // n and whether c1 % n < c2 % n.
+        key = (c1 // n, c2 // n, c1 % n < c2 % n)
+        value = pair_memo.get(key)
+        if value is None:
+            seq = []
+            for k in range(p):
+                shift = n * q * k
+                seq += ((c1 + shift) % width, (c2 + shift) % width)
+            value = _non_inversions(seq) - ni[c1 // n] - ni[c2 // n]
+            pair_memo[key] = value
+        return value
+
+    base_sum = sum(canonical_generator(diagram).a)
     out = {}
     for x in generators:
-        gen = _scaled_generator_lift(x, p, q, n)
-        gg = dominance_count(gen, gen)
-        raw_o = (gg - dominance_count(gen, base_o)
-                 - dominance_count(base_o, gen) + self_o + 1)
-        raw_x = (gg - dominance_count(gen, base_x)
-                 - dominance_count(base_x, gen) + self_x + 1)
-        m_o = Fraction(raw_o, p) + const
-        m_x = Fraction(raw_x, p) + const
+        cols = x.columns
+        gg = sum(ni[a] for a in x.a)
+        cross_sum_o = cross_sum_x = 0
+        for t1, c1 in enumerate(cols):
+            cross_sum_o += cross_o[t1][c1]
+            cross_sum_x += cross_x[t1][c1]
+            for c2 in cols[t1 + 1:]:
+                gg += pair_term(c1, c2)
+        raw_o = gg - cross_sum_o + self_o + 1
+        raw_x = gg - cross_sum_x + self_x + 1
+        # M = raw_o/p + d + (p-1)/p, A = (raw_o - raw_x)/(2p) - (n-1)/2
         out[x] = GradingTriple(
             spin=((q - 1) + sum(x.a) - base_sum) % p,
-            maslov=m_o,
-            alexander=(m_o - m_x - (n - 1)) / 2)
+            maslov=Fraction((raw_o + p - 1) * d.denominator + p * d.numerator,
+                            p * d.denominator),
+            alexander=Fraction(raw_o - raw_x - (n - 1) * p, 2 * p))
     return out
 
 

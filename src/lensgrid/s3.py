@@ -27,7 +27,8 @@ from .complexes import (DEFAULT_GENERATOR_CAP, doubled_centres,
 from .cover import (lift_diagram, lift_generator, require_valid_s3,
                     s3_link_components)
 from .errors import InternalInvariantError, SizeCapError
-from .gradings import d_invariant, dominance_count, gradings_table
+from .gradings import (d_invariant, dominance_count, gradings_table,
+                       weighted_dominance)
 from .grid import canonical_generator, require_knot, require_valid
 from .homology import HomologyTable, homology_ranks
 
@@ -36,16 +37,26 @@ def _scaled(points):
     return tuple((2 * a, 2 * b) for (a, b) in points)
 
 
-def s3_maslov(points, marker_cells):
+def s3_maslov(points, marker_cells, marker_self=None):
     """Integer Maslov grading of a grid generator on the square torus.
 
     ``points`` are the generator's (col, row) components, ``marker_cells``
-    the cells of the marker family playing the anchoring role.
+    the cells of the marker family playing the anchoring role.  A caller
+    grading many generators passes ``marker_self``, the family's
+    ``marker_self_count(marker_cells)``, computed once.
     """
+    if marker_self is None:
+        marker_self = marker_self_count(marker_cells)
     gen = _scaled(points)
     base = doubled_centres(marker_cells)
     return (dominance_count(gen, gen) - dominance_count(gen, base)
-            - dominance_count(base, gen) + dominance_count(base, base) + 1)
+            - dominance_count(base, gen) + marker_self + 1)
+
+
+def marker_self_count(marker_cells):
+    """The generator-independent term of ``s3_maslov``."""
+    base = doubled_centres(marker_cells)
+    return dominance_count(base, base)
 
 
 def basepoint_partition(diagram):
@@ -68,32 +79,41 @@ def s3_alexander_multi(points, diagram):
     for (o_cells, x_cells) in basepoint_partition(diagram):
         right = [(pt, 1) for pt in doubled_centres(x_cells)] \
             + [(pt, -1) for pt in doubled_centres(o_cells)]
-        j = Fraction(_wdom(left, right) + _wdom(right, left), 4)
+        j = Fraction(weighted_dominance(left, right)
+                     + weighted_dominance(right, left), 4)
         out.append(j - Fraction(len(o_cells) - 1, 2))
     return tuple(out)
 
 
-def s3_alexander_total(points, diagram, components=None):
-    """Total Alexander grading; equals the sum of the multi-grading."""
+def _alexander_right(diagram):
+    # s3_alexander_total pairs 2*gen - X - O against this side, X - O
+    return ([(pt, 1) for pt in doubled_centres(diagram.X)]
+            + [(pt, -1) for pt in doubled_centres(diagram.O)])
+
+
+def alexander_marker_term(diagram):
+    """The generator-independent part of the pairing in
+    ``s3_alexander_total``: 8N^2 of its 12N^2 dominance pairs."""
+    right = _alexander_right(diagram)
+    markers = [(pt, -1) for (pt, _) in right]
+    return weighted_dominance(markers, right) + weighted_dominance(right, markers)
+
+
+def s3_alexander_total(points, diagram, components=None, marker_term=None):
+    """Total Alexander grading; equals the sum of the multi-grading.
+
+    A caller grading many generators passes ``components`` and
+    ``marker_term`` (``alexander_marker_term(diagram)``), computed once.
+    """
     require_valid_s3(diagram)
     ell = components if components is not None else len(s3_link_components(diagram))
-    gen = _scaled(points)
-    all_o = doubled_centres(diagram.O)
-    all_x = doubled_centres(diagram.X)
-    left = [(pt, 2) for pt in gen] + [(pt, -1) for pt in all_x] \
-        + [(pt, -1) for pt in all_o]
-    right = [(pt, 1) for pt in all_x] + [(pt, -1) for pt in all_o]
-    j = Fraction(_wdom(left, right) + _wdom(right, left), 4)
+    if marker_term is None:
+        marker_term = alexander_marker_term(diagram)
+    right = _alexander_right(diagram)
+    gen = [(pt, 2) for pt in _scaled(points)]
+    j = Fraction(weighted_dominance(gen, right) + weighted_dominance(right, gen)
+                 + marker_term, 4)
     return j - Fraction(diagram.N - ell, 2)
-
-
-def _wdom(first, second):
-    total = 0
-    for (pa, wa) in first:
-        for (pb, wb) in second:
-            if pa[0] < pb[0] and pa[1] < pb[1]:
-                total += wa * wb
-    return total
 
 
 def s3_tilde_homology(diagram, cap=DEFAULT_GENERATOR_CAP, pivot="low"):
@@ -110,13 +130,16 @@ def s3_tilde_homology(diagram, cap=DEFAULT_GENERATOR_CAP, pivot="low"):
                            % (N, total, cap))
     ell = len(s3_link_components(diagram))
     centres = doubled_centres(diagram.O + diagram.X)
+    o_self = marker_self_count(diagram.O)
+    a_markers = alexander_marker_term(diagram)
 
     gens = [tuple((perm[r], r) for r in range(N))
             for perm in permutations(range(N))]
     grading = {}
     for pts in gens:
-        m = s3_maslov(pts, diagram.O)
-        a = s3_alexander_total(pts, diagram, components=ell)
+        m = s3_maslov(pts, diagram.O, marker_self=o_self)
+        a = s3_alexander_total(pts, diagram, components=ell,
+                               marker_term=a_markers)
         grading[pts] = (m, a)
 
     groups = {}
@@ -189,14 +212,17 @@ def verify_cover_relations(diagram, cap=DEFAULT_GENERATOR_CAP):
     shift = d_invariant(p, qn, qn - 1) + Fraction(p - 1, p)
     gens = list(enumerate_generators(diagram, cap))
     table = gradings_table(diagram, gens)
+    o_self = marker_self_count(lifted.O)
+    a_markers = alexander_marker_term(lifted)
 
     rows = []
     base = None
     for x in gens:
         t = table[x]
         pts = lift_generator(x, diagram)
-        m_cover = s3_maslov(pts, lifted.O)
-        a_cover = s3_alexander_total(pts, lifted, components=ell)
+        m_cover = s3_maslov(pts, lifted.O, marker_self=o_self)
+        a_cover = s3_alexander_total(pts, lifted, components=ell,
+                                     marker_term=a_markers)
         row = {"generator": x, "spin": t.spin, "maslov": t.maslov,
                "alexander": t.alexander, "cover_maslov": m_cover,
                "cover_alexander": a_cover}
@@ -212,11 +238,11 @@ def verify_cover_relations(diagram, cap=DEFAULT_GENERATOR_CAP):
                 violations.append("relative Alexander relation fails for %r" % (x,))
 
     canon = canonical_generator(diagram)
-    canon_lift = lift_generator(canon, diagram)
-    if s3_maslov(canon_lift, lifted.O) != -(p * n - 1):
+    canon_maslov = s3_maslov(lift_generator(canon, diagram), lifted.O,
+                             marker_self=o_self)
+    if canon_maslov != -(p * n - 1):
         violations.append("canonical generator's lift has square-grid Maslov "
-                          "%d, expected %d"
-                          % (s3_maslov(canon_lift, lifted.O), -(p * n - 1)))
+                          "%d, expected %d" % (canon_maslov, -(p * n - 1)))
     if table[canon].maslov != d_invariant(p, qn, qn - 1) - (n - 1):
         violations.append("canonical generator Maslov %s != d(p,q,q-1) - (n-1)"
                           % (table[canon].maslov,))

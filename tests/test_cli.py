@@ -155,3 +155,9 @@ def test_boundary_export_and_debug_orientation(grid_file, capsys):
 def test_size_cap_exit_two(grid_file, capsys):
     code, _, err = run(capsys, "homology", grid_file(KNOT_N2), "--cap", "3")
     assert code == 2 and "cap" in err
+
+
+def test_enumerate_gn1_refuses_more_diagrams_than_the_cap(capsys):
+    code, out, err = run(capsys, "enumerate-gn1", str(10**7 + 1), "2")
+    assert code == 2 and out == ""
+    assert err.startswith("refused:") and "10000001" in err

@@ -145,16 +145,24 @@ def test_alexander_symmetry():
 
 
 def test_gradings_table_matches_pointwise():
+    # the full grid-number-one families at p = 61 take seconds through the
+    # full-lift scans, so every fifth j of them; the golden digests cover
+    # every j
     rng = random.Random(8)
-    d = random_knot_diagram(3, 2, 2, rng)
+    diagrams = [random_knot_diagram(3, 2, 2, rng),
+                random_knot_diagram(5, -2, 3, rng),
+                random_knot_diagram(3, 1, 4, rng)]
+    for (p, q, step) in ((29, 3, 1), (29, -12, 1), (61, 2, 5), (61, -17, 5)):
+        diagrams += enumerate_grid_number_one(LensParams(p, q))[::step]
     from lensgrid.complexes import enumerate_generators
-    gens = list(enumerate_generators(d))
-    table = gradings_table(d, gens)
-    for x in gens[::3]:
-        t = table[x]
-        assert t.spin == spin_grading(x, d)
-        assert t.maslov == maslov_grading(x, d)
-        assert t.alexander == alexander_grading(x, d)
+    for d in diagrams:
+        gens = list(enumerate_generators(d))
+        table = gradings_table(d, gens)
+        for x in gens:
+            t = table[x]
+            assert t.spin == spin_grading(x, d)
+            assert t.maslov == maslov_grading(x, d)
+            assert t.alexander == alexander_grading(x, d)
 
 
 def test_gradings_refuse_links():

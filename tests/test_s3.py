@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -6,7 +7,9 @@ from lensgrid import (GridDiagram, LensParams, S3GridDiagram,
                       lift_diagram, lift_generator, maslov_grading,
                       s3_alexander_multi, s3_alexander_total, s3_maslov,
                       s3_tilde_homology, verify_cover_relations)
-from lensgrid.corpus import coprime_qs, gn1_corpus, random_knot_diagram
+from lensgrid import s3
+from lensgrid.corpus import (coprime_qs, gn1_corpus, random_knot_diagram,
+                             random_knot_diagrams)
 from lensgrid.cover import s3_link_components
 
 UNKNOT_2x2 = S3GridDiagram(2, ((0, 0), (1, 1)), ((1, 0), (0, 1)))
@@ -177,3 +180,26 @@ def test_eq1_relation_on_lifted_homology_case():
         pts = lift_generator(x, d2)
         assert 2 * (grading[x].maslov - grading[gens[0]].maslov) \
             == s3_maslov(pts, lifted2.O) - s3_maslov(lift_generator(gens[0], d2), lifted2.O)
+
+
+def test_verify_cover_reports_a_shifted_maslov_grading(monkeypatch):
+    # negative control: the per-call hoisting of marker terms must leave
+    # every generator checked against its own lift
+    d = random_knot_diagrams(5, 2, 2, 1, seed=3)[0]
+    assert verify_cover_relations(d).ok
+    real = s3.gradings_table
+    gens = list(enumerate_generators(d))
+    victim = gens[len(gens) // 2]
+
+    def shifted(diagram, generators):
+        table = real(diagram, generators)
+        t = table[victim]
+        table[victim] = dataclasses.replace(
+            t, maslov=t.maslov + Fraction(1, diagram.lens.p))
+        return table
+
+    monkeypatch.setattr(s3, "gradings_table", shifted)
+    report = verify_cover_relations(d)
+    assert not report.ok
+    assert all(repr(victim) in v for v in report.violations)
+    assert len(report.violations) == 2
