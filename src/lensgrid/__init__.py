@@ -9,9 +9,9 @@ __version__ = "0.1.0"
 from .errors import (InternalInvariantError, KnotRequiredError, LensGridError,
                      ParseError, SizeCapError, ValidationError)
 from .grid import (Generator, GridDiagram, LensParams, LinkStructure,
-                   canonical_generator, cell_to_sheared,
-                   enumerate_grid_number_one, format_grid, parse_grid,
-                   reconstruct_link, require_knot, require_valid, validate)
+                   canonical_generator, enumerate_grid_number_one,
+                   format_grid, parse_grid, reconstruct_link, require_knot,
+                   require_valid, validate)
 from .cover import (S3GridDiagram, format_s3_grid, lift_diagram,
                     lift_generator, lift_points, parse_s3_grid, validate_s3)
 from .gradings import (GradingTriple, alexander_grading,
@@ -20,13 +20,10 @@ from .gradings import (GradingTriple, alexander_grading,
                        maslov_grading, monomial_grading, spin_grading,
                        symmetric_dominance, symmetric_dominance_weighted)
 from .complexes import (Parallelogram, SparseBoundary, boundary_export_lines,
-                        build_associated_graded_boundary, build_boundary,
-                        build_hat_boundary, build_minus_boundary,
-                        build_tilde_boundary, enumerate_generators,
+                        build_boundary, enumerate_generators,
                         grading_drop_violations, parallelograms_from,
                         square_is_zero)
-from .homology import (GradedPiece, HomologyTable, extract_hfk_hat, gf2_rank,
-                       homology_document, simplicity_report, split_by_gradings,
-                       tilde_homology)
+from .homology import (HomologyTable, extract_hfk_hat, gf2_rank,
+                       homology_document, simplicity_report, tilde_homology)
 from .s3 import (CoverReport, s3_alexander_multi, s3_alexander_total,
                  s3_maslov, s3_tilde_homology, verify_cover_relations)

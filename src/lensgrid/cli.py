@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 validation or parse failure, 2 size-cap refusal,
-3 internal invariant violation (a bug, never bad input).
+Exit codes: 0 success, 1 validation, parse or usage failure, 2 size-cap
+refusal, 3 internal invariant violation (a bug, never bad input).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import selftest
-from .complexes import (DEFAULT_GENERATOR_CAP, SparseBoundary,
+from .complexes import (DEFAULT_GENERATOR_CAP, VARIANTS,
                         boundary_export_lines, build_boundary,
                         enumerate_generators, generator_count,
                         generator_label, square_is_zero)
@@ -28,9 +28,6 @@ from .homology import (DEFAULT_PIECE_CAP, document_bytes, extract_hfk_hat,
                        homology_document, poincare_polynomial,
                        simplicity_report, tilde_homology)
 from .s3 import verify_cover_relations
-
-HOMOLOGY_VARIANTS = ("tilde", "assoc-graded", "hat", "minus-export")
-EXPORT_VARIANTS = ("tilde", "assoc-graded", "hat", "minus")
 
 
 def _read(path):
@@ -129,34 +126,9 @@ def cmd_gradings(args):
 def cmd_homology(args):
     text, digest = _read(args.path)
     diagram = require_valid(parse_grid(text))
-    if args.variant in ("hat", "minus-export"):
-        variant = "hat" if args.variant == "hat" else "minus"
-        boundary = build_boundary(diagram, variant, args.cap)
-        lines = boundary_export_lines(boundary)
-        verdict = square_is_zero(boundary)
-        if args.format == "structured":
-            _emit({"input_sha256": digest, "variant": variant,
-                   "terms": lines, "d_squared_zero": verdict})
-        else:
-            for line in lines:
-                print(line)
-            print("# d^2 = 0: %s" % verdict)
-        if not verdict:
-            raise InternalInvariantError("boundary does not square to zero")
-        return 0
-
-    boundary = None
-    if args.variant == "assoc-graded":
-        graded = build_boundary(diagram, "assoc-graded", args.cap)
-        zero = (0,) * diagram.n
-        boundary = SparseBoundary(
-            n=diagram.n, variant="tilde",
-            terms={x: tuple(t for t in terms if t[1] == zero)
-                   for x, terms in graded.terms.items()})
     table = extract_hfk_hat(tilde_homology(
-        diagram, cap=args.cap, piece_cap=args.piece_cap, pivot=args.pivot,
-        boundary=boundary))
-    extra = {"input_sha256": digest, "variant": args.variant,
+        diagram, cap=args.cap, piece_cap=args.piece_cap, pivot=args.pivot))
+    extra = {"input_sha256": digest, "variant": "tilde",
              "p": diagram.lens.p, "q": diagram.lens.q, "n": diagram.n}
     if table.extraction_exact:
         extra["classification"] = simplicity_report(table)
@@ -164,8 +136,8 @@ def cmd_homology(args):
     if args.format == "structured":
         _emit(doc)
     else:
-        print("L(%d,%d) grid number %d, %s homology"
-              % (diagram.lens.p, diagram.lens.q, diagram.n, args.variant))
+        print("L(%d,%d) grid number %d, tilde homology"
+              % (diagram.lens.p, diagram.lens.q, diagram.n))
         for s in sorted(table.classes):
             print("Spin^c class %d: %s" % (s, poincare_polynomial(table.classes[s])))
         if table.extraction_exact:
@@ -234,13 +206,11 @@ def cmd_enumerate_gn1(args):
 def cmd_boundary_export(args):
     text, digest = _read(args.path)
     diagram = require_valid(parse_grid(text))
-    boundary = build_boundary(diagram, args.variant, args.cap,
-                              reverse=args.debug_orientation)
+    boundary = build_boundary(diagram, args.variant, args.cap)
     lines = boundary_export_lines(boundary)
     verdict = square_is_zero(boundary)
     if args.format == "structured":
         _emit({"input_sha256": digest, "variant": args.variant,
-               "debug_orientation": bool(args.debug_orientation),
                "terms": lines, "d_squared_zero": verdict})
     else:
         for line in lines:
@@ -289,9 +259,9 @@ def build_parser():
     sp.add_argument("--swap-roles", action="store_true",
                     help="exchange the O and X marker roles")
 
-    sp = sub.add_parser("homology", help="bigraded homology / boundary export")
+    sp = sub.add_parser("homology",
+                        help="tilde homology and knot Floer groups")
     common(sp)
-    sp.add_argument("--variant", choices=HOMOLOGY_VARIANTS, default="tilde")
     sp.add_argument("--pivot", choices=("low", "high"), default="low")
 
     common(sub.add_parser("lift", help="emit the universal-cover grid file"))
@@ -307,10 +277,7 @@ def build_parser():
 
     sp = sub.add_parser("boundary-export", help="symbolic boundary terms")
     common(sp)
-    sp.add_argument("--variant", choices=EXPORT_VARIANTS, default="minus")
-    sp.add_argument("--debug-orientation", action="store_true",
-                    help="use the reversed corner convention (wrong on "
-                         "purpose; for tests)")
+    sp.add_argument("--variant", choices=VARIANTS, default="minus")
 
     sp = sub.add_parser("selftest", help="run the acceptance checklist")
     sp.add_argument("--seed", type=int, default=selftest.DEFAULT_SEED)
@@ -333,7 +300,10 @@ COMMANDS = {
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return 1 if exc.code else 0
     try:
         _require_nonnegative_caps(args)
         return COMMANDS[args.command](args)

@@ -248,14 +248,13 @@ def _term_key(term):
     return (term[0].sort_key(), term[1])
 
 
-def build_boundary(diagram, variant, cap=DEFAULT_GENERATOR_CAP, reverse=False):
+def build_boundary(diagram, variant, cap=DEFAULT_GENERATOR_CAP):
     """Assemble one of the four boundary maps as a SparseBoundary.
 
     tilde keeps parallelograms meeting no markers at all (all monomials
     trivial); assoc-graded keeps those missing the X markers, recording
     O counts as U-exponents; minus keeps everything; hat drops from minus
-    the terms with a positive U_0 exponent.  ``reverse=True`` transposes
-    the map (the deliberately wrong corner convention, for tests).
+    the terms with a positive U_0 exponent.
     """
     require_valid(diagram)
     if variant not in VARIANTS:
@@ -275,30 +274,7 @@ def build_boundary(diagram, variant, cap=DEFAULT_GENERATOR_CAP, reverse=False):
                              if _keep(P, variant))
             terms = (term for term, c in bucket.items() if c % 2)
         collected[x] = tuple(sorted(terms, key=_term_key))
-    if reverse:
-        flipped = {x: [] for x in collected}
-        for x, terms in collected.items():
-            for (y, mono) in terms:
-                flipped[y].append((x, mono))
-        collected = {x: tuple(sorted(v, key=_term_key))
-                     for x, v in flipped.items()}
     return SparseBoundary(n=n, variant=variant, terms=collected)
-
-
-def build_tilde_boundary(diagram, cap=DEFAULT_GENERATOR_CAP):
-    return build_boundary(diagram, "tilde", cap)
-
-
-def build_associated_graded_boundary(diagram, cap=DEFAULT_GENERATOR_CAP):
-    return build_boundary(diagram, "assoc-graded", cap)
-
-
-def build_minus_boundary(diagram, cap=DEFAULT_GENERATOR_CAP):
-    return build_boundary(diagram, "minus", cap)
-
-
-def build_hat_boundary(diagram, cap=DEFAULT_GENERATOR_CAP):
-    return build_boundary(diagram, "hat", cap)
 
 
 def square_is_zero(boundary):
@@ -314,7 +290,7 @@ def square_is_zero(boundary):
     return True
 
 
-def grading_drop_violations(diagram, cap=DEFAULT_GENERATOR_CAP, reverse=False):
+def grading_drop_violations(diagram, cap=DEFAULT_GENERATOR_CAP):
     """Check the grading behaviour of every admissible parallelogram.
 
     Each parallelogram must preserve the Spin^c class, drop the Maslov
@@ -328,7 +304,7 @@ def grading_drop_violations(diagram, cap=DEFAULT_GENERATOR_CAP, reverse=False):
     out = []
     for x in gens:
         for P in parallelograms_from(x, diagram):
-            src, dst = (P.target, P.source) if reverse else (P.source, P.target)
+            src, dst = P.source, P.target
             ts, td = table[src], table[dst]
             n_o, n_x = sum(P.o_counts), sum(P.x_counts)
             if ts.spin != td.spin:

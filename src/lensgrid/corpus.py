@@ -43,7 +43,3 @@ def random_knot_diagrams(p, q, n, count, seed):
     rng = random.Random("%s/%s/%s/%s" % (seed, p, q, n))
     return [random_knot_diagram(p, q, n, rng) for _ in range(count)]
 
-
-def random_diagrams(p, q, n, count, seed):
-    rng = random.Random("%s/%s/%s/%s/any" % (seed, p, q, n))
-    return [random_diagram(p, q, n, rng) for _ in range(count)]

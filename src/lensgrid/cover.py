@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalInvariantError, ParseError, ValidationError
-from .grid import row_cycles
+from .errors import InternalInvariantError, ValidationError
+from .grid import Tokens, row_cycles
 
 
 @dataclass(frozen=True)
@@ -112,43 +112,11 @@ def s3_link_components(diagram):
 def parse_s3_grid(text):
     """Parse the square grid file format: ``N``, then ``O:`` and ``X:``
     rows of column indices listed by row."""
-    tokens = []
-    for ln, line in enumerate(text.splitlines(), 1):
-        body = line.split("#", 1)[0]
-        tokens.extend((ln, tok) for tok in body.split())
-    pos = 0
-
-    def take(what):
-        nonlocal pos
-        if pos >= len(tokens):
-            last = tokens[-1][0] if tokens else 1
-            raise ParseError(last, "unexpected end of file, expected %s" % what)
-        ln, tok = tokens[pos]
-        pos += 1
-        return ln, tok
-
-    def take_int(what):
-        ln, tok = take(what)
-        try:
-            return int(tok)
-        except ValueError:
-            raise ParseError(ln, "expected %s, got %r" % (what, tok)) from None
-
-    N = take_int("grid size N")
-    if N < 1:
-        raise ParseError(tokens[pos - 1][0], "N must be positive, got %d" % N)
-
-    def marker_row(label):
-        ln, tok = take("%r marker" % label)
-        if tok != label:
-            raise ParseError(ln, "expected %r, got %r" % (label, tok))
-        return tuple((take_int("%s column index" % label[0]), r)
-                     for r in range(N))
-
-    o_cells = marker_row("O:")
-    x_cells = marker_row("X:")
-    if pos != len(tokens):
-        raise ParseError(tokens[pos][0], "trailing input %r" % tokens[pos][1])
+    tokens = Tokens(text)
+    N = tokens.take_size("grid size N", "N")
+    o_cells = tokens.take_markers("O:", N, "column index")
+    x_cells = tokens.take_markers("X:", N, "column index")
+    tokens.finish()
     return S3GridDiagram(N, o_cells, x_cells)
 
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (InternalInvariantError, KnotRequiredError,
                      ParseError, ValidationError)
@@ -174,25 +173,6 @@ def require_valid(diagram):
     return diagram
 
 
-def validate_generator(x, diagram):
-    """Violation messages for a generator against its diagram."""
-    out = []
-    n, p = diagram.n, diagram.lens.p
-    if sorted(x.sigma) != list(range(n)):
-        out.append("sigma %r is not a permutation of 0..%d" % (x.sigma, n - 1))
-    if len(x.a) != n or not all(isinstance(v, int) and 0 <= v < p for v in x.a):
-        out.append("a %r is not a vector in [0, %d)^%d" % (x.a, p, n))
-    return out
-
-
-def cell_to_sheared(cell, center=False):
-    """Sheared coordinates of a cell's lower-left corner or of its centre."""
-    s, t = cell
-    if center:
-        return (s + Fraction(1, 2), t + Fraction(1, 2))
-    return (s, t)
-
-
 def canonical_generator(diagram):
     """The generator sitting at the lower-left corners of the O cells."""
     n = diagram.n
@@ -265,6 +245,52 @@ def enumerate_grid_number_one(lens):
     return [GridDiagram(lens, 1, ((0, 0),), ((j, 0),)) for j in range(lens.p)]
 
 
+class Tokens:
+    """The whitespace-separated tokens of a grid file, each with its line
+    number.  ``#`` starts a comment; tokens may be split across lines."""
+
+    def __init__(self, text):
+        self.items = [(ln, tok) for ln, line in enumerate(text.splitlines(), 1)
+                      for tok in line.split("#", 1)[0].split()]
+        self.pos = 0
+
+    def take(self, what):
+        if self.pos >= len(self.items):
+            last = self.items[-1][0] if self.items else 1
+            raise ParseError(last, "unexpected end of file, expected %s" % what)
+        self.pos += 1
+        return self.items[self.pos - 1]
+
+    def take_int(self, what):
+        ln, tok = self.take(what)
+        try:
+            return int(tok)
+        except ValueError:
+            raise ParseError(ln, "expected %s, got %r" % (what, tok)) from None
+
+    def take_size(self, what, name):
+        """A positive integer, the number of rows."""
+        value = self.take_int(what)
+        if value < 1:
+            raise ParseError(self.items[self.pos - 1][0],
+                             "%s must be positive, got %d" % (name, value))
+        return value
+
+    def take_markers(self, label, rows, coordinate):
+        """``label`` followed by one integer per row, as (integer, row)
+        cells."""
+        ln, tok = self.take("%r marker" % label)
+        if tok != label:
+            raise ParseError(ln, "expected %r, got %r" % (label, tok))
+        return tuple((self.take_int("%s %s" % (label[0], coordinate)), r)
+                     for r in range(rows))
+
+    def finish(self):
+        if self.pos != len(self.items):
+            ln, tok = self.items[self.pos]
+            raise ParseError(ln, "trailing input %r" % tok)
+
+
 def parse_grid(text):
     """Parse the lens grid file format.
 
@@ -272,45 +298,13 @@ def parse_grid(text):
     the O in each row, line 3 the same for ``X:``.  ``#`` starts a
     comment; tokens may be split across lines.
     """
-    tokens = []
-    for ln, line in enumerate(text.splitlines(), 1):
-        body = line.split("#", 1)[0]
-        tokens.extend((ln, tok) for tok in body.split())
-    pos = 0
-
-    def take(what):
-        nonlocal pos
-        if pos >= len(tokens):
-            last = tokens[-1][0] if tokens else 1
-            raise ParseError(last, "unexpected end of file, expected %s" % what)
-        ln, tok = tokens[pos]
-        pos += 1
-        return ln, tok
-
-    def take_int(what):
-        ln, tok = take(what)
-        try:
-            return int(tok)
-        except ValueError:
-            raise ParseError(ln, "expected %s, got %r" % (what, tok)) from None
-
-    p = take_int("integer p")
-    q = take_int("integer q")
-    n = take_int("integer n")
-    if n < 1:
-        raise ParseError(tokens[pos - 1][0], "n must be positive, got %d" % n)
-
-    def marker_row(label):
-        ln, tok = take("%r marker" % label)
-        if tok != label:
-            raise ParseError(ln, "expected %r, got %r" % (label, tok))
-        return tuple((take_int("%s s-coordinate" % label[0], ), t)
-                     for t in range(n))
-
-    o_cells = marker_row("O:")
-    x_cells = marker_row("X:")
-    if pos != len(tokens):
-        raise ParseError(tokens[pos][0], "trailing input %r" % tokens[pos][1])
+    tokens = Tokens(text)
+    p = tokens.take_int("integer p")
+    q = tokens.take_int("integer q")
+    n = tokens.take_size("integer n", "n")
+    o_cells = tokens.take_markers("O:", n, "s-coordinate")
+    x_cells = tokens.take_markers("X:", n, "s-coordinate")
+    tokens.finish()
     return GridDiagram(LensParams(p, q), n, o_cells, x_cells)
 
 

@@ -29,14 +29,6 @@ from .grid import require_valid
 DEFAULT_PIECE_CAP = 10 ** 5
 
 
-@dataclass(frozen=True)
-class GradedPiece:
-    spin: int
-    alexander: Fraction
-    maslov: Fraction
-    basis: tuple
-
-
 @dataclass
 class HomologyTable:
     """Bigraded ranks per Spin^c class, plus the extracted knot groups.
@@ -65,16 +57,6 @@ class HomologyTable:
         return sum(r for by in self.hfk_hat.values() for r in by.values())
 
 
-def split_by_gradings(generators, table):
-    """Partition generators into pieces with one exact (S, A, M) triple each."""
-    groups = {}
-    for x in generators:
-        t = table[x]
-        groups.setdefault((t.spin, t.alexander, t.maslov), []).append(x)
-    return [GradedPiece(spin=s, alexander=a, maslov=m, basis=tuple(basis))
-            for (s, a, m), basis in sorted(groups.items())]
-
-
 def gf2_rank(rows, pivot="low"):
     """Rank over GF(2) of bit-packed rows.
 
@@ -98,16 +80,33 @@ def gf2_rank(rows, pivot="low"):
     return rank
 
 
-def homology_ranks(levels, boundary_bits, pivot="low"):
-    """Rank of the homology at each Maslov level of one (S, A) summand.
+def homology_ranks(levels, targets, pivot="low"):
+    """Rank of the homology at each Maslov level of one graded piece.
 
-    ``levels`` maps M to the ordered basis; ``boundary_bits`` maps M to
-    the bit-rows of the differential into level M - 1.
+    ``levels`` maps M to the ordered basis of the piece; ``targets(x)``
+    yields the boundary terms of x, which are summed mod 2, so a term
+    yielded twice cancels.  Every term of a basis element at level M
+    must lie in ``levels[M - 1]``: the differential stays inside the
+    piece and lowers M by exactly one.
     """
-    rank_out = {m: gf2_rank(rows, pivot) for m, rows in boundary_bits.items()}
+    rank_out = {}
+    for m, basis in levels.items():
+        below = {y: k for k, y in enumerate(levels.get(m - 1, ()))}
+        rows = []
+        for x in basis:
+            row = 0
+            for y in targets(x):
+                k = below.get(y)
+                if k is None:
+                    raise InternalInvariantError(
+                        "boundary term %r -> %r leaves its graded piece or "
+                        "drops M by other than 1" % (x, y))
+                row ^= 1 << k
+            rows.append(row)
+        rank_out[m] = gf2_rank(rows, pivot)
     out = {}
     for m, basis in levels.items():
-        h = len(basis) - rank_out.get(m, 0) - rank_out.get(m + 1, 0)
+        h = len(basis) - rank_out[m] - rank_out.get(m + 1, 0)
         if h < 0:
             raise InternalInvariantError("negative homology rank at M=%s" % (m,))
         if h:
@@ -116,43 +115,36 @@ def homology_ranks(levels, boundary_bits, pivot="low"):
 
 
 def tilde_homology(diagram, cap=DEFAULT_GENERATOR_CAP,
-                   piece_cap=DEFAULT_PIECE_CAP, pivot="low", boundary=None):
-    """Bigraded homology table of the fully blocked complex of a knot."""
+                   piece_cap=DEFAULT_PIECE_CAP, pivot="low"):
+    """Bigraded homology table of the fully blocked complex of a knot.
+
+    Every (S, A) piece is checked against ``piece_cap`` before the
+    boundary is built.
+    """
     require_valid(diagram)
     p, n = diagram.lens.p, diagram.n
     gens = list(enumerate_generators(diagram, cap))
     table = gradings_table(diagram, gens)
-    if boundary is None:
-        boundary = build_boundary(diagram, "tilde", cap)
-
-    groups = {}
+    pieces = {}
     for x in gens:
         t = table[x]
-        groups.setdefault((t.spin, t.alexander), {}).setdefault(t.maslov, []).append(x)
-
-    classes = {s: {} for s in range(p)}
-    for (s, a), levels in sorted(groups.items()):
+        pieces.setdefault((t.spin, t.alexander), {}).setdefault(t.maslov, []).append(x)
+    pieces = sorted(pieces.items())
+    for (s, a), levels in pieces:
         size = sum(len(basis) for basis in levels.values())
         if piece_cap is not None and size > piece_cap:
             raise SizeCapError("graded piece (S=%s, A=%s) has dimension %d "
                                "(cap %d)" % (s, a, size, piece_cap))
-        bits = {}
-        for m, basis in levels.items():
-            below = {y: k for k, y in enumerate(levels.get(m - 1, []))}
-            rows = []
-            for x in basis:
-                row = 0
-                for (y, _) in boundary.terms.get(x, ()):
-                    ty = table[y]
-                    if (ty.spin, ty.alexander, ty.maslov) != (s, a, m - 1):
-                        raise InternalInvariantError(
-                            "tilde term %r -> %r changes (S, A) or drops M != 1"
-                            % (x, y))
-                    row |= 1 << below[y]
-                rows.append(row)
-            bits[m] = rows
-        for m, h in homology_ranks(levels, bits, pivot).items():
-            classes[s][(m, a)] = classes[s].get((m, a), 0) + h
+
+    terms = build_boundary(diagram, "tilde", cap).terms
+
+    def targets(x):
+        return (y for (y, _) in terms[x])
+
+    classes = {s: {} for s in range(p)}
+    for (s, a), levels in pieces:
+        for m, h in homology_ranks(levels, targets, pivot).items():
+            classes[s][(m, a)] = h
 
     floor = 2 ** (n - 1)
     for s in range(p):

@@ -17,7 +17,6 @@ is where the cross-validation has its teeth.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -26,7 +25,7 @@ from .complexes import (DEFAULT_GENERATOR_CAP, doubled_centres,
                         empty_targets, enumerate_generators)
 from .cover import (lift_diagram, lift_generator, require_valid_s3,
                     s3_link_components)
-from .errors import InternalInvariantError, SizeCapError
+from .errors import SizeCapError
 from .gradings import (d_invariant, dominance_count, gradings_table,
                        weighted_dominance)
 from .grid import canonical_generator, require_knot, require_valid
@@ -133,46 +132,25 @@ def s3_tilde_homology(diagram, cap=DEFAULT_GENERATOR_CAP, pivot="low"):
     o_self = marker_self_count(diagram.O)
     a_markers = alexander_marker_term(diagram)
 
-    gens = [tuple((perm[r], r) for r in range(N))
-            for perm in permutations(range(N))]
-    grading = {}
-    for pts in gens:
+    # a generator is keyed by its column tuple, as empty_targets yields it
+    pieces = {}
+    for cols in permutations(range(N)):
+        pts = tuple(zip(cols, range(N)))
         m = s3_maslov(pts, diagram.O, marker_self=o_self)
         a = s3_alexander_total(pts, diagram, components=ell,
                                marker_term=a_markers)
-        grading[pts] = (m, a)
+        pieces.setdefault(a, {}).setdefault(m, []).append(cols)
 
-    groups = {}
-    for pts in gens:
-        m, a = grading[pts]
-        groups.setdefault(a, {}).setdefault(m, []).append(pts)
+    def targets(cols):
+        return empty_targets(cols, N, N, 0, centres)
 
     ranks = {}
-    for a, levels in sorted(groups.items()):
-        bits = {}
-        for m, basis in levels.items():
-            below = {y: k for k, y in enumerate(levels.get(m - 1, []))}
-            rows = []
-            for pts in basis:
-                row = 0
-                cols = tuple(c for (c, _) in pts)
-                for target, count in Counter(
-                        empty_targets(cols, N, N, 0, centres)).items():
-                    if count % 2 == 0:
-                        continue
-                    y = tuple((target[r], r) for r in range(N))
-                    if grading[y] != (m - 1, a):
-                        raise InternalInvariantError(
-                            "blocked term changes Alexander or drops Maslov != 1")
-                    row |= 1 << below[y]
-                rows.append(row)
-            bits[m] = rows
-        for m, h in homology_ranks(levels, bits, pivot).items():
-            ranks[(m, a)] = ranks.get((m, a), 0) + h
+    for a, levels in sorted(pieces.items()):
+        for m, h in homology_ranks(levels, targets, pivot).items():
+            ranks[(m, a)] = h
 
-    table = HomologyTable(spin_count=1, tensor_exponent=N - ell,
-                          classes={0: ranks})
-    return table
+    return HomologyTable(spin_count=1, tensor_exponent=N - ell,
+                         classes={0: ranks})
 
 
 @dataclass

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from lensgrid import SparseBoundary, build_boundary, homology
 from lensgrid.cli import main
 
 GN1 = "5 2 1\nO: 0\nX: 2\n"
@@ -104,21 +105,38 @@ def test_homology_json_deterministic(grid_file, capsys):
     assert doc["classification"] in ("simple", "near-simple", "other")
 
 
-def test_homology_assoc_graded_variant(grid_file, capsys):
+def test_homology_assoc_graded_variant(grid_file, capsys, monkeypatch):
+    # the assoc-graded boundary cut down to its zero monomials is the tilde
+    # boundary, so the homology command gives the same groups from it
     path = grid_file(KNOT_N2)
     _, tilde_out, _ = run(capsys, "homology", path, "--format", "structured")
-    code, graded_out, _ = run(capsys, "homology", path, "--variant",
-                              "assoc-graded", "--format", "structured")
+
+    def graded_tilde(diagram, variant, cap):
+        graded = build_boundary(diagram, "assoc-graded", cap)
+        zero = (0,) * diagram.n
+        return SparseBoundary(
+            n=diagram.n, variant="tilde",
+            terms={x: tuple(t for t in terms if t[1] == zero)
+                   for x, terms in graded.terms.items()})
+
+    monkeypatch.setattr(homology, "build_boundary", graded_tilde)
+    code, graded_out, _ = run(capsys, "homology", path, "--format",
+                              "structured")
     assert code == 0
     a, b = json.loads(tilde_out), json.loads(graded_out)
     assert a["classes"] == b["classes"] and a["hfk_hat"] == b["hfk_hat"]
 
 
-def test_homology_minus_export(grid_file, capsys):
-    code, out, _ = run(capsys, "homology", grid_file(KNOT_N2),
-                       "--variant", "minus-export")
-    assert code == 0
-    assert "# d^2 = 0: True" in out
+def test_piece_cap_refuses_before_the_boundary(grid_file, capsys,
+                                               monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("boundary built before the piece-cap check")
+
+    monkeypatch.setattr(homology, "build_boundary", unreachable)
+    code, out, err = run(capsys, "homology", grid_file(KNOT_N2),
+                         "--piece-cap", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("refused: graded piece") and "(cap 1)" in err
 
 
 def test_lift_roundtrip(grid_file, capsys):
@@ -144,12 +162,33 @@ def test_enumerate_gn1(capsys):
 
 
 def test_boundary_export_and_debug_orientation(grid_file, capsys):
+    # the reversed corner convention lives only in the tests (``transpose``
+    # in tests/test_complexes.py); the CLI exports the real boundary
     path = grid_file(KNOT_N2)
-    code, out1, _ = run(capsys, "boundary-export", path, "--variant", "minus")
-    assert code == 0 and "# d^2 = 0: True" in out1
-    code, out2, _ = run(capsys, "boundary-export", path, "--variant", "minus",
-                        "--debug-orientation")
-    assert code == 0 and out1 != out2
+    code, out, _ = run(capsys, "boundary-export", path, "--variant", "minus")
+    assert code == 0 and "# d^2 = 0: True" in out
+    code, out, _ = run(capsys, "boundary-export", path, "--format",
+                       "structured")
+    doc = json.loads(out)
+    assert code == 0 and "debug_orientation" not in doc
+    assert doc["variant"] == "minus" and doc["d_squared_zero"] is True
+    code, _, err = run(capsys, "boundary-export", path, "--debug-orientation")
+    assert code == 1 and "unrecognized arguments" in err
+
+
+def test_usage_errors_exit_one(grid_file, capsys):
+    path = grid_file(KNOT_N2)
+    for argv in (["homology"], ["frobnicate", path],
+                 ["homology", path, "--cap", "abc"],
+                 ["homology", path, "--variant", "hat"],
+                 ["homology", path, "--variant", "minus-export"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("usage: lensgrid") and "error:" in err, argv
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: lensgrid")
+    code, out, _ = run(capsys, "homology", "--help")
+    assert code == 0 and "--piece-cap" in out and "--variant" not in out
 
 
 def test_size_cap_exit_two(grid_file, capsys):

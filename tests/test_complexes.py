@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -7,11 +8,10 @@ from pathlib import Path
 import pytest
 
 from lensgrid import (Generator, GridDiagram, LensParams, SizeCapError,
-                      boundary_export_lines, build_associated_graded_boundary,
-                      build_boundary, build_hat_boundary, build_minus_boundary,
-                      build_tilde_boundary, enumerate_generators,
-                      grading_drop_violations, parallelograms_from,
-                      square_is_zero)
+                      boundary_export_lines, build_boundary,
+                      enumerate_generators, grading_drop_violations,
+                      parallelograms_from, square_is_zero)
+from lensgrid import complexes
 from lensgrid.complexes import (SparseBoundary, embedded_candidates,
                                 raw_pair_candidates, torus_winding)
 from lensgrid.corpus import (coprime_qs, random_diagram, random_knot_diagram,
@@ -146,7 +146,7 @@ def test_short_only_recipe_breaks_d_squared():
     found = 0
     for _ in range(12):
         d = random_diagram(3, 1, 2, rng)
-        full = build_tilde_boundary(d)
+        full = build_boundary(d, "tilde")
         assert square_is_zero(full)
         truncated = {}
         for x in enumerate_generators(d):
@@ -175,18 +175,15 @@ def test_boundaries_square_to_zero():
 def test_gn1_boundaries_vanish():
     for q in (1, 2, -2):
         d = GridDiagram(LensParams(3, q), 1, ((0, 0),), ((1, 0),))
-        for build in (build_tilde_boundary, build_associated_graded_boundary,
-                      build_hat_boundary, build_minus_boundary):
-            assert all(not terms for terms in build(d).terms.values())
+        for variant in VARIANTS:
+            boundary = build_boundary(d, variant)
+            assert all(not terms for terms in boundary.terms.values())
 
 
 def test_term_set_inclusions_and_monomials():
     rng = random.Random(41)
     d = random_knot_diagram(3, 1, 2, rng)
-    tilde = build_tilde_boundary(d)
-    graded = build_associated_graded_boundary(d)
-    minus = build_minus_boundary(d)
-    hat = build_hat_boundary(d)
+    tilde, graded, hat, minus = (build_boundary(d, v) for v in VARIANTS)
     zero = (0, 0)
     for x in minus.terms:
         m_terms = set(minus.terms[x])
@@ -218,18 +215,41 @@ def test_early_stop_tilde_matches_counted_parallelograms():
     assert kept > 0
 
 
-def test_grading_drops_clean_and_reversed():
+def transpose(boundary):
+    """The boundary with every term reversed: the wrong corner convention."""
+    flipped = {x: [] for x in boundary.terms}
+    for x, terms in boundary.terms.items():
+        for (y, mono) in terms:
+            flipped[y].append((x, mono))
+    return SparseBoundary(
+        n=boundary.n, variant=boundary.variant,
+        terms={x: tuple(sorted(v, key=lambda t: (t[0].sort_key(), t[1])))
+               for x, v in flipped.items()})
+
+
+def test_grading_drops_clean_and_reversed(monkeypatch):
     rng = random.Random(51)
     d = random_knot_diagram(3, 1, 2, rng)
     assert grading_drop_violations(d) == []
-    assert grading_drop_violations(d, reverse=True)
-    assert square_is_zero(build_boundary(d, "tilde", reverse=True))
+    # d^2 = 0 cannot tell the orientations apart; the grading drops can
+    tilde = build_boundary(d, "tilde")
+    assert square_is_zero(transpose(tilde))
+    minus = build_boundary(d, "minus")
+    assert boundary_export_lines(transpose(minus)) != boundary_export_lines(minus)
+    original = complexes.parallelograms_from
+
+    def reversed_corners(x, diagram):
+        return [dataclasses.replace(P, source=P.target, target=P.source)
+                for P in original(x, diagram)]
+
+    monkeypatch.setattr(complexes, "parallelograms_from", reversed_corners)
+    assert grading_drop_violations(d)
 
 
 def test_export_lines_deterministic():
     d = L21
-    lines = boundary_export_lines(build_minus_boundary(d))
-    assert lines == boundary_export_lines(build_minus_boundary(d))
+    lines = boundary_export_lines(build_boundary(d, "minus"))
+    assert lines == boundary_export_lines(build_boundary(d, "minus"))
     assert all(" -> " in ln and "U0^" in ln and "U1^" in ln for ln in lines)
     x = Generator((0, 1), (0, 1))
     assert any(ln.startswith("[0 1|0 1] -> ") for ln in lines)

@@ -3,12 +3,11 @@ import random
 import pytest
 
 from lensgrid import (Generator, GridDiagram, LensParams, ParseError,
-                      ValidationError, canonical_generator, cell_to_sheared,
+                      ValidationError, canonical_generator,
                       enumerate_grid_number_one, format_grid, parse_grid,
-                      reconstruct_link, require_knot, validate)
+                      parse_s3_grid, reconstruct_link, require_knot, validate)
 from lensgrid.corpus import coprime_qs, random_diagram
 from lensgrid.errors import KnotRequiredError
-from fractions import Fraction
 
 
 def diagram(p, q, n, o, x):
@@ -44,12 +43,6 @@ def test_validate_range_errors():
     assert validate(diagram(3, 0, 1, [(0, 0)], [(1, 0)]))
     assert validate(diagram(3, 3, 1, [(0, 0)], [(1, 0)]))
     assert validate(diagram(1, 0, 1, [(0, 0)], [(0, 0)]))
-
-
-def test_cell_to_sheared():
-    assert cell_to_sheared((2, 0), center=True) == (Fraction(5, 2), Fraction(1, 2))
-    assert cell_to_sheared((0, 0)) == (0, 0)
-    assert cell_to_sheared((7, 1), center=True) == (Fraction(15, 2), Fraction(3, 2))
 
 
 def test_canonical_generator_gn1():
@@ -145,3 +138,15 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as e:
         parse_grid("5 2 1\nQ: 0\nX: 2\n")
     assert e.value.line == 2
+    # the square-grid format shares the tokenizer and its messages
+    for text, line, message in (
+            ("", 1, "unexpected end of file, expected grid size N"),
+            ("0\nO:\nX:\n", 1, "N must be positive, got 0"),
+            ("2\nO: 0 q\nX: 1 0\n", 2, "expected O column index, got 'q'"),
+            ("2\nO: 0 1\n", 2, "unexpected end of file, expected 'X:' marker"),
+            ("2\nP: 0 1\nX: 1 0\n", 2, "expected 'O:', got 'P:'"),
+            ("2 # N\nO: 0\n1\nX: 1 0\n9\n", 5, "trailing input '9'")):
+        with pytest.raises(ParseError) as e:
+            parse_s3_grid(text)
+        assert e.value.line == line
+        assert e.value.violations == ["line %d: %s" % (line, message)]

@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from lensgrid import (GridDiagram, LensParams, enumerate_generators,
-                      enumerate_grid_number_one, extract_hfk_hat, gf2_rank,
-                      gradings_table, simplicity_report, split_by_gradings,
-                      tilde_homology)
+from lensgrid import (GridDiagram, LensParams, SparseBoundary, build_boundary,
+                      enumerate_generators, enumerate_grid_number_one,
+                      extract_hfk_hat, format_grid, gf2_rank, gradings_table,
+                      simplicity_report, tilde_homology)
+from lensgrid import homology
+from lensgrid.cli import main
 from lensgrid.corpus import coprime_qs, random_knot_diagram
-from lensgrid.errors import LensGridError, SizeCapError
+from lensgrid.errors import (InternalInvariantError, LensGridError,
+                             SizeCapError)
 from lensgrid.homology import (_divide_once, document_bytes,
                                homology_document)
 
@@ -64,8 +67,7 @@ def test_tilde_homology_against_brute_force_pieces():
     # exhaustive span enumeration instead of elimination
     rng = random.Random(8)
     d = random_knot_diagram(3, 1, 2, rng)
-    from lensgrid import build_tilde_boundary
-    boundary = build_tilde_boundary(d)
+    boundary = build_boundary(d, "tilde")
     gens = list(enumerate_generators(d))
     table = gradings_table(d, gens)
     groups = {}
@@ -92,20 +94,12 @@ def test_tilde_homology_against_brute_force_pieces():
     assert tilde_homology(d).classes == expected
 
 
-def test_split_by_gradings_partitions():
+def test_gradings_table_is_integer_relative_per_spin():
     rng = random.Random(1)
     d = random_knot_diagram(3, 1, 2, rng)
     gens = list(enumerate_generators(d))
     table = gradings_table(d, gens)
-    pieces = split_by_gradings(gens, table)
-    seen = [x for piece in pieces for x in piece.basis]
-    assert sorted(seen, key=lambda g: g.sort_key()) \
-        == sorted(gens, key=lambda g: g.sort_key())
-    for piece in pieces:
-        for x in piece.basis:
-            t = table[x]
-            assert (t.spin, t.alexander, t.maslov) \
-                == (piece.spin, piece.alexander, piece.maslov)
+    assert set(table) == set(gens)
     # within one Spin^c class both gradings are integer-relative
     by_spin = {}
     for x in gens:
@@ -115,6 +109,39 @@ def test_split_by_gradings_partitions():
         for t in triples:
             assert (t.maslov - base.maslov).denominator == 1
             assert (t.alexander - base.alexander).denominator == 1
+
+
+def test_homology_ranks_levels_and_targets():
+    # d(c) = d(d) = a + b, and e's two terms c + c cancel
+    levels = {0: ["a", "b"], 1: ["c", "d"], 2: ["e"]}
+    targets = {"a": [], "b": [], "c": ["a", "b"], "d": ["b", "a"],
+               "e": ["c", "c"]}
+    assert homology.homology_ranks(levels, targets.get) == {0: 1, 1: 1, 2: 1}
+    targets["c"] = ["a", "d"]   # d sits at M = 1, not M = 0
+    with pytest.raises(InternalInvariantError):
+        homology.homology_ranks(levels, targets.get)
+
+
+def test_misplaced_boundary_term_is_an_invariant_violation(
+        monkeypatch, tmp_path, capsys):
+    rng = random.Random(4)
+    d = random_knot_diagram(3, 1, 2, rng)
+    tilde_homology(d)
+
+    def misplaced(*args):
+        # the first term x -> y becomes x -> x, which stays at x's level
+        terms = dict(build_boundary(*args).terms)
+        x = next(x for x, out in terms.items() if out)
+        terms[x] = ((x, terms[x][0][1]),) + terms[x][1:]
+        return SparseBoundary(n=d.n, variant="tilde", terms=terms)
+
+    monkeypatch.setattr(homology, "build_boundary", misplaced)
+    with pytest.raises(InternalInvariantError):
+        tilde_homology(d)
+    path = tmp_path / "d.grid"
+    path.write_text(format_grid(d))
+    assert main(["homology", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("internal invariant violated:")
 
 
 def test_gn1_homology_rank_p():

@@ -2,6 +2,8 @@ import dataclasses
 import random
 from fractions import Fraction
 
+import pytest
+
 from lensgrid import (GridDiagram, LensParams, S3GridDiagram,
                       enumerate_generators, extract_hfk_hat, gradings_table,
                       lift_diagram, lift_generator, maslov_grading,
@@ -11,6 +13,7 @@ from lensgrid import s3
 from lensgrid.corpus import (coprime_qs, gn1_corpus, random_knot_diagram,
                              random_knot_diagrams)
 from lensgrid.cover import s3_link_components
+from lensgrid.errors import InternalInvariantError
 
 UNKNOT_2x2 = S3GridDiagram(2, ((0, 0), (1, 1)), ((1, 0), (0, 1)))
 
@@ -203,3 +206,22 @@ def test_verify_cover_reports_a_shifted_maslov_grading(monkeypatch):
     assert not report.ok
     assert all(repr(victim) in v for v in report.violations)
     assert len(report.violations) == 2
+
+
+def test_misplaced_square_grid_term_is_an_invariant_violation(monkeypatch):
+    # negative control: one term x -> x stays in x's Maslov level, so the
+    # shared elimination routine must refuse it
+    trefoil = S3GridDiagram(5, tuple(((r - 1) % 5, r) for r in range(5)),
+                            tuple(((r + 1) % 5, r) for r in range(5)))
+    s3_tilde_homology(trefoil)
+    real = s3.empty_targets
+    identity = tuple(range(5))
+
+    def misplaced(cols, *args):
+        if cols == identity:
+            yield cols
+        yield from real(cols, *args)
+
+    monkeypatch.setattr(s3, "empty_targets", misplaced)
+    with pytest.raises(InternalInvariantError):
+        s3_tilde_homology(trefoil)
