@@ -17,10 +17,10 @@ from .cover import (S3GridDiagram, format_s3_grid, lift_diagram,
 from .gradings import (GradingTriple, alexander_grading,
                        alexander_grading_swapped, d_invariant,
                        dominance_count, element_grading, gradings_table,
-                       maslov_grading, monomial_grading, spin_grading,
-                       symmetric_dominance, symmetric_dominance_weighted)
+                       maslov_grading, monomial_grading, spin_grading)
 from .complexes import (Parallelogram, SparseBoundary, boundary_export_lines,
                         build_boundary, enumerate_generators,
+                        generator_code, generator_from_code,
                         grading_drop_violations, parallelograms_from,
                         square_is_zero)
 from .homology import (HomologyTable, extract_hfk_hat, gf2_rank,

@@ -3,7 +3,8 @@
 The rectangle engine works on the sheared torus ``R^2 / <(width, 0),
 (shear, rows)>``: a lens diagram has ``rows = n``, ``width = n*p`` and
 ``shear = n*q``, and the lifted square grids reuse the same engine with
-``shear = 0`` and ``width = rows = N``.
+``shear = 0`` and ``width = rows = N`` (p = 1, q = 0).  The engine reads
+a torus as the tuple ``(n, p, q, O, X)``.
 
 A parallelogram connecting x to y is a properly embedded quadrilateral
 whose lower-left (SW) and upper-right (NE) corners are components of x
@@ -19,28 +20,39 @@ against the horizontal offsets accumulated by the shear.  (On the square
 torus the winding number is 1 and the engine reduces to the classical
 two rectangles per unordered row pair.)
 
-Interiors are tested with strict inequalities in the cover; components
-are corner points and markers are cell centres, so no boundary ties can
-occur.  Each marker meets an embedded parallelogram's interior at most
-once, hence every interior count is 0 or 1.
+Interiors are strict in the cover; components are corner points and
+markers are cell centres, so no boundary ties can occur.  Each marker
+meets an embedded parallelogram's interior at most once, hence every
+marker count is 0 or 1.
 
-All arithmetic is on integers.  Component and corner tests use the
-sheared coordinates as they are.  Marker tests double every coordinate
-once per diagram, as the grading code does: the centre of cell (s, t)
-becomes the odd point (2s+1, 2t+1), and a box's corner, width and height
-are doubled together with the row period, the width period and the
-shear, which leaves every strict inequality unchanged.
+Generator codes.  A generator (sigma, a) is coded by the integer whose
+digits are sigma in base n followed by a in base p, so codes order
+generators as ``Generator.sort_key`` does.  The component in row t and
+column c adds a fixed amount to the code, and a parallelogram changes
+only the components of its two rows, so the code of its target is the
+source's code plus a constant of the parallelogram.  Boundaries are
+keyed by code; ``Generator`` objects are built only for output.
 
-The tilde boundary needs only the parallelograms that contain no marker
-at all, so ``empty_targets`` stops testing a parallelogram at its first
-marker; ``parallelograms_from`` counts every marker and serves the other
-three variants.
+The parallelogram table.  For the candidate of rows (i, j) in height
+band m, the height ``h = j + m*n - i`` depends on (i, j, m) alone, the
+width on m and the two corner columns (c_i, c_j), and so do
+embeddedness, the marker contents and the two new columns; whether the
+component in another row r lies inside depends on that key and c_r.
+``parallelogram_table`` computes the entry of every embedded key once
+per call, and a generator's parallelograms are n(n-1) lookups plus one
+AND of each entry's block mask with the generator's own placement bits.
+All arithmetic is on integers.  For fixed (i, j, m) and SW column the
+table widens the box one column at a time: a marker or component at
+level b of the band lies inside once the width exceeds its offset
+``(s + b*shear - c_i) mod width``.  Contents only grow with the width,
+so a variant that drops the parallelograms containing certain markers
+(tilde: any; assoc-graded: an X; hat: the O in row 0) stops widening at
+the first one.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations, product
 
@@ -67,14 +79,17 @@ class Parallelogram:
 
 @dataclass
 class SparseBoundary:
-    """Mod-2 collected boundary terms.
+    """Mod-2 collected boundary terms on generator codes.
 
-    ``terms[x]`` is a tuple of ``(target, exponents)`` pairs, exponents
-    being the U-monomial of the term; pairs appearing an even number of
-    times have already been cancelled.  Treat instances as immutable.
+    ``terms`` maps the code of every generator x (see ``generator_code``;
+    ``generator_from_code(code, n, p)`` decodes it) to a tuple of
+    ``(target code, exponents)`` pairs sorted by code, exponents being the
+    U-monomial of the term; pairs appearing an even number of times have
+    already been cancelled.  Treat instances as immutable.
     """
 
     n: int
+    p: int
     variant: str
     terms: dict
 
@@ -84,17 +99,61 @@ def generator_count(diagram):
     return math.factorial(n) * p ** n
 
 
-def enumerate_generators(diagram, cap=DEFAULT_GENERATOR_CAP):
-    """All n! * p^n generators in lexicographic (sigma, a) order."""
-    require_valid(diagram)
+def require_generator_cap(diagram, cap):
+    """Raise SizeCapError when the diagram has more than ``cap`` generators."""
     n, p = diagram.n, diagram.lens.p
     total = generator_count(diagram)
     if cap is not None and total > cap:
         raise SizeCapError("refusing to enumerate %d! * %d^%d = %d generators "
                            "(cap %d)" % (n, p, n, total, cap))
+
+
+def enumerate_generators(diagram, cap=DEFAULT_GENERATOR_CAP):
+    """All n! * p^n generators in lexicographic (sigma, a) order."""
+    require_valid(diagram)
+    require_generator_cap(diagram, cap)
+    n, p = diagram.n, diagram.lens.p
     for sigma in permutations(range(n)):
         for a in product(range(p), repeat=n):
             yield Generator(sigma, a)
+
+
+def generator_code(x, p):
+    """The integer code of a generator: sigma in base n, then a in base p."""
+    n = len(x.sigma)
+    code = 0
+    for s in x.sigma:
+        code = code * n + s
+    for a in x.a:
+        code = code * p + a
+    return code
+
+
+def _code_digits(code, n, p):
+    """``(sigma, a)`` of a generator code; see ``generator_code``."""
+    a, sigma = [], []
+    for _ in range(n):
+        code, digit = divmod(code, p)
+        a.append(digit)
+    for _ in range(n):
+        code, digit = divmod(code, n)
+        sigma.append(digit)
+    return tuple(sigma[::-1]), tuple(a[::-1])
+
+
+def generator_from_code(code, n, p):
+    """Inverse of ``generator_code``."""
+    return Generator(*_code_digits(code, n, p))
+
+
+def generator_codes(n, p):
+    """Codes of all generators, in ``enumerate_generators`` order."""
+    size = p ** n
+    for sigma in permutations(range(n)):
+        base = 0
+        for s in sigma:
+            base = base * n + s
+        yield from range(base * size, (base + 1) * size)
 
 
 def torus_winding(width, shear):
@@ -102,150 +161,170 @@ def torus_winding(width, shear):
     return width // math.gcd(shear, width)
 
 
-def raw_pair_candidates(cols, n_rows, width, shear):
-    """One record (i, j, m, w, h) per ordered row pair and height band.
+def lens_torus(diagram):
+    """The engine's ``(n, p, q, O, X)`` for a lens diagram."""
+    return (diagram.n, diagram.lens.p, diagram.lens.q, diagram.O, diagram.X)
 
-    ``cols[t]`` is the horizontal position of the component in row t.
-    The records enumerate every corner-compatible quadrilateral before
-    embeddedness is taken into account; there are exactly
-    ``winding * n * (n-1)`` of them.
+
+def _drop_mask(variant, n):
+    """Marker bits (O in row k: bit k, X in row k: bit n + k) whose
+    parallelograms the variant leaves out."""
+    every = (1 << n) - 1
+    return {"tilde": every | every << n, "assoc-graded": every << n,
+            "hat": 1, "minus": 0}[variant]
+
+
+def parallelogram_table(torus, drop=0, columns=None):
+    """Every embedded parallelogram of the torus, keyed by its corners.
+
+    ``table[i, j][c_i * width + c_j]`` lists, lowest height band first,
+    the parallelograms with SW corner on the row-i component in column
+    c_i and NE corner on a lift of the row-j component in column c_j.
+    Each entry is the tuple ``(delta, block, o_counts, x_counts, width,
+    height, new_i, new_j)``: the code delta of the move, the mask with
+    bit ``r*width + c`` set when a component at (c, r) would lie inside,
+    the marker counts, the box size and the new columns of rows i and j.
+    A generator's parallelogram is admissible when none of the
+    generator's own bits is in ``block``.  Parallelograms containing a
+    marker of ``drop`` (see ``_drop_mask``) are left out.  With
+    ``columns``, only SW corners in column ``columns[i]`` are filled in.
     """
+    n, p, q, o_cells, x_cells = torus
+    width, shear = n * p, n * q
     winding = torus_winding(width, shear)
-    out = []
-    for i in range(n_rows):
-        for j in range(n_rows):
+    size = p ** n
+    weight = [[(c % n) * n ** (n - 1 - t) * size + (c // n) * p ** (n - 1 - t)
+               for c in range(width)] for t in range(n)]
+    # a box whose top is k row periods up is embedded while its width is
+    # below reach[k]: the shear offsets of the levels under the top stay
+    # at least that far from zero on both sides
+    reach = [width]
+    for b in range(1, winding):
+        off = b * shear % width
+        reach.append(min(reach[-1], off, width - off))
+    counts = {}
+    table = {}
+    for i in range(n):
+        sw_cols = range(width) if columns is None else (columns[i],)
+        for j in range(n):
             if i == j:
                 continue
+            cells = table[i, j] = [()] * (width * width)
             m0 = 0 if j > i else 1
+            w_i, w_j = weight[i], weight[j]
             for m in range(m0, m0 + winding):
-                h = j + m * n_rows - i
-                w = (cols[j] + m * shear - cols[i]) % width
-                out.append((i, j, m, w, h))
+                h, drift = j + m * n - i, m * shear
+                limit = reach[h // n]
+                # the markers and the other rows' components met by the
+                # band of rows i .. i+h-1, with their level's shear
+                markers, others = [], []
+                for row in range(i, i + h):
+                    t, lift = row % n, row // n * shear
+                    markers.append((o_cells[t][0] + lift, 1 << t))
+                    markers.append((x_cells[t][0] + lift, 1 << (n + t)))
+                    if t != i and t != j:
+                        others.append((t * width, -lift))
+                for ci in sw_cols:
+                    inside = [0] * limit   # markers at each offset from ci
+                    for s, bit in markers:
+                        d = (s - ci) % width
+                        if d < limit:
+                            inside[d] |= bit
+                    new_j = (ci - drift) % width
+                    fixed = w_j[new_j] - w_i[ci]
+                    content = block = 0
+                    for w in range(1, limit):
+                        content |= inside[w - 1]
+                        if content & drop:
+                            break
+                        if w % n:   # else c_j would share c_i's residue mod n
+                            new_i = (ci + w) % width
+                            cj = (new_i - drift) % width
+                            pair = counts.get(content)
+                            if pair is None:
+                                pair = counts[content] = (
+                                    tuple(content >> k & 1 for k in range(n)),
+                                    tuple(content >> (n + k) & 1 for k in range(n)))
+                            entry = (w_i[new_i] - w_j[cj] + fixed, block,
+                                     pair[0], pair[1], w, h, new_i, new_j)
+                            key = ci * width + cj
+                            if cells[key]:
+                                cells[key].append(entry)
+                            else:
+                                cells[key] = [entry]
+                        # components at offset w lie inside the wider boxes
+                        for base, shift in others:
+                            block |= 1 << (base + (ci + w + shift) % width)
+    return table
+
+
+def _odd_terms(found):
+    """The terms occurring an odd number of times, sorted."""
+    found.sort()
+    kept = []
+    for term in found:
+        if kept and kept[-1] == term:
+            kept.pop()
+        else:
+            kept.append(term)
+    return tuple(kept)
+
+
+def _placements(n, p):
+    """The column tuple of every generator in enumeration order, with its
+    placement bits ``1 << (t*width + c)``, one per row."""
+    width = n * p
+    bits = [[1 << (t * width + c) for c in range(width)] for t in range(n)]
+    for sigma in permutations(range(n)):
+        columns = [range(s, width, n) for s in sigma]
+        yield from zip(product(*columns), product(
+            *([bits[t][c] for c in cs] for t, cs in enumerate(columns))))
+
+
+def collect_terms(torus, variant):
+    """Mod-2 collected boundary terms of every generator of the torus,
+    keyed by code, as ``SparseBoundary.terms`` holds them."""
+    n, p = torus[0], torus[1]
+    width = n * p
+    pairs = [(i, j, cells) for (i, j), cells
+             in parallelogram_table(torus, _drop_mask(variant, n)).items()]
+    out = {}
+    for code, (cols, placed) in zip(generator_codes(n, p), _placements(n, p)):
+        occupied = sum(placed)
+        found = []
+        for i, j, cells in pairs:
+            for entry in cells[cols[i] * width + cols[j]]:
+                if not entry[1] & occupied:
+                    found.append((code + entry[0], entry[2]))
+        out[code] = _odd_terms(found)
     return out
 
 
-def is_embedded(w, h, n_rows, width, shear):
-    """Whether a w-by-h box projects to an embedded quadrilateral.
-
-    The box self-overlaps exactly when some multiple of the shear offset,
-    taken mod width, comes within w of zero on either side; only offsets
-    for levels strictly below the top of the box matter.
-    """
-    for b in range(1, h // n_rows + 1):
-        off = (b * shear) % width
-        if not (w < off and w < width - off):
-            return False
-    return True
-
-
-def interior_count(s_z, t_z, sw_col, sw_row, w, h, n_rows, width, shear):
-    """Number of lattice translates of (s_z, t_z) strictly inside the w-by-h
-    box with lower-left corner (sw_col, sw_row).
-
-    Every argument is an integer.  A marker centre is a half-integer point,
-    so marker tests pass doubled coordinates throughout (see
-    ``doubled_centres``): the odd centre, and twice the corner, the box
-    size, the row period, the width period and the shear.
-    """
-    hits = 0
-    b = (sw_row - t_z) // n_rows + 1   # lowest level strictly above sw_row
-    t = t_z + b * n_rows
-    s = s_z + b * shear - sw_col
-    top = sw_row + h
-    while t < top:
-        if 0 < s % width < w:
-            hits += 1
-        t += n_rows
-        s += shear
-    return hits
-
-
-def doubled_centres(cells):
-    """Marker centres in doubled coordinates: cell (s, t) -> (2s+1, 2t+1)."""
-    return tuple((2 * s + 1, 2 * t + 1) for (s, t) in cells)
-
-
-def torus_parallelograms(cols, n_rows, width, shear):
-    """Embedded parallelograms from a component placement, admissible with
-    respect to the shared components.  Yields ``(i, j, m, w, h,
-    target_cols)``; marker counts are the caller's business.
-    """
-    for (i, j, m, w, h) in raw_pair_candidates(cols, n_rows, width, shear):
-        if not is_embedded(w, h, n_rows, width, shear):
-            continue
-        blocked = False
-        for r in range(n_rows):
-            if r in (i, j):
+def parallelograms_in(table, x, width):
+    """The admissible parallelograms leaving x, with marker counts: the
+    table's entries at x's corner columns that x does not block."""
+    cols = x.columns
+    occupied = sum(1 << (t * width + c) for t, c in enumerate(cols))
+    out = []
+    for (i, j), cells in table.items():
+        for (_, block, o_counts, x_counts, w, h, new_i, new_j) \
+                in cells[cols[i] * width + cols[j]]:
+            if block & occupied:
                 continue
-            if interior_count(cols[r], r, cols[i], i, w, h, n_rows, width, shear):
-                blocked = True
-                break
-        if blocked:
-            continue
-        target = list(cols)
-        target[i] = (cols[i] + w) % width
-        target[j] = (cols[i] - m * shear) % width
-        yield (i, j, m, w, h, tuple(target))
-
-
-def embedded_candidates(x, diagram):
-    """Embedded pre-admissibility candidates (i, j, m, w, h) for a generator."""
-    n, width, shear = diagram.n, diagram.width, diagram.n * diagram.lens.q
-    return [rec for rec in raw_pair_candidates(x.columns, n, width, shear)
-            if is_embedded(rec[3], rec[4], n, width, shear)]
-
-
-def empty_targets(cols, n_rows, width, shear, centres):
-    """Targets of the admissible parallelograms from ``cols`` that contain
-    none of the doubled marker ``centres``.
-
-    Yields each target's column placement; a parallelogram is dropped at
-    the first marker found inside it.
-    """
-    rows2, width2, shear2 = 2 * n_rows, 2 * width, 2 * shear
-    for (i, j, m, w, h, target) in torus_parallelograms(cols, n_rows, width, shear):
-        sw_col, sw_row, w2, h2 = 2 * cols[i], 2 * i, 2 * w, 2 * h
-        for (sc, tc) in centres:
-            if interior_count(sc, tc, sw_col, sw_row, w2, h2,
-                              rows2, width2, shear2):
-                break
-        else:
-            yield target
+            target = list(cols)
+            target[i], target[j] = new_i, new_j
+            out.append(Parallelogram(
+                source=x, target=Generator.from_columns(target),
+                moved_rows=(i, j), sw=(cols[i], i), width=w, height=h,
+                o_counts=o_counts, x_counts=x_counts))
+    return out
 
 
 def parallelograms_from(x, diagram):
-    """All admissible parallelograms leaving x, with marker counts."""
-    n, width, shear = diagram.n, diagram.width, diagram.n * diagram.lens.q
-    rows2, width2, shear2 = 2 * n, 2 * width, 2 * shear
-    o_centres = doubled_centres(diagram.O)
-    x_centres = doubled_centres(diagram.X)
-    cols = x.columns
-    out = []
-    for (i, j, m, w, h, target) in torus_parallelograms(cols, n, width, shear):
-        sw_col, sw_row, w2, h2 = 2 * cols[i], 2 * i, 2 * w, 2 * h
-        o_counts = tuple(interior_count(sc, tc, sw_col, sw_row, w2, h2,
-                                        rows2, width2, shear2)
-                         for (sc, tc) in o_centres)
-        x_counts = tuple(interior_count(sc, tc, sw_col, sw_row, w2, h2,
-                                        rows2, width2, shear2)
-                         for (sc, tc) in x_centres)
-        out.append(Parallelogram(
-            source=x, target=Generator.from_columns(target),
-            moved_rows=(i, j), sw=(cols[i], i), width=w, height=h,
-            o_counts=o_counts, x_counts=x_counts))
-    return out
-
-
-def _keep(P, variant):
-    if variant == "assoc-graded":
-        return not any(P.x_counts)
-    if variant == "hat":
-        return P.o_counts[0] == 0
-    return True
-
-
-def _term_key(term):
-    return (term[0].sort_key(), term[1])
+    """All admissible parallelograms leaving x, with marker counts, from
+    the table's slice at x's corner columns."""
+    table = parallelogram_table(lens_torus(diagram), columns=x.columns)
+    return parallelograms_in(table, x, diagram.width)
 
 
 def build_boundary(diagram, variant, cap=DEFAULT_GENERATOR_CAP):
@@ -254,38 +333,38 @@ def build_boundary(diagram, variant, cap=DEFAULT_GENERATOR_CAP):
     tilde keeps parallelograms meeting no markers at all (all monomials
     trivial); assoc-graded keeps those missing the X markers, recording
     O counts as U-exponents; minus keeps everything; hat drops from minus
-    the terms with a positive U_0 exponent.
+    the terms with a positive U_0 exponent.  The generator cap is checked
+    before the table is built.
     """
     require_valid(diagram)
     if variant not in VARIANTS:
         raise ValidationError("unknown boundary variant %r" % (variant,))
-    n, width, shear = diagram.n, diagram.width, diagram.n * diagram.lens.q
-    zero = (0,) * n
-    centres = doubled_centres(diagram.O + diagram.X)
-    collected = {}
-    for x in enumerate_generators(diagram, cap):
-        if variant == "tilde":
-            bucket = Counter(empty_targets(x.columns, n, width, shear, centres))
-            terms = ((Generator.from_columns(t), zero)
-                     for t, c in bucket.items() if c % 2)
-        else:
-            bucket = Counter((P.target, P.o_counts)
-                             for P in parallelograms_from(x, diagram)
-                             if _keep(P, variant))
-            terms = (term for term, c in bucket.items() if c % 2)
-        collected[x] = tuple(sorted(terms, key=_term_key))
-    return SparseBoundary(n=n, variant=variant, terms=collected)
+    require_generator_cap(diagram, cap)
+    return SparseBoundary(n=diagram.n, p=diagram.lens.p, variant=variant,
+                          terms=collect_terms(lens_torus(diagram), variant))
 
 
 def square_is_zero(boundary):
     """Whether the boundary composed with itself cancels mod 2, with the
-    U-monomials multiplied along the way."""
-    for x, terms in boundary.terms.items():
-        acc = Counter()
-        for (y, e1) in terms:
-            for (z, e2) in boundary.terms.get(y, ()):
-                acc[(z, tuple(a + b for a, b in zip(e1, e2)))] += 1
-        if any(c % 2 for c in acc.values()):
+    U-monomials multiplied along the way.
+
+    Exponent vectors are packed into the digits of one integer, wide
+    enough that adding two of them never carries, and a term z U^e of
+    the square becomes the single integer key ``z << shift | e``.
+    """
+    terms = boundary.terms
+    exponents = {e for out in terms.values() for _, e in out}
+    top = max((max(e, default=0) for e in exponents), default=0)
+    digit = (2 * top).bit_length()
+    packed = {e: sum(v << (digit * k) for k, v in enumerate(e))
+              for e in exponents}
+    shift = digit * boundary.n
+    keyed = {x: [(y << shift) + packed[e] for y, e in out]
+             for x, out in terms.items()}
+    for out in terms.values():
+        keys = [key + packed[e] for y, e in out for key in keyed.get(y, ())]
+        keys.sort()
+        if keys[::2] != keys[1::2]:   # some key occurs an odd number of times
             return False
     return True
 
@@ -301,9 +380,10 @@ def grading_drop_violations(diagram, cap=DEFAULT_GENERATOR_CAP):
     """
     gens = list(enumerate_generators(diagram, cap))
     table = gradings_table(diagram, gens)
+    geometry = parallelogram_table(lens_torus(diagram))
     out = []
     for x in gens:
-        for P in parallelograms_from(x, diagram):
+        for P in parallelograms_in(geometry, x, diagram.width):
             src, dst = P.source, P.target
             ts, td = table[src], table[dst]
             n_o, n_x = sum(P.o_counts), sum(P.x_counts)
@@ -319,15 +399,31 @@ def grading_drop_violations(diagram, cap=DEFAULT_GENERATOR_CAP):
 
 
 def generator_label(x):
-    return "[%s|%s]" % (" ".join(map(str, x.sigma)), " ".join(map(str, x.a)))
+    return _label(x.sigma, x.a)
+
+
+def _label(sigma, a):
+    return "[%s|%s]" % (" ".join(map(str, sigma)), " ".join(map(str, a)))
 
 
 def boundary_export_lines(boundary):
-    """Deterministic text export, one line per term."""
+    """Deterministic text export, one line per term, in code order."""
+    n, p = boundary.n, boundary.p
+    labels, monomials = {}, {}
+
+    def label(code):
+        text = labels.get(code)
+        if text is None:
+            text = labels[code] = _label(*_code_digits(code, n, p))
+        return text
+
     lines = []
-    for x in sorted(boundary.terms, key=Generator.sort_key):
+    for x in sorted(boundary.terms):
+        head = label(x) + " -> "
         for (y, exps) in boundary.terms[x]:
-            mono = " ".join("U%d^%d" % (k, e) for k, e in enumerate(exps))
-            lines.append("%s -> %s %s" % (generator_label(x),
-                                          generator_label(y), mono))
+            mono = monomials.get(exps)
+            if mono is None:
+                mono = monomials[exps] = " ".join(
+                    "U%d^%d" % (k, e) for k, e in enumerate(exps))
+            lines.append(head + label(y) + " " + mono)
     return lines

@@ -35,12 +35,6 @@ def dominance_count(first, second):
     return sum(1 for a in first for b in second if a[0] < b[0] and a[1] < b[1])
 
 
-def symmetric_dominance(first, second):
-    """Half the sum of the dominance counts in both orders."""
-    return Fraction(dominance_count(first, second)
-                    + dominance_count(second, first), 2)
-
-
 def weighted_dominance(first, second):
     """Dominance count extended bilinearly to weighted point collections.
 
@@ -54,12 +48,6 @@ def weighted_dominance(first, second):
             if pa[0] < pb[0] and pa[1] < pb[1]:
                 total += wa * wb
     return total
-
-
-def symmetric_dominance_weighted(first, second):
-    """Bilinear extension of the symmetrised dominance pairing."""
-    return Fraction(weighted_dominance(first, second)
-                    + weighted_dominance(second, first), 2)
 
 
 @lru_cache(maxsize=None)

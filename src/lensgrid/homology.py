@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .complexes import (DEFAULT_GENERATOR_CAP, build_boundary,
-                        enumerate_generators)
+                        enumerate_generators, generator_codes)
 from .errors import InternalInvariantError, LensGridError, SizeCapError
 from .gradings import gradings_table
 from .grid import require_valid
@@ -119,16 +119,18 @@ def tilde_homology(diagram, cap=DEFAULT_GENERATOR_CAP,
     """Bigraded homology table of the fully blocked complex of a knot.
 
     Every (S, A) piece is checked against ``piece_cap`` before the
-    boundary is built.
+    boundary is built.  The pieces' levels hold generator codes, the keys
+    of the boundary's terms.
     """
     require_valid(diagram)
     p, n = diagram.lens.p, diagram.n
     gens = list(enumerate_generators(diagram, cap))
     table = gradings_table(diagram, gens)
     pieces = {}
-    for x in gens:
+    for code, x in zip(generator_codes(n, p), gens):
         t = table[x]
-        pieces.setdefault((t.spin, t.alexander), {}).setdefault(t.maslov, []).append(x)
+        pieces.setdefault((t.spin, t.alexander), {}).setdefault(
+            t.maslov, []).append(code)
     pieces = sorted(pieces.items())
     for (s, a), levels in pieces:
         size = sum(len(basis) for basis in levels.values())

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .complexes import (DEFAULT_GENERATOR_CAP, doubled_centres,
-                        empty_targets, enumerate_generators)
+from .complexes import (DEFAULT_GENERATOR_CAP, collect_terms,
+                        enumerate_generators, generator_codes)
 from .cover import (lift_diagram, lift_generator, require_valid_s3,
                     s3_link_components)
 from .errors import SizeCapError
@@ -34,6 +34,11 @@ from .homology import HomologyTable, homology_ranks
 
 def _scaled(points):
     return tuple((2 * a, 2 * b) for (a, b) in points)
+
+
+def doubled_centres(cells):
+    """Marker centres in doubled coordinates: cell (s, t) -> (2s+1, 2t+1)."""
+    return tuple((2 * s + 1, 2 * t + 1) for (s, t) in cells)
 
 
 def s3_maslov(points, marker_cells, marker_self=None):
@@ -128,21 +133,22 @@ def s3_tilde_homology(diagram, cap=DEFAULT_GENERATOR_CAP, pivot="low"):
         raise SizeCapError("refusing to enumerate %d! = %d generators (cap %d)"
                            % (N, total, cap))
     ell = len(s3_link_components(diagram))
-    centres = doubled_centres(diagram.O + diagram.X)
     o_self = marker_self_count(diagram.O)
     a_markers = alexander_marker_term(diagram)
 
-    # a generator is keyed by its column tuple, as empty_targets yields it
+    # the square torus is the engine's p = 1, q = 0 case, and a generator's
+    # code is its column tuple read in base N
     pieces = {}
-    for cols in permutations(range(N)):
+    for code, cols in zip(generator_codes(N, 1), permutations(range(N))):
         pts = tuple(zip(cols, range(N)))
         m = s3_maslov(pts, diagram.O, marker_self=o_self)
         a = s3_alexander_total(pts, diagram, components=ell,
                                marker_term=a_markers)
-        pieces.setdefault(a, {}).setdefault(m, []).append(cols)
+        pieces.setdefault(a, {}).setdefault(m, []).append(code)
+    terms = collect_terms((N, 1, 0, diagram.O, diagram.X), "tilde")
 
-    def targets(cols):
-        return empty_targets(cols, N, N, 0, centres)
+    def targets(code):
+        return (y for (y, _) in terms[code])
 
     ranks = {}
     for a, levels in sorted(pieces.items()):

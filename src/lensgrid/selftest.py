@@ -15,9 +15,9 @@ import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import (build_boundary, embedded_candidates,
-                        enumerate_generators, generator_count,
-                        grading_drop_violations, parallelograms_from,
+from .complexes import (build_boundary, enumerate_generators,
+                        generator_count, grading_drop_violations, lens_torus,
+                        parallelogram_table, parallelograms_from,
                         square_is_zero)
 from .corpus import coprime_qs, gn1_corpus, random_diagram, random_knot_diagrams
 from .cover import S3GridDiagram, lift_diagram, lift_generator
@@ -199,8 +199,15 @@ def criterion_09(gn1, rnd, seed=DEFAULT_SEED):
         if len(gens) != generator_count(d):
             return CheckResult("C09", CRITERIA[8][1], False,
                                "generator count wrong on %r" % (d,))
+        # the embedded candidates at a generator's corner columns, before
+        # the other components are tested
+        table = parallelogram_table(lens_torus(d))
         for x in gens:
-            cands = embedded_candidates(x, d)
+            cols = x.columns
+            cands = [(i, j, (h - j + i) // n, w, h)
+                     for (i, j), cells in table.items()
+                     for (_, _, _, _, w, h, _, _)
+                     in cells[cols[i] * d.width + cols[j]]]
             if len(cands) != n * (n - 1):
                 return CheckResult(
                     "C09", CRITERIA[8][1], False,

@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from lensgrid import SparseBoundary, build_boundary, homology
+from lensgrid import build_boundary, complexes, homology
 from lensgrid.cli import main
 
 GN1 = "5 2 1\nO: 0\nX: 2\n"
@@ -114,8 +115,8 @@ def test_homology_assoc_graded_variant(grid_file, capsys, monkeypatch):
     def graded_tilde(diagram, variant, cap):
         graded = build_boundary(diagram, "assoc-graded", cap)
         zero = (0,) * diagram.n
-        return SparseBoundary(
-            n=diagram.n, variant="tilde",
+        return dataclasses.replace(
+            graded, variant="tilde",
             terms={x: tuple(t for t in terms if t[1] == zero)
                    for x, terms in graded.terms.items()})
 
@@ -194,6 +195,19 @@ def test_usage_errors_exit_one(grid_file, capsys):
 def test_size_cap_exit_two(grid_file, capsys):
     code, _, err = run(capsys, "homology", grid_file(KNOT_N2), "--cap", "3")
     assert code == 2 and "cap" in err
+
+
+def test_boundary_export_refuses_before_the_table(grid_file, capsys,
+                                                  monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("parallelogram table built before the cap check")
+
+    monkeypatch.setattr(complexes, "parallelogram_table", unreachable)
+    code, out, err = run(capsys, "boundary-export",
+                         grid_file("3 1 3\nO: 0 1 2\nX: 1 2 0\n"),
+                         "--cap", "10")
+    assert code == 2 and out == ""
+    assert err.startswith("refused:") and "= 162 generators (cap 10)" in err
 
 
 def test_enumerate_gn1_refuses_more_diagrams_than_the_cap(capsys):

@@ -3,21 +3,25 @@ import hashlib
 import json
 import random
 from collections import Counter
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
 
 from lensgrid import (Generator, GridDiagram, LensParams, SizeCapError,
                       boundary_export_lines, build_boundary,
-                      enumerate_generators, grading_drop_violations,
-                      parallelograms_from, square_is_zero)
+                      enumerate_generators, generator_code,
+                      generator_from_code, grading_drop_violations,
+                      lift_diagram, parallelograms_from, square_is_zero)
 from lensgrid import complexes
-from lensgrid.complexes import (SparseBoundary, embedded_candidates,
-                                raw_pair_candidates, torus_winding)
+from lensgrid.complexes import (SparseBoundary, generator_codes, lens_torus,
+                                parallelogram_table, torus_winding)
 from lensgrid.corpus import (coprime_qs, random_diagram, random_knot_diagram,
                              random_knot_diagrams)
 from lensgrid.grid import format_grid
 from lensgrid.selftest import build_corpus
+
+import parallelogram_oracle as oracle
 
 GOLDEN = Path(__file__).parent / "golden" / "boundary_digests.json"
 VARIANTS = ("tilde", "assoc-graded", "hat", "minus")
@@ -81,6 +85,15 @@ def test_counts_are_zero_or_one():
                 assert set(P.x_counts) <= {0, 1}
 
 
+def table_candidates(table, cols, width):
+    """(i, j, m, w, h) of the table's entries at a placement's corner
+    columns: its embedded candidates, before admissibility."""
+    n = len(cols)
+    return [(i, j, (h - j + i) // n, w, h)
+            for (i, j), cells in table.items()
+            for (_, _, _, _, w, h, _, _) in cells[cols[i] * width + cols[j]]]
+
+
 def test_candidate_census_twisted():
     """Structural counts the twisted torus actually satisfies.
 
@@ -97,8 +110,9 @@ def test_candidate_census_twisted():
         d = random_diagram(p, q, n, rng)
         width, shear = n * p, n * q
         assert torus_winding(width, shear) == p
+        table = parallelogram_table(lens_torus(d))
         for x in list(enumerate_generators(d))[:: max(1, p)]:
-            raw = raw_pair_candidates(x.columns, n, width, shear)
+            raw = oracle.raw_candidates(x.columns, n, width, shear)
             assert len(raw) == p * n * (n - 1)
             by_key = {(i, j, m): (w, h) for (i, j, m, w, h) in raw}
             for (i, j, m), (w, h) in by_key.items():
@@ -112,7 +126,7 @@ def test_candidate_census_twisted():
                     rec for rec in short if (rec[0], rec[1]) == (j, i))
                 assert h + h2 == n
                 assert (w + w2 - shear) % width == 0
-            emb = embedded_candidates(x, d)
+            emb = table_candidates(table, x.columns, width)
             assert n * (n - 1) <= len(emb) <= p * n * (n - 1)
             assert all(rec in raw for rec in emb)
 
@@ -122,7 +136,9 @@ def test_untwisted_torus_recovers_classical_census():
     # pair, complementary in both width and height
     N = 4
     cols = (2, 0, 3, 1)
-    raw = raw_pair_candidates(cols, N, N, 0)
+    cells = tuple((c, r) for r, c in enumerate(cols))
+    raw = table_candidates(parallelogram_table((N, 1, 0, cells, cells)),
+                           cols, N)
     assert len(raw) == N * (N - 1)
     for (i, j, m, w, h) in raw:
         (w2, h2) = next((w2, h2) for (i2, j2, m2, w2, h2) in raw
@@ -135,8 +151,10 @@ def test_n2_all_embedded_candidates_admissible():
     for _ in range(10):
         p = rng.choice([2, 3, 5])
         d = random_diagram(p, rng.choice(coprime_qs(p)), 2, rng)
+        table = parallelogram_table(lens_torus(d))
         for x in enumerate_generators(d):
-            assert len(parallelograms_from(x, d)) == len(embedded_candidates(x, d))
+            assert (len(parallelograms_from(x, d))
+                    == len(table_candidates(table, x.columns, d.width)))
 
 
 def test_short_only_recipe_breaks_d_squared():
@@ -154,14 +172,25 @@ def test_short_only_recipe_breaks_d_squared():
             for P in parallelograms_from(x, d):
                 if P.height >= d.n or any(P.o_counts) or any(P.x_counts):
                     continue
-                bucket[(P.target, (0, 0))] += 1
-            truncated[x] = tuple(sorted(
-                (t for t, c in bucket.items() if c % 2),
-                key=lambda t: (t[0].sort_key(), t[1])))
-        if not square_is_zero(SparseBoundary(n=2, variant="tilde",
-                                             terms=truncated)):
+                bucket[(generator_code(P.target, 3), (0, 0))] += 1
+            truncated[generator_code(x, 3)] = tuple(sorted(
+                t for t, c in bucket.items() if c % 2))
+        if not square_is_zero(dataclasses.replace(full, terms=truncated)):
             found += 1
     assert found > 0
+
+
+def test_square_is_zero_tells_monomials_apart():
+    # 0 -> 3 along two paths, through 1 with U_0 * U_0 and through 2 with
+    # U_1: different monomials, which must not cancel
+    terms = {0: ((1, (1, 0)), (2, (0, 0))), 1: ((3, (1, 0)),),
+             2: ((3, (0, 1)),), 3: ()}
+    assert not square_is_zero(SparseBoundary(n=2, p=2, variant="minus",
+                                             terms=terms))
+    terms[0] = ((1, (1, 0)), (2, (1, 0)))
+    terms[2] = ((3, (1, 0)),)
+    assert square_is_zero(SparseBoundary(n=2, p=2, variant="minus",
+                                         terms=terms))
 
 
 def test_boundaries_square_to_zero():
@@ -193,8 +222,8 @@ def test_term_set_inclusions_and_monomials():
     # monomial exponents record the O counts
     for x in minus.terms:
         expected = Counter()
-        for P in parallelograms_from(x, d):
-            expected[(P.target, P.o_counts)] += 1
+        for P in parallelograms_from(generator_from_code(x, 2, 3), d):
+            expected[(generator_code(P.target, 3), P.o_counts)] += 1
         assert set(minus.terms[x]) == {t for t, c in expected.items() if c % 2}
 
 
@@ -207,10 +236,11 @@ def test_early_stop_tilde_matches_counted_parallelograms():
         d = random_diagram(p, q, 3, rng)
         tilde = build_boundary(d, "tilde")
         for x in enumerate_generators(d):
-            bucket = Counter(P.target for P in parallelograms_from(x, d)
+            bucket = Counter(generator_code(P.target, p)
+                             for P in parallelograms_from(x, d)
                              if not any(P.o_counts) and not any(P.x_counts))
             expected = {(y, (0, 0, 0)) for y, c in bucket.items() if c % 2}
-            assert set(tilde.terms[x]) == expected, (d, x)
+            assert set(tilde.terms[generator_code(x, p)]) == expected, (d, x)
             kept += len(expected)
     assert kept > 0
 
@@ -221,10 +251,8 @@ def transpose(boundary):
     for x, terms in boundary.terms.items():
         for (y, mono) in terms:
             flipped[y].append((x, mono))
-    return SparseBoundary(
-        n=boundary.n, variant=boundary.variant,
-        terms={x: tuple(sorted(v, key=lambda t: (t[0].sort_key(), t[1])))
-               for x, v in flipped.items()})
+    return dataclasses.replace(
+        boundary, terms={x: tuple(sorted(v)) for x, v in flipped.items()})
 
 
 def test_grading_drops_clean_and_reversed(monkeypatch):
@@ -236,13 +264,13 @@ def test_grading_drops_clean_and_reversed(monkeypatch):
     assert square_is_zero(transpose(tilde))
     minus = build_boundary(d, "minus")
     assert boundary_export_lines(transpose(minus)) != boundary_export_lines(minus)
-    original = complexes.parallelograms_from
+    original = complexes.parallelograms_in
 
-    def reversed_corners(x, diagram):
+    def reversed_corners(table, x, width):
         return [dataclasses.replace(P, source=P.target, target=P.source)
-                for P in original(x, diagram)]
+                for P in original(table, x, width)]
 
-    monkeypatch.setattr(complexes, "parallelograms_from", reversed_corners)
+    monkeypatch.setattr(complexes, "parallelograms_in", reversed_corners)
     assert grading_drop_violations(d)
 
 
@@ -287,3 +315,100 @@ def golden_digests():
 
 def test_boundary_exports_match_golden_digests():
     assert golden_digests() == json.loads(GOLDEN.read_text())
+
+
+def oracle_tori():
+    """Six tori: three with q < 0, one with n = 4, a diagram that need not
+    be a knot, and one lifted square grid."""
+    rng = random.Random(71)
+    lens = [random_knot_diagram(3, -1, 3, rng),
+            random_knot_diagram(5, -2, 2, rng),
+            random_knot_diagram(2, -1, 4, rng),
+            random_knot_diagram(4, 1, 3, rng),
+            random_diagram(5, 2, 2, rng)]
+    lifted = lift_diagram(random_knot_diagram(3, -1, 2, rng))
+    return ([lens_torus(d) for d in lens]
+            + [(lifted.N, 1, 0, lifted.O, lifted.X)])
+
+
+def placements(n, p):
+    """(Generator, columns) of every generator, in enumeration order."""
+    for sigma in permutations(range(n)):
+        for a in product(range(p), repeat=n):
+            x = Generator(sigma, a)
+            yield x, x.columns
+
+
+@pytest.mark.parametrize("torus", oracle_tori(),
+                         ids=lambda t: "n%d-p%d-q%d" % t[:3])
+def test_table_matches_per_generator_oracle(torus):
+    """For every generator, the table's admissible entries give the same
+    targets, code deltas and O/X counts as the per-generator scan."""
+    n, p = torus[0], torus[1]
+    width = n * p
+    table = parallelogram_table(torus)
+    total = 0
+    for x, cols in placements(n, p):
+        expected = oracle.parallelograms(cols, torus)
+        for (*_, o_counts, x_counts) in expected:
+            assert set(o_counts) | set(x_counts) <= {0, 1}
+        occupied = sum(1 << (t * width + c) for t, c in enumerate(cols))
+        code = generator_code(x, p)
+        found = []
+        for (i, j), cells in table.items():
+            for (delta, block, o_counts, x_counts, w, h, new_i, new_j) \
+                    in cells[cols[i] * width + cols[j]]:
+                if block & occupied:
+                    continue
+                target = list(cols)
+                target[i], target[j] = new_i, new_j
+                target = tuple(target)
+                assert code + delta == generator_code(
+                    Generator.from_columns(target), p)
+                found.append((i, j, w, h, target, o_counts, x_counts))
+        assert sorted(found) == sorted(expected), (torus, x)
+        total += len(found)
+    assert total > 0
+
+
+def test_generator_codes_round_trip_and_sort_like_sort_key():
+    rng = random.Random(72)
+    for (p, q, n) in ((3, -1, 3), (5, 2, 2), (2, 1, 4), (7, 3, 1)):
+        d = random_diagram(p, q, n, rng)
+        gens = list(enumerate_generators(d))
+        codes = [generator_code(x, p) for x in gens]
+        assert [generator_from_code(c, n, p) for c in codes] == gens
+        assert list(generator_codes(n, p)) == codes
+        assert codes == sorted(set(codes))
+        shuffled = gens[:]
+        rng.shuffle(shuffled)
+        assert (sorted(shuffled, key=lambda x: generator_code(x, p))
+                == sorted(shuffled, key=Generator.sort_key))
+
+
+def test_grading_drops_catch_a_shifted_maslov_grading(monkeypatch):
+    # negative control for the Maslov-drop check alone: shifting one
+    # generator's Maslov grading by 1 leaves Spin^c and Alexander intact,
+    # so the only violations are that generator's Maslov drops
+    d = random_knot_diagram(3, 1, 2, random.Random(51))
+    assert grading_drop_violations(d) == []
+    gens = list(enumerate_generators(d))
+    touching = Counter()
+    for x in gens:
+        for P in parallelograms_from(x, d):
+            touching[P.source] += 1
+            touching[P.target] += 1
+    victim = max(gens, key=lambda x: (touching[x], x.sort_key()))
+    real = complexes.gradings_table
+
+    def shifted(diagram, generators):
+        table = real(diagram, generators)
+        table[victim] = dataclasses.replace(table[victim],
+                                            maslov=table[victim].maslov + 1)
+        return table
+
+    monkeypatch.setattr(complexes, "gradings_table", shifted)
+    violations = grading_drop_violations(d)
+    assert len(violations) == touching[victim] > 0
+    assert all(v.startswith("maslov drop") and repr(victim) in v
+               for v in violations)

@@ -1,12 +1,13 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from lensgrid import (GridDiagram, LensParams, SparseBoundary, build_boundary,
+from lensgrid import (GridDiagram, LensParams, build_boundary,
                       enumerate_generators, enumerate_grid_number_one,
-                      extract_hfk_hat, format_grid, gf2_rank, gradings_table,
-                      simplicity_report, tilde_homology)
+                      extract_hfk_hat, format_grid, generator_code, gf2_rank,
+                      gradings_table, simplicity_report, tilde_homology)
 from lensgrid import homology
 from lensgrid.cli import main
 from lensgrid.corpus import coprime_qs, random_knot_diagram
@@ -74,7 +75,7 @@ def test_tilde_homology_against_brute_force_pieces():
     for x in gens:
         t = table[x]
         groups.setdefault((t.spin, t.alexander), {}).setdefault(
-            t.maslov, []).append(x)
+            t.maslov, []).append(generator_code(x, 3))
     expected = {s: {} for s in range(3)}
     for (s, a), levels in groups.items():
         ranks = {}
@@ -133,7 +134,7 @@ def test_misplaced_boundary_term_is_an_invariant_violation(
         terms = dict(build_boundary(*args).terms)
         x = next(x for x, out in terms.items() if out)
         terms[x] = ((x, terms[x][0][1]),) + terms[x][1:]
-        return SparseBoundary(n=d.n, variant="tilde", terms=terms)
+        return dataclasses.replace(build_boundary(*args), terms=terms)
 
     monkeypatch.setattr(homology, "build_boundary", misplaced)
     with pytest.raises(InternalInvariantError):

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from lensgrid import (GridDiagram, LensParams, S3GridDiagram,
-                      enumerate_generators, extract_hfk_hat, gradings_table,
+from lensgrid import (Generator, GridDiagram, LensParams, S3GridDiagram,
+                      enumerate_generators, extract_hfk_hat, generator_code,
+                      gradings_table,
                       lift_diagram, lift_generator, maslov_grading,
                       s3_alexander_multi, s3_alexander_total, s3_maslov,
                       s3_tilde_homology, verify_cover_relations)
@@ -214,14 +215,14 @@ def test_misplaced_square_grid_term_is_an_invariant_violation(monkeypatch):
     trefoil = S3GridDiagram(5, tuple(((r - 1) % 5, r) for r in range(5)),
                             tuple(((r + 1) % 5, r) for r in range(5)))
     s3_tilde_homology(trefoil)
-    real = s3.empty_targets
-    identity = tuple(range(5))
+    real = s3.collect_terms
+    identity = generator_code(Generator(tuple(range(5)), (0,) * 5), 1)
 
-    def misplaced(cols, *args):
-        if cols == identity:
-            yield cols
-        yield from real(cols, *args)
+    def misplaced(*args):
+        terms = real(*args)
+        terms[identity] = ((identity, (0,) * 5),) + terms[identity]
+        return terms
 
-    monkeypatch.setattr(s3, "empty_targets", misplaced)
+    monkeypatch.setattr(s3, "collect_terms", misplaced)
     with pytest.raises(InternalInvariantError):
         s3_tilde_homology(trefoil)
