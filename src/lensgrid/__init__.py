@@ -16,8 +16,8 @@ from .cover import (S3GridDiagram, format_s3_grid, lift_diagram,
                     lift_generator, lift_points, parse_s3_grid, validate_s3)
 from .gradings import (GradingTriple, alexander_grading,
                        alexander_grading_swapped, d_invariant,
-                       dominance_count, element_grading, gradings_table,
-                       maslov_grading, monomial_grading, spin_grading)
+                       dominance_count, gradings_table, maslov_grading,
+                       spin_grading)
 from .complexes import (Parallelogram, SparseBoundary, boundary_export_lines,
                         build_boundary, enumerate_generators,
                         generator_code, generator_from_code,
@@ -25,5 +25,5 @@ from .complexes import (Parallelogram, SparseBoundary, boundary_export_lines,
                         square_is_zero)
 from .homology import (HomologyTable, extract_hfk_hat, gf2_rank,
                        homology_document, simplicity_report, tilde_homology)
-from .s3 import (CoverReport, s3_alexander_multi, s3_alexander_total,
-                 s3_maslov, s3_tilde_homology, verify_cover_relations)
+from .s3 import (CoverReport, s3_alexander_total, s3_maslov,
+                 s3_tilde_homology, verify_cover_relations)

@@ -24,9 +24,9 @@ from .gradings import gradings_table
 from .grid import (GridDiagram, LensParams, enumerate_grid_number_one,
                    format_grid, parse_grid, reconstruct_link, require_valid,
                    validate)
-from .homology import (DEFAULT_PIECE_CAP, document_bytes, extract_hfk_hat,
-                       homology_document, poincare_polynomial,
-                       simplicity_report, tilde_homology)
+from .homology import (DEFAULT_PIECE_CAP, _frac, document_bytes,
+                       extract_hfk_hat, homology_document,
+                       poincare_polynomial, simplicity_report, tilde_homology)
 from .s3 import verify_cover_relations
 
 
@@ -54,8 +54,14 @@ def _emit(doc):
     sys.stdout.write(document_bytes(doc).decode())
 
 
-def _frac(x):
-    return str(Fraction(x))
+def _capped_lift(diagram, cap):
+    """The universal-cover diagram, refused before it is built when its
+    n*p rows exceed the cap."""
+    rows = diagram.n * diagram.lens.p
+    if rows > cap:
+        raise SizeCapError("refusing to build the %d-row lift (cap %d)"
+                           % (rows, cap))
+    return lift_diagram(diagram)
 
 
 def cmd_validate(args):
@@ -75,7 +81,7 @@ def cmd_info(args):
     text, digest = _read(args.path)
     diagram = require_valid(parse_grid(text))
     link = reconstruct_link(diagram)
-    lifted = lift_diagram(diagram)
+    lifted = _capped_lift(diagram, args.cap)
     doc = {
         "input_sha256": digest,
         "p": diagram.lens.p, "q": diagram.lens.q, "n": diagram.n,
@@ -154,7 +160,7 @@ def cmd_homology(args):
 def cmd_lift(args):
     text, _ = _read(args.path)
     diagram = require_valid(parse_grid(text))
-    sys.stdout.write(format_s3_grid(lift_diagram(diagram)))
+    sys.stdout.write(format_s3_grid(_capped_lift(diagram, args.cap)))
     return 0
 
 
@@ -241,31 +247,35 @@ def build_parser():
                     "twisted toroidal grid diagrams.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, path=True):
-        if path:
-            sp.add_argument("path", help="grid diagram file")
+    def common(sp):
+        sp.add_argument("path", help="grid diagram file")
         sp.add_argument("--format", choices=("human", "structured"),
                         default="human")
-        sp.add_argument("--cap", type=int, default=DEFAULT_GENERATOR_CAP,
-                        help="generator enumeration cap")
-        sp.add_argument("--piece-cap", type=int, default=DEFAULT_PIECE_CAP,
-                        help="per graded piece elimination cap")
+        return sp
+
+    def capped(sp):
+        common(sp).add_argument(
+            "--cap", type=int, default=DEFAULT_GENERATOR_CAP,
+            help="generator cap; info and lift cap the n*p rows "
+                 "of the lift")
+        return sp
 
     common(sub.add_parser("validate", help="check diagram invariants"))
-    common(sub.add_parser("info", help="diagram and link summary"))
+    capped(sub.add_parser("info", help="diagram and link summary"))
 
-    sp = sub.add_parser("gradings", help="exact (S, M, A) per generator")
-    common(sp)
+    sp = capped(sub.add_parser("gradings",
+                               help="exact (S, M, A) per generator"))
     sp.add_argument("--swap-roles", action="store_true",
                     help="exchange the O and X marker roles")
 
-    sp = sub.add_parser("homology",
-                        help="tilde homology and knot Floer groups")
-    common(sp)
+    sp = capped(sub.add_parser("homology",
+                               help="tilde homology and knot Floer groups"))
+    sp.add_argument("--piece-cap", type=int, default=DEFAULT_PIECE_CAP,
+                    help="per graded piece elimination cap")
     sp.add_argument("--pivot", choices=("low", "high"), default="low")
 
-    common(sub.add_parser("lift", help="emit the universal-cover grid file"))
-    common(sub.add_parser("verify-cover",
+    capped(sub.add_parser("lift", help="emit the universal-cover grid file"))
+    capped(sub.add_parser("verify-cover",
                           help="cross-check gradings through the cover"))
 
     sp = sub.add_parser("enumerate-gn1",
@@ -275,8 +285,8 @@ def build_parser():
     sp.add_argument("--format", choices=("human", "structured"),
                     default="human")
 
-    sp = sub.add_parser("boundary-export", help="symbolic boundary terms")
-    common(sp)
+    sp = capped(sub.add_parser("boundary-export",
+                               help="symbolic boundary terms"))
     sp.add_argument("--variant", choices=VARIANTS, default="minus")
 
     sp = sub.add_parser("selftest", help="run the acceptance checklist")

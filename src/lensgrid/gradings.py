@@ -35,19 +35,17 @@ def dominance_count(first, second):
     return sum(1 for a in first for b in second if a[0] < b[0] and a[1] < b[1])
 
 
-def weighted_dominance(first, second):
-    """Dominance count extended bilinearly to weighted point collections.
+def doubled_points(points):
+    """Grid points in doubled coordinates: (a, b) -> (2a, 2b)."""
+    return tuple((2 * a, 2 * b) for (a, b) in points)
 
-    Arguments are sequences of ``(point, weight)`` pairs; weights may be
-    ints or Fractions.  Formal differences of point sets are expressed by
-    negative weights.
-    """
-    total = 0
-    for (pa, wa) in first:
-        for (pb, wb) in second:
-            if pa[0] < pb[0] and pa[1] < pb[1]:
-                total += wa * wb
-    return total
+
+def doubled_centres(cells):
+    """Marker centres in doubled coordinates: cell (s, t) -> (2s+1, 2t+1).
+
+    Doubling keeps every coordinate an integer, and no centre shares a
+    coordinate with a grid point."""
+    return tuple((2 * s + 1, 2 * t + 1) for (s, t) in cells)
 
 
 @lru_cache(maxsize=None)
@@ -76,15 +74,6 @@ def d_invariant(p, q, i):
     return _d(p, q, i)
 
 
-def _scaled_generator_lift(x, p, q, n):
-    # coordinates doubled so that marker centres become odd integers
-    return tuple((2 * a, 2 * b) for (a, b) in lift_points(x.points(), p, q, n))
-
-
-def _scaled_center_lift(cells, p, q, n):
-    return tuple((2 * a + 1, 2 * b + 1) for (a, b) in lift_points(cells, p, q, n))
-
-
 def spin_grading(x, diagram):
     """Z_p-valued Spin^c class of a generator.
 
@@ -106,8 +95,8 @@ def maslov_grading(x, diagram, basepoints="O"):
     """
     p, q, n = diagram.lens.p, diagram.lens.q, diagram.n
     cells = diagram.O if basepoints == "O" else diagram.X
-    gen = _scaled_generator_lift(x, p, q, n)
-    base = _scaled_center_lift(cells, p, q, n)
+    gen = doubled_points(lift_points(x.points(), p, q, n))
+    base = doubled_centres(lift_points(cells, p, q, n))
     raw = (dominance_count(gen, gen) - dominance_count(gen, base)
            - dominance_count(base, gen) + dominance_count(base, base) + 1)
     qn = q % p
@@ -252,36 +241,3 @@ def gradings_table(diagram, generators):
                             p * d.denominator),
             alexander=Fraction(raw_o - raw_x - (n - 1) * p, 2 * p))
     return out
-
-
-def monomial_grading(diagram, x, exponents):
-    """Gradings of a monomial U_0^e_0 ... U_{n-1}^e_{n-1} times a generator.
-
-    Each U-power leaves the Spin^c class alone, lowers the Maslov grading
-    by 2 and the Alexander grading by 1.
-    """
-    n = diagram.n
-    if len(exponents) != n or any(e < 0 for e in exponents):
-        raise ValidationError("range-error: exponent vector %r must have %d "
-                              "nonnegative entries" % (exponents, n))
-    shift = sum(exponents)
-    return GradingTriple(
-        spin=spin_grading(x, diagram),
-        maslov=maslov_grading(x, diagram) - 2 * shift,
-        alexander=alexander_grading(x, diagram) - shift)
-
-
-def element_grading(diagram, terms):
-    """Gradings of a formal sum of monomial terms ``(exponents, generator)``.
-
-    Refuses non-homogeneous sums: every term must carry the same triple.
-    """
-    terms = list(terms)
-    if not terms:
-        raise ValidationError("cannot grade the zero element")
-    triples = [monomial_grading(diagram, x, e) for (e, x) in terms]
-    if any(t != triples[0] for t in triples[1:]):
-        raise ValidationError("element is not homogeneous: gradings %s"
-                              % sorted(set((t.spin, str(t.maslov), str(t.alexander))
-                                           for t in triples)))
-    return triples[0]

@@ -48,9 +48,6 @@ class HomologyTable:
     def total_rank(self):
         return sum(r for by in self.classes.values() for r in by.values())
 
-    def spin_rank(self, s):
-        return sum(self.classes.get(s, {}).values())
-
     def hat_total_rank(self):
         if self.hfk_hat is None:
             return None

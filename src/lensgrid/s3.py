@@ -1,9 +1,10 @@
 """Square-torus grid invariants, used as an independent cross-check.
 
 The Maslov grading here is the classical integer-valued dominance-count
-formula on an N x N grid; the Alexander multi-grading comes from the
-symmetrised dominance pairing against the per-component marker
-differences.  Gradings of a lens-space diagram are validated against
+formula on an N x N grid.  The total Alexander grading is the symmetrised
+dominance pairing J of Manolescu-Ozsvath-Szabo-Thurston between the
+generator and the marker difference X - O, expanded into plain dominance
+counts.  Gradings of a lens-space diagram are validated against
 these by lifting to the universal cover: relative Maslov and Alexander
 gradings scale by 1/p under the covering, and the absolute Maslov
 gradings differ by d(p, q, q-1) + (p-1)/p.
@@ -26,19 +27,10 @@ from .complexes import (DEFAULT_GENERATOR_CAP, collect_terms,
 from .cover import (lift_diagram, lift_generator, require_valid_s3,
                     s3_link_components)
 from .errors import SizeCapError
-from .gradings import (d_invariant, dominance_count, gradings_table,
-                       weighted_dominance)
+from .gradings import (d_invariant, dominance_count, doubled_centres,
+                       doubled_points, gradings_table)
 from .grid import canonical_generator, require_knot, require_valid
 from .homology import HomologyTable, homology_ranks
-
-
-def _scaled(points):
-    return tuple((2 * a, 2 * b) for (a, b) in points)
-
-
-def doubled_centres(cells):
-    """Marker centres in doubled coordinates: cell (s, t) -> (2s+1, 2t+1)."""
-    return tuple((2 * s + 1, 2 * t + 1) for (s, t) in cells)
 
 
 def s3_maslov(points, marker_cells, marker_self=None):
@@ -51,7 +43,7 @@ def s3_maslov(points, marker_cells, marker_self=None):
     """
     if marker_self is None:
         marker_self = marker_self_count(marker_cells)
-    gen = _scaled(points)
+    gen = doubled_points(points)
     base = doubled_centres(marker_cells)
     return (dominance_count(gen, gen) - dominance_count(gen, base)
             - dominance_count(base, gen) + marker_self + 1)
@@ -63,61 +55,31 @@ def marker_self_count(marker_cells):
     return dominance_count(base, base)
 
 
-def basepoint_partition(diagram):
-    """Markers grouped by link component, as (o_cells, x_cells) pairs."""
-    comps = s3_link_components(diagram)
-    return [(tuple(diagram.O[r] for r in rows), tuple(diagram.X[r] for r in rows))
-            for rows in comps]
-
-
-def s3_alexander_multi(points, diagram):
-    """Alexander multi-grading of a generator, one rational per component."""
-    require_valid_s3(diagram)
-    gen = _scaled(points)
-    all_o = doubled_centres(diagram.O)
-    all_x = doubled_centres(diagram.X)
-    # weights doubled so the 1/2 coefficients stay integral
-    left = [(pt, 2) for pt in gen] + [(pt, -1) for pt in all_x] \
-        + [(pt, -1) for pt in all_o]
-    out = []
-    for (o_cells, x_cells) in basepoint_partition(diagram):
-        right = [(pt, 1) for pt in doubled_centres(x_cells)] \
-            + [(pt, -1) for pt in doubled_centres(o_cells)]
-        j = Fraction(weighted_dominance(left, right)
-                     + weighted_dominance(right, left), 4)
-        out.append(j - Fraction(len(o_cells) - 1, 2))
-    return tuple(out)
-
-
-def _alexander_right(diagram):
-    # s3_alexander_total pairs 2*gen - X - O against this side, X - O
-    return ([(pt, 1) for pt in doubled_centres(diagram.X)]
-            + [(pt, -1) for pt in doubled_centres(diagram.O)])
-
-
 def alexander_marker_term(diagram):
     """The generator-independent part of the pairing in
-    ``s3_alexander_total``: 8N^2 of its 12N^2 dominance pairs."""
-    right = _alexander_right(diagram)
-    markers = [(pt, -1) for (pt, _) in right]
-    return weighted_dominance(markers, right) + weighted_dominance(right, markers)
+    ``s3_alexander_total``: 2*(I(O, O) - I(X, X))."""
+    return 2 * (marker_self_count(diagram.O) - marker_self_count(diagram.X))
 
 
 def s3_alexander_total(points, diagram, components=None, marker_term=None):
-    """Total Alexander grading; equals the sum of the multi-grading.
+    """Total Alexander grading J(g - (X + O)/2, X - O) - (N - components)/2.
 
-    A caller grading many generators passes ``components`` and
-    ``marker_term`` (``alexander_marker_term(diagram)``), computed once.
+    J(a, b) = (I(a, b) + I(b, a))/2 is the symmetrised dominance count.
+    Expanded, 4*J is 2*[I(g, X) + I(X, g) - I(g, O) - I(O, g)] plus
+    ``alexander_marker_term``.  A caller grading many generators passes
+    ``components`` and ``marker_term`` (``alexander_marker_term(diagram)``),
+    computed once.
     """
     require_valid_s3(diagram)
     ell = components if components is not None else len(s3_link_components(diagram))
     if marker_term is None:
         marker_term = alexander_marker_term(diagram)
-    right = _alexander_right(diagram)
-    gen = [(pt, 2) for pt in _scaled(points)]
-    j = Fraction(weighted_dominance(gen, right) + weighted_dominance(right, gen)
-                 + marker_term, 4)
-    return j - Fraction(diagram.N - ell, 2)
+    gen = doubled_points(points)
+    x_base = doubled_centres(diagram.X)
+    o_base = doubled_centres(diagram.O)
+    pairing = (dominance_count(gen, x_base) + dominance_count(x_base, gen)
+               - dominance_count(gen, o_base) - dominance_count(o_base, gen))
+    return Fraction(2 * pairing + marker_term, 4) - Fraction(diagram.N - ell, 2)
 
 
 def s3_tilde_homology(diagram, cap=DEFAULT_GENERATOR_CAP, pivot="low"):

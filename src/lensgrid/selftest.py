@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .complexes import (build_boundary, enumerate_generators,
                         generator_count, grading_drop_violations, lens_torus,
-                        parallelogram_table, parallelograms_from,
+                        parallelogram_table, parallelograms_in,
                         square_is_zero)
 from .corpus import coprime_qs, gn1_corpus, random_diagram, random_knot_diagrams
 from .cover import S3GridDiagram, lift_diagram, lift_generator
@@ -120,7 +120,8 @@ def criterion_05(gn1, rnd):
         bad = grading_drop_violations(d)
         if bad:
             return CheckResult("C05", CRITERIA[4][1], False, bad[0])
-        terms += sum(len(parallelograms_from(x, d))
+        table = parallelogram_table(lens_torus(d))
+        terms += sum(len(parallelograms_in(table, x, d.width))
                      for x in enumerate_generators(d))
     return CheckResult("C05", CRITERIA[4][1], True,
                        "identities exact on %d parallelograms" % terms)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from lensgrid import build_boundary, complexes, homology
+from lensgrid import build_boundary, cli, complexes, homology
 from lensgrid.cli import main
 
 GN1 = "5 2 1\nO: 0\nX: 2\n"
@@ -182,7 +182,12 @@ def test_usage_errors_exit_one(grid_file, capsys):
     for argv in (["homology"], ["frobnicate", path],
                  ["homology", path, "--cap", "abc"],
                  ["homology", path, "--variant", "hat"],
-                 ["homology", path, "--variant", "minus-export"]):
+                 ["homology", path, "--variant", "minus-export"],
+                 # only homology reads --piece-cap, and validate no cap
+                 ["validate", path, "--cap", "3"],
+                 *([command, path, "--piece-cap", "3"]
+                   for command in ("validate", "info", "gradings", "lift",
+                                   "verify-cover", "boundary-export"))):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "", argv
         assert err.startswith("usage: lensgrid") and "error:" in err, argv
@@ -190,6 +195,21 @@ def test_usage_errors_exit_one(grid_file, capsys):
     assert code == 0 and out.startswith("usage: lensgrid")
     code, out, _ = run(capsys, "homology", "--help")
     assert code == 0 and "--piece-cap" in out and "--variant" not in out
+
+
+@pytest.mark.parametrize("command", ["info", "lift"])
+def test_lift_refused_above_the_cap(grid_file, capsys, monkeypatch, command):
+    code, out, _ = run(capsys, command, grid_file(GN1), "--cap", "5")
+    assert code == 0 and out
+
+    def unreachable(*args):
+        raise AssertionError("lift built before the cap check")
+
+    monkeypatch.setattr(cli, "lift_diagram", unreachable)
+    for text, rows in ((GN1, 5), ("200003 2 1\nO: 0\nX: 1\n", 200003)):
+        code, out, err = run(capsys, command, grid_file(text), "--cap", "4")
+        assert code == 2 and out == ""
+        assert err.startswith("refused:") and "%d-row lift (cap 4)" % rows in err
 
 
 def test_size_cap_exit_two(grid_file, capsys):

@@ -11,9 +11,7 @@ import pytest
 from lensgrid import (Generator, GridDiagram, LensParams, ValidationError,
                       alexander_grading, alexander_grading_swapped,
                       canonical_generator, d_invariant, dominance_count,
-                      element_grading, gradings_table, maslov_grading,
-                      monomial_grading, spin_grading)
-from lensgrid.gradings import weighted_dominance
+                      gradings_table, maslov_grading, spin_grading)
 from lensgrid.cli import main
 from lensgrid.corpus import (coprime_qs, random_knot_diagram,
                              random_knot_diagrams)
@@ -35,40 +33,9 @@ def test_dominance_count_basics():
     assert dominance_count(STAIRCASE, STAIRCASE) == 7
 
 
-def symmetric(first, second):
-    """The symmetrised dominance pairing of weighted collections."""
-    return Fraction(weighted_dominance(first, second)
-                    + weighted_dominance(second, first), 2)
-
-
 def test_symmetric_dominance_examples():
     assert Fraction(dominance_count([(0, 0)], [(1, 1)])
                     + dominance_count([(1, 1)], [(0, 0)]), 2) == Fraction(1, 2)
-    rng = random.Random(1)
-    for _ in range(30):
-        pts = [(rng.randrange(10), rng.randrange(10)) for _ in range(4)]
-        unit = [(pt, 1) for pt in pts]
-        assert symmetric(unit, unit) == dominance_count(pts, pts)
-
-
-def test_weighted_dominance_bilinearity():
-    rng = random.Random(2)
-    for _ in range(40):
-        a = [(rng.randrange(12), rng.randrange(12)) for _ in range(4)]
-        b = [(rng.randrange(12), rng.randrange(12)) for _ in range(3)]
-        c = [(rng.randrange(12) + 20, rng.randrange(12)) for _ in range(3)]
-        wa = [(pt, 1) for pt in a]
-        # disjoint union additivity
-        assert (symmetric(wa, [(pt, 1) for pt in b + c])
-                == symmetric(wa, [(pt, 1) for pt in b])
-                + symmetric(wa, [(pt, 1) for pt in c]))
-        # quadratic expansion of a formal difference
-        diff = [(pt, 1) for pt in a] + [(pt, -1) for pt in b]
-        lhs = symmetric(diff, diff)
-        rhs = (symmetric(wa, wa)
-               - 2 * symmetric(wa, [(pt, 1) for pt in b])
-               + symmetric([(pt, 1) for pt in b], [(pt, 1) for pt in b]))
-        assert lhs == rhs
 
 
 def test_d_invariant_anchors():
@@ -176,24 +143,6 @@ def test_gradings_refuse_links():
     link = GridDiagram(LensParams(3, 1), 2, ((0, 0), (1, 1)), ((0, 0), (1, 1)))
     with pytest.raises(KnotRequiredError):
         alexander_grading(Generator((0, 1), (0, 0)), link)
-
-
-def test_monomial_and_element_gradings():
-    x = Generator((0, 1), (0, 0))
-    base = monomial_grading(L21, x, (0, 0))
-    shifted = monomial_grading(L21, x, (2, 1))
-    assert shifted.spin == base.spin
-    assert shifted.maslov == base.maslov - 6
-    assert shifted.alexander == base.alexander - 3
-    y = Generator((1, 0), (0, 1))
-    # M(x) - M(y) = -3/2, A diff = -1: no U-power can make the sum homogeneous
-    with pytest.raises(ValidationError):
-        element_grading(L21, [((0, 0), x), ((0, 0), y)])
-    # U_0 x and U_1 x are homogeneous together
-    t = element_grading(L21, [((1, 0), x), ((0, 1), x)])
-    assert t.maslov == base.maslov - 2 and t.alexander == base.alexander - 1
-    with pytest.raises(ValidationError):
-        element_grading(L21, [])
 
 
 def grading_golden_digests(tmp_path):

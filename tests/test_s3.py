@@ -8,7 +8,7 @@ from lensgrid import (Generator, GridDiagram, LensParams, S3GridDiagram,
                       enumerate_generators, extract_hfk_hat, generator_code,
                       gradings_table,
                       lift_diagram, lift_generator, maslov_grading,
-                      s3_alexander_multi, s3_alexander_total, s3_maslov,
+                      s3_alexander_total, s3_maslov,
                       s3_tilde_homology, verify_cover_relations)
 from lensgrid import s3
 from lensgrid.corpus import (coprime_qs, gn1_corpus, random_knot_diagram,
@@ -89,13 +89,11 @@ def test_single_component_alexander_identity():
         m_o = s3_maslov(pts, d.O)
         m_x = s3_maslov(pts, d.X)
         assert a == Fraction(m_o - m_x - (N - 1), 2)
-        multi = s3_alexander_multi(pts, d)
-        assert len(multi) == 1 and multi[0] == a
 
 
 def test_multi_component_alexander_sums():
-    # lifted diagrams provide honest links; the multi-grading must sum to
-    # the total, which carries the (components - 1)/2 correction
+    # lifted diagrams provide honest links; the total Alexander grading
+    # carries the (components - 1)/2 correction
     rng = random.Random(4)
     lens_diagrams = [GridDiagram(LensParams(4, 1), 1, ((0, 0),), ((2, 0),)),
                      GridDiagram(LensParams(5, 2), 1, ((0, 0),), ((0, 0),))]
@@ -107,13 +105,10 @@ def test_multi_component_alexander_sums():
             perm = list(range(lifted.N))
             rng.shuffle(perm)
             pts = tuple((perm[r], r) for r in range(lifted.N))
-            multi = s3_alexander_multi(pts, lifted)
-            assert len(multi) == ell
-            assert sum(multi) == s3_alexander_total(pts, lifted)
             m_o = s3_maslov(pts, lifted.O)
             m_x = s3_maslov(pts, lifted.X)
-            assert sum(multi) == Fraction(m_o - m_x - (lifted.N - 1), 2) \
-                + Fraction(ell - 1, 2)
+            assert s3_alexander_total(pts, lifted) \
+                == Fraction(m_o - m_x - (lifted.N - 1), 2) + Fraction(ell - 1, 2)
 
 
 def test_trefoil_grid_homology():
@@ -186,9 +181,15 @@ def test_eq1_relation_on_lifted_homology_case():
             == s3_maslov(pts, lifted2.O) - s3_maslov(lift_generator(gens[0], d2), lifted2.O)
 
 
-def test_verify_cover_reports_a_shifted_maslov_grading(monkeypatch):
+@pytest.mark.parametrize("grading, relations", [
+    ("maslov", ("absolute Maslov shift", "relative Maslov relation")),
+    ("alexander", ("relative Alexander relation",))],
+    ids=["maslov", "alexander"])
+def test_verify_cover_reports_a_shifted_grading(monkeypatch, grading,
+                                                relations):
     # negative control: the per-call hoisting of marker terms must leave
-    # every generator checked against its own lift
+    # every generator checked against its own lift, so a grading shifted
+    # by 1/p breaks exactly that generator's relations of that grading
     d = random_knot_diagrams(5, 2, 2, 1, seed=3)[0]
     assert verify_cover_relations(d).ok
     real = s3.gradings_table
@@ -199,14 +200,13 @@ def test_verify_cover_reports_a_shifted_maslov_grading(monkeypatch):
         table = real(diagram, generators)
         t = table[victim]
         table[victim] = dataclasses.replace(
-            t, maslov=t.maslov + Fraction(1, diagram.lens.p))
+            t, **{grading: getattr(t, grading) + Fraction(1, diagram.lens.p)})
         return table
 
     monkeypatch.setattr(s3, "gradings_table", shifted)
     report = verify_cover_relations(d)
-    assert not report.ok
-    assert all(repr(victim) in v for v in report.violations)
-    assert len(report.violations) == 2
+    assert report.violations == ["%s fails for %r" % (r, victim)
+                                 for r in relations]
 
 
 def test_misplaced_square_grid_term_is_an_invariant_violation(monkeypatch):
