@@ -31,8 +31,23 @@ class GradingTriple:
 
 def dominance_count(first, second):
     """Number of pairs (a, b) with a in first, b in second, and a strictly
-    below-left of b (both coordinates strictly smaller)."""
-    return sum(1 for a in first for b in second if a[0] < b[0] and a[1] < b[1])
+    below-left of b (both coordinates strictly smaller).
+
+    Sort and sweep: walking ``second`` in x order, the y values of the
+    points of ``first`` with strictly smaller x are kept sorted, and each
+    b adds the number of them strictly below its y.  Points of either
+    side may repeat; O((|first| + |second|) log) comparisons.
+    """
+    pending = sorted(first)
+    m = len(pending)
+    seen = []
+    total = i = 0
+    for bx, by in sorted(second):
+        while i < m and pending[i][0] < bx:
+            insort(seen, pending[i][1])
+            i += 1
+        total += bisect_left(seen, by)
+    return total
 
 
 def doubled_points(points):

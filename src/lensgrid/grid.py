@@ -215,11 +215,14 @@ def reconstruct_link(diagram):
     cycles = row_cycles([s % n for (s, _) in diagram.O],
                         [s % n for (s, _) in diagram.X])
     x_by_col = {s % n: (s, t) for (s, t) in diagram.X}
+    q_inv = pow(q, -1, p)
     total = 0
     for (s_o, t_o) in diagram.O:
         s_x, t_x = x_by_col[s_o % n]
-        k = next(k for k in range(p) if (s_o - k * n * q - s_x) % width == 0)
-        total += ((t_x + k * n) - t_o) % (p * n)
+        # the k in [0, p) with s_o - k*n*q = s_x (mod n*p); s_o - s_x is a
+        # multiple of n, so k = ((s_o - s_x) / n) / q (mod p)
+        k = (s_o - s_x) // n * q_inv % p
+        total += ((t_x + k * n) - t_o) % width
     if total % n:
         raise InternalInvariantError("net row winding %d not divisible by n=%d"
                                      % (total, n))

@@ -23,7 +23,8 @@ from fractions import Fraction
 from itertools import permutations
 
 from .complexes import (DEFAULT_GENERATOR_CAP, collect_terms,
-                        enumerate_generators, generator_codes)
+                        enumerate_generators, generator_codes,
+                        require_generator_cap)
 from .cover import (lift_diagram, lift_generator, require_valid_s3,
                     s3_link_components)
 from .errors import SizeCapError
@@ -33,53 +34,52 @@ from .grid import canonical_generator, require_knot, require_valid
 from .homology import HomologyTable, homology_ranks
 
 
-def s3_maslov(points, marker_cells, marker_self=None):
+def s3_maslov(points, marker_cells):
     """Integer Maslov grading of a grid generator on the square torus.
 
     ``points`` are the generator's (col, row) components, ``marker_cells``
-    the cells of the marker family playing the anchoring role.  A caller
-    grading many generators passes ``marker_self``, the family's
-    ``marker_self_count(marker_cells)``, computed once.
+    the cells of the marker family playing the anchoring role.
     """
-    if marker_self is None:
-        marker_self = marker_self_count(marker_cells)
     gen = doubled_points(points)
     base = doubled_centres(marker_cells)
     return (dominance_count(gen, gen) - dominance_count(gen, base)
-            - dominance_count(base, gen) + marker_self + 1)
+            - dominance_count(base, gen) + dominance_count(base, base) + 1)
 
 
-def marker_self_count(marker_cells):
-    """The generator-independent term of ``s3_maslov``."""
-    base = doubled_centres(marker_cells)
-    return dominance_count(base, base)
+def _square_gradings(diagram, components):
+    """``points -> (M, A)`` on a validated square-grid diagram with
+    ``components`` link components: M is ``s3_maslov(points, diagram.O)``
+    and A is ``s3_alexander_total(points, diagram)``.
+
+    The marker families are doubled and their self terms counted once per
+    call, and the generator's two counts against O serve both gradings.
+    """
+    o_base = doubled_centres(diagram.O)
+    x_base = doubled_centres(diagram.X)
+    o_self = dominance_count(o_base, o_base)
+    marker_term = 2 * (o_self - dominance_count(x_base, x_base))
+    shift = Fraction(diagram.N - components, 2)
+
+    def grade(points):
+        gen = doubled_points(points)
+        against_o = dominance_count(gen, o_base) + dominance_count(o_base, gen)
+        against_x = dominance_count(gen, x_base) + dominance_count(x_base, gen)
+        maslov = dominance_count(gen, gen) - against_o + o_self + 1
+        pairing = against_x - against_o
+        return maslov, Fraction(2 * pairing + marker_term, 4) - shift
+    return grade
 
 
-def alexander_marker_term(diagram):
-    """The generator-independent part of the pairing in
-    ``s3_alexander_total``: 2*(I(O, O) - I(X, X))."""
-    return 2 * (marker_self_count(diagram.O) - marker_self_count(diagram.X))
-
-
-def s3_alexander_total(points, diagram, components=None, marker_term=None):
+def s3_alexander_total(points, diagram):
     """Total Alexander grading J(g - (X + O)/2, X - O) - (N - components)/2.
 
     J(a, b) = (I(a, b) + I(b, a))/2 is the symmetrised dominance count.
-    Expanded, 4*J is 2*[I(g, X) + I(X, g) - I(g, O) - I(O, g)] plus
-    ``alexander_marker_term``.  A caller grading many generators passes
-    ``components`` and ``marker_term`` (``alexander_marker_term(diagram)``),
-    computed once.
+    Expanded, 4*J is 2*[I(g, X) + I(X, g) - I(g, O) - I(O, g)] plus the
+    generator-independent 2*(I(O, O) - I(X, X)).
     """
     require_valid_s3(diagram)
-    ell = components if components is not None else len(s3_link_components(diagram))
-    if marker_term is None:
-        marker_term = alexander_marker_term(diagram)
-    gen = doubled_points(points)
-    x_base = doubled_centres(diagram.X)
-    o_base = doubled_centres(diagram.O)
-    pairing = (dominance_count(gen, x_base) + dominance_count(x_base, gen)
-               - dominance_count(gen, o_base) - dominance_count(o_base, gen))
-    return Fraction(2 * pairing + marker_term, 4) - Fraction(diagram.N - ell, 2)
+    ell = len(s3_link_components(diagram))
+    return _square_gradings(diagram, ell)(points)[1]
 
 
 def s3_tilde_homology(diagram, cap=DEFAULT_GENERATOR_CAP, pivot="low"):
@@ -95,17 +95,13 @@ def s3_tilde_homology(diagram, cap=DEFAULT_GENERATOR_CAP, pivot="low"):
         raise SizeCapError("refusing to enumerate %d! = %d generators (cap %d)"
                            % (N, total, cap))
     ell = len(s3_link_components(diagram))
-    o_self = marker_self_count(diagram.O)
-    a_markers = alexander_marker_term(diagram)
+    grade = _square_gradings(diagram, ell)
 
     # the square torus is the engine's p = 1, q = 0 case, and a generator's
     # code is its column tuple read in base N
     pieces = {}
     for code, cols in zip(generator_codes(N, 1), permutations(range(N))):
-        pts = tuple(zip(cols, range(N)))
-        m = s3_maslov(pts, diagram.O, marker_self=o_self)
-        a = s3_alexander_total(pts, diagram, components=ell,
-                               marker_term=a_markers)
+        m, a = grade(tuple(zip(cols, range(N))))
         pieces.setdefault(a, {}).setdefault(m, []).append(code)
     terms = collect_terms((N, 1, 0, diagram.O, diagram.X), "tilde")
 
@@ -145,6 +141,7 @@ def verify_cover_relations(diagram, cap=DEFAULT_GENERATOR_CAP):
     content, not exceptions.
     """
     require_valid(diagram)
+    require_generator_cap(diagram, cap)
     link = require_knot(diagram)
     p, q, n = diagram.lens.p, diagram.lens.q, diagram.n
     lifted = lift_diagram(diagram)
@@ -158,17 +155,13 @@ def verify_cover_relations(diagram, cap=DEFAULT_GENERATOR_CAP):
     shift = d_invariant(p, qn, qn - 1) + Fraction(p - 1, p)
     gens = list(enumerate_generators(diagram, cap))
     table = gradings_table(diagram, gens)
-    o_self = marker_self_count(lifted.O)
-    a_markers = alexander_marker_term(lifted)
+    grade = _square_gradings(lifted, ell)
 
     rows = []
     base = None
     for x in gens:
         t = table[x]
-        pts = lift_generator(x, diagram)
-        m_cover = s3_maslov(pts, lifted.O, marker_self=o_self)
-        a_cover = s3_alexander_total(pts, lifted, components=ell,
-                                     marker_term=a_markers)
+        m_cover, a_cover = grade(lift_generator(x, diagram))
         row = {"generator": x, "spin": t.spin, "maslov": t.maslov,
                "alexander": t.alexander, "cover_maslov": m_cover,
                "cover_alexander": a_cover}
@@ -184,8 +177,7 @@ def verify_cover_relations(diagram, cap=DEFAULT_GENERATOR_CAP):
                 violations.append("relative Alexander relation fails for %r" % (x,))
 
     canon = canonical_generator(diagram)
-    canon_maslov = s3_maslov(lift_generator(canon, diagram), lifted.O,
-                             marker_self=o_self)
+    canon_maslov = grade(lift_generator(canon, diagram))[0]
     if canon_maslov != -(p * n - 1):
         violations.append("canonical generator's lift has square-grid Maslov "
                           "%d, expected %d" % (canon_maslov, -(p * n - 1)))

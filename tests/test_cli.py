@@ -1,15 +1,20 @@
+import contextlib
 import dataclasses
+import io
 import json
+import signal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lensgrid import build_boundary, cli, complexes, homology
+from lensgrid import build_boundary, cli, complexes, homology, s3
 from lensgrid.cli import main
 
 GN1 = "5 2 1\nO: 0\nX: 2\n"
 KNOT_N2 = "2 1 2\nO: 0 1\nX: 1 0\n"
 LINK = "3 1 2\nO: 0 1\nX: 0 1\n"
 BAD_GCD = "4 2 1\nO: 0\nX: 1\n"
+HUGE_P = "99999999989 2 1\nO: 0\nX: 1\n"
 
 
 @pytest.fixture
@@ -206,10 +211,27 @@ def test_lift_refused_above_the_cap(grid_file, capsys, monkeypatch, command):
         raise AssertionError("lift built before the cap check")
 
     monkeypatch.setattr(cli, "lift_diagram", unreachable)
-    for text, rows in ((GN1, 5), ("200003 2 1\nO: 0\nX: 1\n", 200003)):
+    for text, rows in ((GN1, 5), ("200003 2 1\nO: 0\nX: 1\n", 200003),
+                       (HUGE_P, 99999999989)):
         code, out, err = run(capsys, command, grid_file(text), "--cap", "4")
         assert code == 2 and out == ""
         assert err.startswith("refused:") and "%d-row lift (cap 4)" % rows in err
+
+
+def test_verify_cover_refuses_before_the_lift(grid_file, capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("lift built before the cap check")
+
+    monkeypatch.setattr(s3, "lift_diagram", unreachable)
+    # a link over the cap is refused too, before it is found to be a link
+    for text, total in ((GN1, 5), (LINK, 18),
+                        ("200003 2 1\nO: 0\nX: 1\n", 200003),
+                        (HUGE_P, 99999999989)):
+        code, out, err = run(capsys, "verify-cover", grid_file(text),
+                             "--cap", "4")
+        assert code == 2 and out == ""
+        assert err.startswith("refused:")
+        assert "= %d generators (cap 4)" % total in err
 
 
 def test_size_cap_exit_two(grid_file, capsys):
@@ -234,3 +256,76 @@ def test_enumerate_gn1_refuses_more_diagrams_than_the_cap(capsys):
     code, out, err = run(capsys, "enumerate-gn1", str(10**7 + 1), "2")
     assert code == 2 and out == ""
     assert err.startswith("refused:") and "10000001" in err
+
+
+class Overtime(Exception):
+    """A command ran past the fuzz test's time bound."""
+
+
+@contextlib.contextmanager
+def time_bound(seconds):
+    def expire(signum, frame):
+        raise Overtime("still running after %s s" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@st.composite
+def grid_texts(draw):
+    """Grid files near the valid ones: p up to ~10^11, any q, n <= 3, and
+    the marker columns of a valid diagram.  One in two texts then has a
+    marker column replaced, the text cut short or one token replaced."""
+    p = draw(st.one_of(st.integers(2, 12), st.integers(2, 10 ** 11)))
+    if draw(st.sampled_from((True, True, True, False))):
+        q = draw(st.sampled_from((1, -1))) * draw(st.integers(1, p - 1))
+    else:
+        q = draw(st.integers(-10 ** 12, 10 ** 12))
+    n = draw(st.integers(1, 3))
+
+    def markers():
+        perm = draw(st.permutations(range(n)))
+        return [perm[t] + n * draw(st.integers(0, p - 1)) for t in range(n)]
+
+    o_cols, x_cols = markers(), markers()
+    mutation = draw(st.sampled_from(("none", "column", "none", "cut",
+                                     "none", "token")))
+    if mutation == "column":
+        cols = draw(st.sampled_from((o_cols, x_cols)))
+        cols[draw(st.integers(0, n - 1))] = draw(st.integers(-2, n * p + 2))
+    text = "%d %d %d\nO: %s\nX: %s\n" % (
+        p, q, n, " ".join(map(str, o_cols)), " ".join(map(str, x_cols)))
+    if mutation == "cut":
+        text = text[:draw(st.integers(0, len(text)))]
+    elif mutation == "token":
+        tokens = text.split(" ")
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.one_of(
+            st.sampled_from(("O:", "X:", "#", "-1", "0", "1e3")),
+            st.text(max_size=4)))
+        text = " ".join(tokens)
+    return text
+
+
+FUZZED_COMMANDS = (("validate",), ("info", "--cap", "50"),
+                   ("gradings", "--cap", "50"), ("homology", "--cap", "50"),
+                   ("verify-cover", "--cap", "50"))
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(text=grid_texts())
+def test_fuzzed_grid_files_get_an_answer_or_a_refusal(tmp_path_factory, text):
+    # exit 3 would be a bug and an uncaught exception a traceback; every
+    # command must also finish in bounded time
+    path = tmp_path_factory.getbasetemp() / "fuzzed.grid"
+    path.write_text(text, encoding="utf-8")
+    for command in FUZZED_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with time_bound(5):
+                code = main([command[0], str(path), *command[1:]])
+        assert code in (0, 1, 2), (command, text, err.getvalue())

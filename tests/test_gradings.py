@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lensgrid import (Generator, GridDiagram, LensParams, ValidationError,
                       alexander_grading, alexander_grading_swapped,
@@ -31,6 +32,25 @@ def test_dominance_count_basics():
     assert dominance_count([(0, 0)], [(1, 1)]) == 1
     assert dominance_count([(0, 0), (1, 1)], []) == 0
     assert dominance_count(STAIRCASE, STAIRCASE) == 7
+
+
+def pair_scan_dominance(first, second):
+    """The quadratic definition of ``dominance_count``, kept as its oracle."""
+    return sum(1 for a in first for b in second if a[0] < b[0] and a[1] < b[1])
+
+
+# coordinates from a 5 x 5 box, so ties in x, in y and repeated points are
+# common; lists may be empty
+BOX_POINTS = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                      max_size=14)
+
+
+@settings(max_examples=150, database=None, derandomize=True)
+@given(BOX_POINTS, BOX_POINTS)
+def test_dominance_count_matches_the_pair_scan(first, second):
+    for a, b in ((first, second), (second, first), (first, first),
+                 (first + first, first + second)):
+        assert dominance_count(a, b) == pair_scan_dominance(a, b)
 
 
 def test_symmetric_dominance_examples():

@@ -6,7 +6,7 @@ from lensgrid import (Generator, GridDiagram, LensParams, ParseError,
                       ValidationError, canonical_generator,
                       enumerate_grid_number_one, format_grid, parse_grid,
                       parse_s3_grid, reconstruct_link, require_knot, validate)
-from lensgrid.corpus import coprime_qs, random_diagram
+from lensgrid.corpus import coprime_qs, gn1_corpus, random_diagram
 from lensgrid.errors import KnotRequiredError
 
 
@@ -99,6 +99,30 @@ def test_order_divides_p():
         q = rng.choice(coprime_qs(p))
         d = random_diagram(p, q, rng.choice([1, 2]), rng)
         assert p % reconstruct_link(d).order == 0
+
+
+def scanned_homology_class(d):
+    """``reconstruct_link``'s class with each marker's winding k found by
+    scanning k = 0..p-1, the oracle for its closed form."""
+    p, q, n = d.lens.p, d.lens.q, d.n
+    width = n * p
+    x_by_col = {s % n: (s, t) for (s, t) in d.X}
+    total = 0
+    for (s_o, t_o) in d.O:
+        s_x, t_x = x_by_col[s_o % n]
+        k = next(k for k in range(p) if (s_o - k * n * q - s_x) % width == 0)
+        total += (t_x + k * n - t_o) % width
+    return total // n % p
+
+
+def test_reconstruct_link_matches_the_winding_scan():
+    for d in gn1_corpus(range(2, 62)):
+        assert reconstruct_link(d).homology_class == scanned_homology_class(d)
+    rng = random.Random(8)
+    for _ in range(500):
+        p = rng.randrange(2, 40)
+        d = random_diagram(p, rng.choice(coprime_qs(p)), rng.randint(1, 4), rng)
+        assert reconstruct_link(d).homology_class == scanned_homology_class(d)
 
 
 def test_require_knot_rejects_links():
