@@ -14,13 +14,12 @@ from .grid import (Generator, GridDiagram, LensParams, LinkStructure,
                    require_valid, validate)
 from .cover import (S3GridDiagram, format_s3_grid, lift_diagram,
                     lift_generator, lift_points, parse_s3_grid, validate_s3)
-from .gradings import (GradingTriple, alexander_grading,
-                       alexander_grading_swapped, d_invariant,
+from .gradings import (GradingTriple, alexander_grading, d_invariant,
                        dominance_count, gradings_table, maslov_grading,
                        spin_grading)
 from .complexes import (Parallelogram, SparseBoundary, boundary_export_lines,
                         build_boundary, enumerate_generators,
-                        generator_code, generator_from_code,
+                        generator_code, generator_columns, generator_from_code,
                         grading_drop_violations, parallelograms_from,
                         square_is_zero)
 from .homology import (HomologyTable, extract_hfk_hat, gf2_rank,

@@ -9,14 +9,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from fractions import Fraction
 from functools import cache
 
 from . import selftest
 from .complexes import (DEFAULT_GENERATOR_CAP, VARIANTS,
-                        boundary_export_lines, build_boundary,
-                        enumerate_generators, generator_count,
-                        generator_label, square_is_zero)
+                        boundary_export_lines, bounded_generator_count,
+                        build_boundary, generator_columns, generator_from_code,
+                        generator_label, require_generator_cap,
+                        square_is_zero)
 from .cover import format_s3_grid, lift_diagram, s3_link_components
 from .errors import (InternalInvariantError, LensGridError, ParseError,
                      SizeCapError, ValidationError)
@@ -40,6 +40,12 @@ def _read(path):
                          "byte 0x%02x at offset %d is not UTF-8 text"
                          % (raw[exc.start], exc.start)) from None
     return text, hashlib.sha256(raw).hexdigest()
+
+
+def _load(path):
+    """The valid diagram in the grid file at ``path`` and its SHA-256."""
+    text, digest = _read(path)
+    return require_valid(parse_grid(text)), digest
 
 
 def _require_nonnegative_caps(args):
@@ -78,8 +84,7 @@ def cmd_validate(args):
 
 
 def cmd_info(args):
-    text, digest = _read(args.path)
-    diagram = require_valid(parse_grid(text))
+    diagram, digest = _load(args.path)
     link = reconstruct_link(diagram)
     lifted = _capped_lift(diagram, args.cap)
     doc = {
@@ -93,7 +98,9 @@ def cmd_info(args):
         "order": link.order,
         "lifted_grid_size": lifted.N,
         "lifted_components": len(s3_link_components(lifted)),
-        "generator_count": generator_count(diagram),
+        # the formula once the count has more digits than int-to-str allows
+        "generator_count": bounded_generator_count(diagram, 10 ** 4300)
+        or "%d! * %d^%d" % (diagram.n, diagram.lens.p, diagram.n),
         "orientation_note":
             "row arcs oriented X to O, column arcs O to X",
     }
@@ -108,30 +115,29 @@ def cmd_info(args):
 
 
 def cmd_gradings(args):
-    text, digest = _read(args.path)
-    diagram = require_valid(parse_grid(text))
+    diagram, digest = _load(args.path)
     if args.swap_roles:
         diagram = GridDiagram(diagram.lens, diagram.n, diagram.X, diagram.O)
-    gens = list(enumerate_generators(diagram, args.cap))
-    table = gradings_table(diagram, gens)
-    rows = sorted(
-        ({"generator": generator_label(x), "S": t.spin, "M": _frac(t.maslov),
-          "A": _frac(t.alexander)} for x, t in table.items()),
-        key=lambda r: (r["S"], Fraction(r["A"]), Fraction(r["M"]),
-                       r["generator"]))
+    require_generator_cap(diagram, args.cap)
+    n, p = diagram.n, diagram.lens.p
+    table = gradings_table(diagram, list(generator_columns(n, p)))
+    graded = sorted((t.spin, t.alexander, t.maslov,
+                     generator_label(generator_from_code(code, n, p)))
+                    for code, t in table.items())
+    keys = ("generator", "S", "M", "A")
+    rows = [(label, s, _frac(m), _frac(a)) for s, a, m, label in graded]
     if args.format == "structured":
         _emit({"input_sha256": digest, "swap_roles": bool(args.swap_roles),
-               "rows": rows})
+               "rows": [dict(zip(keys, r)) for r in rows]})
     else:
-        print("%-24s %4s %10s %10s" % ("generator", "S", "M", "A"))
+        print("%-24s %4s %10s %10s" % keys)
         for r in rows:
-            print("%-24s %4d %10s %10s" % (r["generator"], r["S"], r["M"], r["A"]))
+            print("%-24s %4d %10s %10s" % r)
     return 0
 
 
 def cmd_homology(args):
-    text, digest = _read(args.path)
-    diagram = require_valid(parse_grid(text))
+    diagram, digest = _load(args.path)
     table = extract_hfk_hat(tilde_homology(
         diagram, cap=args.cap, piece_cap=args.piece_cap, pivot=args.pivot))
     extra = {"input_sha256": digest, "variant": "tilde",
@@ -158,33 +164,26 @@ def cmd_homology(args):
 
 
 def cmd_lift(args):
-    text, _ = _read(args.path)
-    diagram = require_valid(parse_grid(text))
+    diagram, _ = _load(args.path)
     sys.stdout.write(format_s3_grid(_capped_lift(diagram, args.cap)))
     return 0
 
 
 def cmd_verify_cover(args):
-    text, digest = _read(args.path)
-    diagram = require_valid(parse_grid(text))
+    diagram, digest = _load(args.path)
     report = verify_cover_relations(diagram, args.cap)
+    keys = ("generator", "S", "M", "A", "cover_M", "cover_A")
+    rows = [(generator_label(r["generator"]), r["spin"], _frac(r["maslov"]),
+             _frac(r["alexander"]), r["cover_maslov"],
+             _frac(r["cover_alexander"])) for r in report.rows]
     if args.format == "structured":
         _emit({"input_sha256": digest, "ok": report.ok,
                "violations": report.violations,
-               "rows": [{"generator": generator_label(r["generator"]),
-                         "S": r["spin"], "M": _frac(r["maslov"]),
-                         "A": _frac(r["alexander"]),
-                         "cover_M": r["cover_maslov"],
-                         "cover_A": _frac(r["cover_alexander"])}
-                        for r in report.rows]})
+               "rows": [dict(zip(keys, r)) for r in rows]})
     else:
-        print("%-24s %4s %10s %10s %9s %9s"
-              % ("generator", "S", "M", "A", "cover_M", "cover_A"))
-        for r in report.rows:
-            print("%-24s %4d %10s %10s %9d %9s"
-                  % (generator_label(r["generator"]), r["spin"],
-                     _frac(r["maslov"]), _frac(r["alexander"]),
-                     r["cover_maslov"], _frac(r["cover_alexander"])))
+        print("%-24s %4s %10s %10s %9s %9s" % keys)
+        for r in rows:
+            print("%-24s %4d %10s %10s %9d %9s" % r)
         print("violations: %d" % len(report.violations))
         for v in report.violations:
             print("  " + v)
@@ -210,8 +209,7 @@ def cmd_enumerate_gn1(args):
 
 
 def cmd_boundary_export(args):
-    text, digest = _read(args.path)
-    diagram = require_valid(parse_grid(text))
+    diagram, digest = _load(args.path)
     boundary = build_boundary(diagram, args.variant, args.cap)
     lines = boundary_export_lines(boundary)
     verdict = square_is_zero(boundary)

@@ -30,8 +30,10 @@ digits are sigma in base n followed by a in base p, so codes order
 generators as ``Generator.sort_key`` does.  The component in row t and
 column c adds a fixed amount to the code, and a parallelogram changes
 only the components of its two rows, so the code of its target is the
-source's code plus a constant of the parallelogram.  Boundaries are
-keyed by code; ``Generator`` objects are built only for output.
+source's code plus a constant of the parallelogram.  Inside the pipeline
+a generator is its code and its column tuple, as ``generator_columns``
+yields them; boundaries and gradings are keyed by code, and
+``Generator`` objects are built only for output and the lift.
 
 The parallelogram table.  For the candidate of rows (i, j) in height
 band m, the height ``h = j + m*n - i`` depends on (i, j, m) alone, the
@@ -54,7 +56,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import chain, permutations, product, repeat
+from operator import getitem
 
 from .errors import SizeCapError, ValidationError
 from .grid import Generator, require_valid
@@ -95,27 +98,51 @@ class SparseBoundary:
 
 
 def generator_count(diagram):
+    return bounded_generator_count(diagram, math.inf)
+
+
+def bounded_generator_count(diagram, bound):
+    """The n! * p^n generators of the diagram, or None as soon as a
+    partial product exceeds ``bound``: a huge diagram costs a few steps."""
+    total = 1
     n, p = diagram.n, diagram.lens.p
-    return math.factorial(n) * p ** n
+    for factor in chain(range(2, n + 1), repeat(p, n)):
+        total *= factor
+        if total > bound:
+            return None
+    return total
 
 
 def require_generator_cap(diagram, cap):
-    """Raise SizeCapError when the diagram has more than ``cap`` generators."""
-    n, p = diagram.n, diagram.lens.p
-    total = generator_count(diagram)
-    if cap is not None and total > cap:
-        raise SizeCapError("refusing to enumerate %d! * %d^%d = %d generators "
-                           "(cap %d)" % (n, p, n, total, cap))
+    """Raise SizeCapError when the diagram has more than ``cap`` generators,
+    naming the total while it is at most 10^100."""
+    if cap is None or bounded_generator_count(diagram, cap) is not None:
+        return
+    total = bounded_generator_count(diagram, 10 ** 100)
+    raise SizeCapError(
+        "refusing to enumerate %d! * %d^%d %s generators (cap %d)"
+        % (diagram.n, diagram.lens.p, diagram.n,
+           "> 10^100" if total is None else "= %d" % total, cap))
+
+
+def generator_columns(n, p):
+    """``(code, columns)`` of every generator of an n-row diagram on
+    L(p, q), in code order; ``columns`` is ``Generator.columns``."""
+    width, size = n * p, p ** n
+    for sigma in permutations(range(n)):
+        base = 0
+        for s in sigma:
+            base = base * n + s
+        yield from zip(range(base * size, (base + 1) * size),
+                       product(*(range(s, width, n) for s in sigma)))
 
 
 def enumerate_generators(diagram, cap=DEFAULT_GENERATOR_CAP):
-    """All n! * p^n generators in lexicographic (sigma, a) order."""
+    """All n! * p^n generators as ``Generator`` objects, in code order."""
     require_valid(diagram)
     require_generator_cap(diagram, cap)
-    n, p = diagram.n, diagram.lens.p
-    for sigma in permutations(range(n)):
-        for a in product(range(p), repeat=n):
-            yield Generator(sigma, a)
+    for _, cols in generator_columns(diagram.n, diagram.lens.p):
+        yield Generator.from_columns(cols)
 
 
 def generator_code(x, p):
@@ -129,8 +156,8 @@ def generator_code(x, p):
     return code
 
 
-def _code_digits(code, n, p):
-    """``(sigma, a)`` of a generator code; see ``generator_code``."""
+def generator_from_code(code, n, p):
+    """Inverse of ``generator_code``."""
     a, sigma = [], []
     for _ in range(n):
         code, digit = divmod(code, p)
@@ -138,22 +165,7 @@ def _code_digits(code, n, p):
     for _ in range(n):
         code, digit = divmod(code, n)
         sigma.append(digit)
-    return tuple(sigma[::-1]), tuple(a[::-1])
-
-
-def generator_from_code(code, n, p):
-    """Inverse of ``generator_code``."""
-    return Generator(*_code_digits(code, n, p))
-
-
-def generator_codes(n, p):
-    """Codes of all generators, in ``enumerate_generators`` order."""
-    size = p ** n
-    for sigma in permutations(range(n)):
-        base = 0
-        for s in sigma:
-            base = base * n + s
-        yield from range(base * size, (base + 1) * size)
+    return Generator(tuple(sigma[::-1]), tuple(a[::-1]))
 
 
 def torus_winding(width, shear):
@@ -270,17 +282,6 @@ def _odd_terms(found):
     return tuple(kept)
 
 
-def _placements(n, p):
-    """The column tuple of every generator in enumeration order, with its
-    placement bits ``1 << (t*width + c)``, one per row."""
-    width = n * p
-    bits = [[1 << (t * width + c) for c in range(width)] for t in range(n)]
-    for sigma in permutations(range(n)):
-        columns = [range(s, width, n) for s in sigma]
-        yield from zip(product(*columns), product(
-            *([bits[t][c] for c in cs] for t, cs in enumerate(columns))))
-
-
 def collect_terms(torus, variant):
     """Mod-2 collected boundary terms of every generator of the torus,
     keyed by code, as ``SparseBoundary.terms`` holds them."""
@@ -288,9 +289,10 @@ def collect_terms(torus, variant):
     width = n * p
     pairs = [(i, j, cells) for (i, j), cells
              in parallelogram_table(torus, _drop_mask(variant, n)).items()]
+    bits = [[1 << (t * width + c) for c in range(width)] for t in range(n)]
     out = {}
-    for code, (cols, placed) in zip(generator_codes(n, p), _placements(n, p)):
-        occupied = sum(placed)
+    for code, cols in generator_columns(n, p):
+        occupied = sum(map(getitem, bits, cols))
         found = []
         for i, j, cells in pairs:
             for entry in cells[cols[i] * width + cols[j]]:
@@ -378,14 +380,17 @@ def grading_drop_violations(diagram, cap=DEFAULT_GENERATOR_CAP):
     drop Maslov by exactly 1 and preserve Alexander.  Returns the list of
     violations (empty when all identities hold).  Knot diagrams only.
     """
-    gens = list(enumerate_generators(diagram, cap))
-    table = gradings_table(diagram, gens)
+    require_valid(diagram)
+    require_generator_cap(diagram, cap)
+    n, p = diagram.n, diagram.lens.p
+    table = gradings_table(diagram, list(generator_columns(n, p)))
     geometry = parallelogram_table(lens_torus(diagram))
     out = []
-    for x in gens:
-        for P in parallelograms_in(geometry, x, diagram.width):
+    for code, ts in table.items():
+        for P in parallelograms_in(geometry, generator_from_code(code, n, p),
+                                   diagram.width):
             src, dst = P.source, P.target
-            ts, td = table[src], table[dst]
+            td = table[generator_code(dst, p)]
             n_o, n_x = sum(P.o_counts), sum(P.x_counts)
             if ts.spin != td.spin:
                 out.append("spin changes %r -> %r" % (src, dst))
@@ -399,31 +404,23 @@ def grading_drop_violations(diagram, cap=DEFAULT_GENERATOR_CAP):
 
 
 def generator_label(x):
-    return _label(x.sigma, x.a)
-
-
-def _label(sigma, a):
-    return "[%s|%s]" % (" ".join(map(str, sigma)), " ".join(map(str, a)))
+    return "[%s|%s]" % (" ".join(map(str, x.sigma)), " ".join(map(str, x.a)))
 
 
 def boundary_export_lines(boundary):
     """Deterministic text export, one line per term, in code order."""
     n, p = boundary.n, boundary.p
-    labels, monomials = {}, {}
-
-    def label(code):
-        text = labels.get(code)
-        if text is None:
-            text = labels[code] = _label(*_code_digits(code, n, p))
-        return text
-
+    # every target is a generator, hence a key of the terms
+    labels = {x: generator_label(generator_from_code(x, n, p))
+              for x in boundary.terms}
+    monomials = {}
     lines = []
     for x in sorted(boundary.terms):
-        head = label(x) + " -> "
+        head = labels[x] + " -> "
         for (y, exps) in boundary.terms[x]:
             mono = monomials.get(exps)
             if mono is None:
                 mono = monomials[exps] = " ".join(
                     "U%d^%d" % (k, e) for k, e in enumerate(exps))
-            lines.append(head + label(y) + " " + mono)
+            lines.append(head + labels[y] + " " + mono)
     return lines

@@ -121,19 +121,7 @@ def maslov_grading(x, diagram, basepoints="O"):
 def alexander_grading(x, diagram):
     """Rational Alexander grading; defined for knot diagrams only."""
     require_knot(diagram)
-    return _alexander_unchecked(x, diagram)
-
-
-def _alexander_unchecked(x, diagram):
     return (maslov_grading(x, diagram, "O") - maslov_grading(x, diagram, "X")
-            - (diagram.n - 1)) / 2
-
-
-def alexander_grading_swapped(x, diagram):
-    """Alexander grading with the O and X roles exchanged (orientation
-    reversal of the knot)."""
-    require_knot(diagram)
-    return (maslov_grading(x, diagram, "X") - maslov_grading(x, diagram, "O")
             - (diagram.n - 1)) / 2
 
 
@@ -197,7 +185,9 @@ def _marker_cross_table(cells, p, q, n):
 
 
 def gradings_table(diagram, generators):
-    """GradingTriple for each generator, from per-diagram integer tables.
+    """``{code: GradingTriple}`` for the ``(code, columns)`` pairs of
+    ``generators`` (see ``complexes.generator_columns``), from per-diagram
+    integer tables.
 
     The dominance counts of ``maslov_grading`` are bilinear in the lifted
     points, so the generator-against-marker terms are sums of per-cell
@@ -236,13 +226,14 @@ def gradings_table(diagram, generators):
             pair_memo[key] = value
         return value
 
-    base_sum = sum(canonical_generator(diagram).a)
+    # sum(canonical_generator(diagram).a), without building the generator
+    base_sum = sum(s // n for (s, _) in diagram.O)
     out = {}
-    for x in generators:
-        cols = x.columns
-        gg = sum(ni[a] for a in x.a)
-        cross_sum_o = cross_sum_x = 0
+    for code, cols in generators:
+        a_sum = gg = cross_sum_o = cross_sum_x = 0
         for t1, c1 in enumerate(cols):
+            a_sum += c1 // n
+            gg += ni[c1 // n]
             cross_sum_o += cross_o[t1][c1]
             cross_sum_x += cross_x[t1][c1]
             for c2 in cols[t1 + 1:]:
@@ -250,8 +241,8 @@ def gradings_table(diagram, generators):
         raw_o = gg - cross_sum_o + self_o + 1
         raw_x = gg - cross_sum_x + self_x + 1
         # M = raw_o/p + d + (p-1)/p, A = (raw_o - raw_x)/(2p) - (n-1)/2
-        out[x] = GradingTriple(
-            spin=((q - 1) + sum(x.a) - base_sum) % p,
+        out[code] = GradingTriple(
+            spin=((q - 1) + a_sum - base_sum) % p,
             maslov=Fraction((raw_o + p - 1) * d.denominator + p * d.numerator,
                             p * d.denominator),
             alexander=Fraction(raw_o - raw_x - (n - 1) * p, 2 * p))

@@ -75,8 +75,7 @@ class Generator:
 
     def points(self):
         """Sheared coordinates of the n components, ordered by row."""
-        n = len(self.sigma)
-        return tuple((self.sigma[t] + n * self.a[t], t) for t in range(n))
+        return tuple((c, t) for t, c in enumerate(self.columns))
 
     @classmethod
     def from_columns(cls, cols):
@@ -113,6 +112,14 @@ def validate_lens(lens):
     return out
 
 
+def _collisions(values):
+    """``(value, indices)`` for each value held at several indices."""
+    where = {}
+    for i, v in enumerate(values):
+        where.setdefault(v, []).append(i)
+    return sorted((v, hits) for v, hits in where.items() if len(hits) > 1)
+
+
 def _marker_violations(label, cells, n, width):
     out = []
     if not isinstance(cells, tuple) or len(cells) != n:
@@ -129,20 +136,15 @@ def _marker_violations(label, cells, n, width):
     if out:
         return out
     rows = [t for (_, t) in cells]
-    for t in range(n):
-        hits = [i for i, r in enumerate(rows) if r == t]
-        if len(hits) > 1:
-            out.append("row-collision: %s cells at indices %s all sit in row %d"
-                       % (label, hits, t))
+    for t, hits in _collisions(rows):
+        out.append("row-collision: %s cells at indices %s all sit in row %d"
+                   % (label, hits, t))
     if not out and rows != list(range(n)):
         out.append("storage-order: %s must be stored row-major (%s[t] in "
                    "row t); got rows %s" % (label, label, rows))
-    cols = [s % n for (s, _) in cells]
-    for c in range(n):
-        hits = [i for i, cc in enumerate(cols) if cc == c]
-        if len(hits) > 1:
-            out.append("column-collision: %s cells in rows %s share column %d"
-                       % (label, hits, c))
+    for c, hits in _collisions([s % n for (s, _) in cells]):
+        out.append("column-collision: %s cells in rows %s share column %d"
+                   % (label, hits, c))
     return out
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .complexes import (DEFAULT_GENERATOR_CAP, build_boundary,
-                        enumerate_generators, generator_codes)
+                        generator_columns, require_generator_cap)
 from .errors import InternalInvariantError, LensGridError, SizeCapError
 from .gradings import gradings_table
 from .grid import require_valid
@@ -111,39 +111,49 @@ def homology_ranks(levels, targets, pivot="low"):
     return out
 
 
+def graded_homology(graded, terms, piece_cap=None, pivot="low"):
+    """Ranks ``{S: {(M, A): rank}}`` of a complex split into (S, A) pieces.
+
+    ``graded`` yields ``(code, (S, A, M))`` per generator.  Every piece is
+    checked against ``piece_cap`` before ``terms()`` builds the boundary
+    (code -> ``(target code, exponents)`` pairs) that ``homology_ranks``
+    then eliminates piece by piece.
+    """
+    pieces = {}
+    for code, (s, a, m) in graded:
+        pieces.setdefault((s, a), {}).setdefault(m, []).append(code)
+    pieces = sorted(pieces.items())
+    for (s, a), levels in pieces:
+        size = sum(map(len, levels.values()))
+        if piece_cap is not None and size > piece_cap:
+            raise SizeCapError("graded piece (S=%s, A=%s) has dimension %d "
+                               "(cap %d)" % (s, a, size, piece_cap))
+    boundary = terms()
+    out = {}
+    for (s, a), levels in pieces:
+        ranks = homology_ranks(
+            levels, lambda x: (y for (y, _) in boundary[x]), pivot)
+        out.setdefault(s, {}).update(((m, a), h) for m, h in ranks.items())
+    return out
+
+
 def tilde_homology(diagram, cap=DEFAULT_GENERATOR_CAP,
                    piece_cap=DEFAULT_PIECE_CAP, pivot="low"):
     """Bigraded homology table of the fully blocked complex of a knot.
 
     Every (S, A) piece is checked against ``piece_cap`` before the
-    boundary is built.  The pieces' levels hold generator codes, the keys
-    of the boundary's terms.
+    boundary is built.
     """
     require_valid(diagram)
+    require_generator_cap(diagram, cap)
     p, n = diagram.lens.p, diagram.n
-    gens = list(enumerate_generators(diagram, cap))
-    table = gradings_table(diagram, gens)
-    pieces = {}
-    for code, x in zip(generator_codes(n, p), gens):
-        t = table[x]
-        pieces.setdefault((t.spin, t.alexander), {}).setdefault(
-            t.maslov, []).append(code)
-    pieces = sorted(pieces.items())
-    for (s, a), levels in pieces:
-        size = sum(len(basis) for basis in levels.values())
-        if piece_cap is not None and size > piece_cap:
-            raise SizeCapError("graded piece (S=%s, A=%s) has dimension %d "
-                               "(cap %d)" % (s, a, size, piece_cap))
-
-    terms = build_boundary(diagram, "tilde", cap).terms
-
-    def targets(x):
-        return (y for (y, _) in terms[x])
-
+    # the table is freed once bucketed, before the boundary is built
+    graded = ((code, (t.spin, t.alexander, t.maslov)) for code, t
+              in gradings_table(diagram, list(generator_columns(n, p))).items())
     classes = {s: {} for s in range(p)}
-    for (s, a), levels in pieces:
-        for m, h in homology_ranks(levels, targets, pivot).items():
-            classes[s][(m, a)] = h
+    classes.update(graded_homology(
+        graded, lambda: build_boundary(diagram, "tilde", cap).terms,
+        piece_cap, pivot))
 
     floor = 2 ** (n - 1)
     for s in range(p):

@@ -20,10 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 
-from .complexes import (DEFAULT_GENERATOR_CAP, collect_terms,
-                        enumerate_generators, generator_codes,
+from .complexes import (DEFAULT_GENERATOR_CAP, collect_terms, generator_code,
+                        generator_columns, generator_from_code,
                         require_generator_cap)
 from .cover import (lift_diagram, lift_generator, require_valid_s3,
                     s3_link_components)
@@ -31,7 +30,7 @@ from .errors import SizeCapError
 from .gradings import (d_invariant, dominance_count, doubled_centres,
                        doubled_points, gradings_table)
 from .grid import canonical_generator, require_knot, require_valid
-from .homology import HomologyTable, homology_ranks
+from .homology import HomologyTable, graded_homology
 
 
 def s3_maslov(points, marker_cells):
@@ -97,24 +96,18 @@ def s3_tilde_homology(diagram, cap=DEFAULT_GENERATOR_CAP, pivot="low"):
     ell = len(s3_link_components(diagram))
     grade = _square_gradings(diagram, ell)
 
-    # the square torus is the engine's p = 1, q = 0 case, and a generator's
-    # code is its column tuple read in base N
-    pieces = {}
-    for code, cols in zip(generator_codes(N, 1), permutations(range(N))):
-        m, a = grade(tuple(zip(cols, range(N))))
-        pieces.setdefault(a, {}).setdefault(m, []).append(code)
-    terms = collect_terms((N, 1, 0, diagram.O, diagram.X), "tilde")
+    # the square torus is the engine's p = 1, q = 0 case, with one Spin^c
+    # class
+    def graded():
+        for code, cols in generator_columns(N, 1):
+            m, a = grade(tuple(zip(cols, range(N))))
+            yield code, (0, a, m)
 
-    def targets(code):
-        return (y for (y, _) in terms[code])
-
-    ranks = {}
-    for a, levels in sorted(pieces.items()):
-        for m, h in homology_ranks(levels, targets, pivot).items():
-            ranks[(m, a)] = h
-
+    classes = graded_homology(
+        graded(), lambda: collect_terms((N, 1, 0, diagram.O, diagram.X),
+                                        "tilde"), pivot=pivot)
     return HomologyTable(spin_count=1, tensor_exponent=N - ell,
-                         classes={0: ranks})
+                         classes=classes)
 
 
 @dataclass
@@ -153,14 +146,12 @@ def verify_cover_relations(diagram, cap=DEFAULT_GENERATOR_CAP):
 
     qn = q % p
     shift = d_invariant(p, qn, qn - 1) + Fraction(p - 1, p)
-    gens = list(enumerate_generators(diagram, cap))
-    table = gradings_table(diagram, gens)
+    table = gradings_table(diagram, list(generator_columns(n, p)))
     grade = _square_gradings(lifted, ell)
 
     rows = []
-    base = None
-    for x in gens:
-        t = table[x]
+    for code, t in table.items():
+        x = generator_from_code(code, n, p)
         m_cover, a_cover = grade(lift_generator(x, diagram))
         row = {"generator": x, "spin": t.spin, "maslov": t.maslov,
                "alexander": t.alexander, "cover_maslov": m_cover,
@@ -168,20 +159,19 @@ def verify_cover_relations(diagram, cap=DEFAULT_GENERATOR_CAP):
         rows.append(row)
         if t.maslov != Fraction(m_cover, p) + shift:
             violations.append("absolute Maslov shift fails for %r" % (x,))
-        if base is None:
-            base = row
-        else:
-            if p * (t.maslov - base["maslov"]) != m_cover - base["cover_maslov"]:
-                violations.append("relative Maslov relation fails for %r" % (x,))
-            if p * (t.alexander - base["alexander"]) != a_cover - base["cover_alexander"]:
-                violations.append("relative Alexander relation fails for %r" % (x,))
+        base = rows[0]   # against itself the relations hold trivially
+        if p * (t.maslov - base["maslov"]) != m_cover - base["cover_maslov"]:
+            violations.append("relative Maslov relation fails for %r" % (x,))
+        if p * (t.alexander - base["alexander"]) != a_cover - base["cover_alexander"]:
+            violations.append("relative Alexander relation fails for %r" % (x,))
 
     canon = canonical_generator(diagram)
     canon_maslov = grade(lift_generator(canon, diagram))[0]
     if canon_maslov != -(p * n - 1):
         violations.append("canonical generator's lift has square-grid Maslov "
                           "%d, expected %d" % (canon_maslov, -(p * n - 1)))
-    if table[canon].maslov != d_invariant(p, qn, qn - 1) - (n - 1):
+    canon_grading = table[generator_code(canon, p)]
+    if canon_grading.maslov != d_invariant(p, qn, qn - 1) - (n - 1):
         violations.append("canonical generator Maslov %s != d(p,q,q-1) - (n-1)"
-                          % (table[canon].maslov,))
+                          % (canon_grading.maslov,))
     return CoverReport(rows=rows, violations=violations)

@@ -15,14 +15,15 @@ import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import (build_boundary, enumerate_generators,
-                        generator_count, grading_drop_violations, lens_torus,
-                        parallelogram_table, parallelograms_in,
-                        square_is_zero)
+from .complexes import (build_boundary, enumerate_generators, generator_code,
+                        generator_columns, generator_count, generator_from_code,
+                        grading_drop_violations, lens_torus, parallelogram_table,
+                        parallelograms_in, square_is_zero)
 from .corpus import coprime_qs, gn1_corpus, random_diagram, random_knot_diagrams
 from .cover import S3GridDiagram, lift_diagram, lift_generator
-from .gradings import alexander_grading_swapped, d_invariant, gradings_table
-from .grid import LensParams, canonical_generator, enumerate_grid_number_one
+from .gradings import alexander_grading, d_invariant, gradings_table
+from .grid import (GridDiagram, LensParams, canonical_generator,
+                   enumerate_grid_number_one)
 from .homology import (document_bytes, extract_hfk_hat, homology_document,
                        simplicity_report, tilde_homology)
 from .s3 import s3_maslov, s3_tilde_homology, verify_cover_relations
@@ -76,12 +77,13 @@ def criterion_02(gn1, rnd):
         p, q, n = d.lens.p, d.lens.q, d.n
         qn = q % p
         canon = canonical_generator(d)
-        table = gradings_table(d, [canon])
+        code = generator_code(canon, p)
+        grading = gradings_table(d, [(code, canon.columns)])[code]
         lifted = lift_diagram(d)
-        if table[canon].spin != (q - 1) % p:
+        if grading.spin != (q - 1) % p:
             return CheckResult("C02", CRITERIA[1][1], False,
                                "Spin^c anchor fails on %r" % (d,))
-        if table[canon].maslov != d_invariant(p, qn, qn - 1) - (n - 1):
+        if grading.maslov != d_invariant(p, qn, qn - 1) - (n - 1):
             return CheckResult("C02", CRITERIA[1][1], False,
                                "Maslov anchor fails on %r" % (d,))
         if s3_maslov(lift_generator(canon, d), lifted.O) != -(p * n - 1):
@@ -129,10 +131,11 @@ def criterion_05(gn1, rnd):
 
 def criterion_06(gn1, rnd):
     for d in gn1 + rnd:
-        gens = list(enumerate_generators(d))
-        table = gradings_table(d, gens)
-        for x in gens:
-            if alexander_grading_swapped(x, d) != -table[x].alexander - (d.n - 1):
+        table = gradings_table(d, list(generator_columns(d.n, d.lens.p)))
+        swapped = GridDiagram(d.lens, d.n, d.X, d.O)
+        for code, t in table.items():
+            x = generator_from_code(code, d.n, d.lens.p)
+            if alexander_grading(x, swapped) != -t.alexander - (d.n - 1):
                 return CheckResult("C06", CRITERIA[5][1], False,
                                    "symmetry fails for %r on %r" % (x, d))
     return CheckResult("C06", CRITERIA[5][1], True,

@@ -311,6 +311,16 @@ def grid_texts(draw):
     return text
 
 
+def run_bounded(path, command, seconds=5):
+    """Exit code, stdout and stderr of one command on the file at ``path``,
+    raising Overtime after ``seconds``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with time_bound(seconds):
+            code = main([command[0], str(path), *command[1:]])
+    return code, out.getvalue(), err.getvalue()
+
+
 FUZZED_COMMANDS = (("validate",), ("info", "--cap", "50"),
                    ("gradings", "--cap", "50"), ("homology", "--cap", "50"),
                    ("verify-cover", "--cap", "50"))
@@ -324,8 +334,27 @@ def test_fuzzed_grid_files_get_an_answer_or_a_refusal(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "fuzzed.grid"
     path.write_text(text, encoding="utf-8")
     for command in FUZZED_COMMANDS:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            with time_bound(5):
-                code = main([command[0], str(path), *command[1:]])
-        assert code in (0, 1, 2), (command, text, err.getvalue())
+        code, _, err = run_bounded(path, command)
+        assert code in (0, 1, 2), (command, text, err)
+
+
+def test_many_rows_get_an_answer_or_a_refusal(tmp_path):
+    # a valid 20,000-row knot on L(2,1): validation must stay linear in n,
+    # and n! * 2^n has about 77,000 digits, more than int-to-str converts
+    n = 20000
+    path = tmp_path / "rows.grid"
+    path.write_text("2 1 %d\nO: %s\nX: %s\n" % (
+        n, " ".join(map(str, range(n))),
+        " ".join(str((t + 1) % n) for t in range(n))))
+    cases = [(("validate",), 0, "ok"),
+             (("info",), 0, "generator_count    20000! * 2^20000"),
+             (("info", "--format", "structured"), 0,
+              '"generator_count": "20000! * 2^20000"'),
+             (("lift",), 0, "40000"),
+             (("gradings",), 2, "20000! * 2^20000 > 10^100 generators")]
+    cases += [((command, "--cap", "10"), 2, "refused:") for command in (
+        "info", "lift", "gradings", "homology", "verify-cover",
+        "boundary-export")]
+    for command, expected, shown in cases:
+        code, out, err = run_bounded(path, command)
+        assert code == expected and shown in out + err, (command, err)

@@ -14,8 +14,9 @@ from lensgrid import (Generator, GridDiagram, LensParams, SizeCapError,
                       generator_from_code, grading_drop_violations,
                       lift_diagram, parallelograms_from, square_is_zero)
 from lensgrid import complexes
-from lensgrid.complexes import (SparseBoundary, generator_codes, lens_torus,
-                                parallelogram_table, torus_winding)
+from lensgrid.complexes import (SparseBoundary, generator_columns,
+                                lens_torus, parallelogram_table,
+                                torus_winding)
 from lensgrid.corpus import (coprime_qs, random_diagram, random_knot_diagram,
                              random_knot_diagrams)
 from lensgrid.grid import format_grid
@@ -378,7 +379,8 @@ def test_generator_codes_round_trip_and_sort_like_sort_key():
         gens = list(enumerate_generators(d))
         codes = [generator_code(x, p) for x in gens]
         assert [generator_from_code(c, n, p) for c in codes] == gens
-        assert list(generator_codes(n, p)) == codes
+        assert list(generator_columns(n, p)) == [
+            (code, x.columns) for code, x in zip(codes, gens)]
         assert codes == sorted(set(codes))
         shuffled = gens[:]
         rng.shuffle(shuffled)
@@ -399,12 +401,13 @@ def test_grading_drops_catch_a_shifted_maslov_grading(monkeypatch):
             touching[P.source] += 1
             touching[P.target] += 1
     victim = max(gens, key=lambda x: (touching[x], x.sort_key()))
+    code = generator_code(victim, 3)
     real = complexes.gradings_table
 
     def shifted(diagram, generators):
         table = real(diagram, generators)
-        table[victim] = dataclasses.replace(table[victim],
-                                            maslov=table[victim].maslov + 1)
+        table[code] = dataclasses.replace(table[code],
+                                          maslov=table[code].maslov + 1)
         return table
 
     monkeypatch.setattr(complexes, "gradings_table", shifted)

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from lensgrid import (GridDiagram, LensParams, build_boundary,
-                      enumerate_generators, enumerate_grid_number_one,
-                      extract_hfk_hat, format_grid, generator_code, gf2_rank,
-                      gradings_table, simplicity_report, tilde_homology)
+from lensgrid import (Generator, GridDiagram, LensParams, build_boundary,
+                      enumerate_grid_number_one, extract_hfk_hat, format_grid,
+                      generator_columns, gf2_rank, gradings_table,
+                      simplicity_report, tilde_homology)
 from lensgrid import homology
 from lensgrid.cli import main
 from lensgrid.corpus import coprime_qs, random_knot_diagram
@@ -69,13 +69,11 @@ def test_tilde_homology_against_brute_force_pieces():
     rng = random.Random(8)
     d = random_knot_diagram(3, 1, 2, rng)
     boundary = build_boundary(d, "tilde")
-    gens = list(enumerate_generators(d))
-    table = gradings_table(d, gens)
+    table = gradings_table(d, list(generator_columns(d.n, 3)))
     groups = {}
-    for x in gens:
-        t = table[x]
+    for code, t in table.items():
         groups.setdefault((t.spin, t.alexander), {}).setdefault(
-            t.maslov, []).append(generator_code(x, 3))
+            t.maslov, []).append(code)
     expected = {s: {} for s in range(3)}
     for (s, a), levels in groups.items():
         ranks = {}
@@ -95,16 +93,33 @@ def test_tilde_homology_against_brute_force_pieces():
     assert tilde_homology(d).classes == expected
 
 
+def test_tilde_homology_builds_no_generator(monkeypatch):
+    # inside the pipeline a generator is its code and column tuple; a
+    # Generator object per generator would cost memory at every size
+    d = random_knot_diagram(3, 1, 3, random.Random(12))
+    expected = tilde_homology(d)
+    built = []
+    real = Generator.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Generator, "__init__", counting)
+    assert tilde_homology(d) == expected
+    assert built == []
+
+
 def test_gradings_table_is_integer_relative_per_spin():
     rng = random.Random(1)
     d = random_knot_diagram(3, 1, 2, rng)
-    gens = list(enumerate_generators(d))
+    gens = list(generator_columns(d.n, 3))
     table = gradings_table(d, gens)
-    assert set(table) == set(gens)
+    assert set(table) == {code for code, _ in gens}
     # within one Spin^c class both gradings are integer-relative
     by_spin = {}
-    for x in gens:
-        by_spin.setdefault(table[x].spin, []).append(table[x])
+    for code, _ in gens:
+        by_spin.setdefault(table[code].spin, []).append(table[code])
     for triples in by_spin.values():
         base = triples[0]
         for t in triples:
@@ -191,11 +206,12 @@ def test_euler_characteristic_matches_chain_level():
     for _ in range(6):
         p = rng.choice([2, 3])
         d = random_knot_diagram(p, rng.choice(coprime_qs(p)), 2, rng)
-        gens = list(enumerate_generators(d))
+        gens = list(generator_columns(d.n, p))
         table = gradings_table(d, gens)
         hom = tilde_homology(d)
         for s in range(p):
-            triples = [table[x] for x in gens if table[x].spin == s]
+            triples = [table[code] for code, _ in gens
+                       if table[code].spin == s]
             base = triples[0].maslov
             chain = sum((-1) ** int(t.maslov - base) for t in triples)
             homol = sum((-1) ** int(m - base) * r

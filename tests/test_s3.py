@@ -6,7 +6,7 @@ import pytest
 
 from lensgrid import (Generator, GridDiagram, LensParams, S3GridDiagram,
                       enumerate_generators, extract_hfk_hat, generator_code,
-                      gradings_table,
+                      generator_columns, gradings_table,
                       lift_diagram, lift_generator, maslov_grading,
                       s3_alexander_total, s3_maslov,
                       s3_tilde_homology, verify_cover_relations)
@@ -174,10 +174,11 @@ def test_eq1_relation_on_lifted_homology_case():
     table = s3_tilde_homology(lifted2)
     assert table.total_rank() >= 2
     gens = list(enumerate_generators(d2))
-    grading = gradings_table(d2, gens)
+    grading = gradings_table(d2, list(generator_columns(2, 2)))
+    code = {x: generator_code(x, 2) for x in gens}
     for x in gens:
         pts = lift_generator(x, d2)
-        assert 2 * (grading[x].maslov - grading[gens[0]].maslov) \
+        assert 2 * (grading[code[x]].maslov - grading[code[gens[0]]].maslov) \
             == s3_maslov(pts, lifted2.O) - s3_maslov(lift_generator(gens[0], d2), lifted2.O)
 
 
@@ -195,11 +196,12 @@ def test_verify_cover_reports_a_shifted_grading(monkeypatch, grading,
     real = s3.gradings_table
     gens = list(enumerate_generators(d))
     victim = gens[len(gens) // 2]
+    code = generator_code(victim, 5)
 
     def shifted(diagram, generators):
         table = real(diagram, generators)
-        t = table[victim]
-        table[victim] = dataclasses.replace(
+        t = table[code]
+        table[code] = dataclasses.replace(
             t, **{grading: getattr(t, grading) + Fraction(1, diagram.lens.p)})
         return table
 
