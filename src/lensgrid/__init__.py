@@ -15,8 +15,8 @@ from .grid import (Generator, GridDiagram, LensParams, LinkStructure,
 from .cover import (S3GridDiagram, format_s3_grid, lift_diagram,
                     lift_generator, lift_points, parse_s3_grid, validate_s3)
 from .gradings import (GradingTriple, alexander_grading, d_invariant,
-                       dominance_count, gradings_table, maslov_grading,
-                       spin_grading)
+                       dominance_count, grading_denominators, gradings_table,
+                       maslov_grading, spin_grading)
 from .complexes import (Parallelogram, SparseBoundary, boundary_export_lines,
                         build_boundary, enumerate_generators,
                         generator_code, generator_columns, generator_from_code,

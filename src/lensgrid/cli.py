@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from fractions import Fraction
 from functools import cache
 
 from . import selftest
@@ -20,7 +21,7 @@ from .complexes import (DEFAULT_GENERATOR_CAP, VARIANTS,
 from .cover import format_s3_grid, lift_diagram, s3_link_components
 from .errors import (InternalInvariantError, LensGridError, ParseError,
                      SizeCapError, ValidationError)
-from .gradings import gradings_table
+from .gradings import grading_denominators, gradings_table
 from .grid import (GridDiagram, LensParams, enumerate_grid_number_one,
                    format_grid, parse_grid, reconstruct_link, require_valid,
                    validate)
@@ -99,7 +100,8 @@ def cmd_info(args):
         "lifted_grid_size": lifted.N,
         "lifted_components": len(s3_link_components(lifted)),
         # the formula once the count has more digits than int-to-str allows
-        "generator_count": bounded_generator_count(diagram, 10 ** 4300)
+        "generator_count": bounded_generator_count(
+            diagram.n, diagram.lens.p, 10 ** 4300)
         or "%d! * %d^%d" % (diagram.n, diagram.lens.p, diagram.n),
         "orientation_note":
             "row arcs oriented X to O, column arcs O to X",
@@ -118,14 +120,17 @@ def cmd_gradings(args):
     diagram, digest = _load(args.path)
     if args.swap_roles:
         diagram = GridDiagram(diagram.lens, diagram.n, diagram.X, diagram.O)
-    require_generator_cap(diagram, args.cap)
     n, p = diagram.n, diagram.lens.p
-    table = gradings_table(diagram, list(generator_columns(n, p)))
+    require_generator_cap(n, p, args.cap)
+    table = gradings_table(diagram, generator_columns(n, p))
+    # the numerators sort as the gradings do
     graded = sorted((t.spin, t.alexander, t.maslov,
                      generator_label(generator_from_code(code, n, p)))
                     for code, t in table.items())
+    dm, da = grading_denominators(diagram)
     keys = ("generator", "S", "M", "A")
-    rows = [(label, s, _frac(m), _frac(a)) for s, a, m, label in graded]
+    rows = [(label, s, str(Fraction(m, dm)), str(Fraction(a, da)))
+            for s, a, m, label in graded]
     if args.format == "structured":
         _emit({"input_sha256": digest, "swap_roles": bool(args.swap_roles),
                "rows": [dict(zip(keys, r)) for r in rows]})

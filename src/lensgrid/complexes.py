@@ -32,8 +32,9 @@ column c adds a fixed amount to the code, and a parallelogram changes
 only the components of its two rows, so the code of its target is the
 source's code plus a constant of the parallelogram.  Inside the pipeline
 a generator is its code and its column tuple, as ``generator_columns``
-yields them; boundaries and gradings are keyed by code, and
-``Generator`` objects are built only for output and the lift.
+yields them or ``column_decoder`` recovers them from the code alone;
+boundaries and gradings are keyed by code, and ``Generator`` objects are
+built only for output and the lift.
 
 The parallelogram table.  For the candidate of rows (i, j) in height
 band m, the height ``h = j + m*n - i`` depends on (i, j, m) alone, the
@@ -56,12 +57,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain, permutations, product, repeat
-from operator import getitem
+from operator import add, getitem
 
 from .errors import SizeCapError, ValidationError
 from .grid import Generator, require_valid
-from .gradings import gradings_table
+from .gradings import grading_denominators, gradings_table
 
 DEFAULT_GENERATOR_CAP = 10 ** 7
 
@@ -97,15 +99,15 @@ class SparseBoundary:
     terms: dict
 
 
-def generator_count(diagram):
-    return bounded_generator_count(diagram, math.inf)
+def generator_count(n, p):
+    return bounded_generator_count(n, p, math.inf)
 
 
-def bounded_generator_count(diagram, bound):
-    """The n! * p^n generators of the diagram, or None as soon as a
-    partial product exceeds ``bound``: a huge diagram costs a few steps."""
+def bounded_generator_count(n, p, bound):
+    """The n! * p^n generators of an n-row diagram on L(p, q) (of an
+    n x n square grid when p = 1), or None as soon as a partial product
+    exceeds ``bound``: a huge diagram costs a few steps."""
     total = 1
-    n, p = diagram.n, diagram.lens.p
     for factor in chain(range(2, n + 1), repeat(p, n)):
         total *= factor
         if total > bound:
@@ -113,34 +115,53 @@ def bounded_generator_count(diagram, bound):
     return total
 
 
-def require_generator_cap(diagram, cap):
-    """Raise SizeCapError when the diagram has more than ``cap`` generators,
-    naming the total while it is at most 10^100."""
-    if cap is None or bounded_generator_count(diagram, cap) is not None:
+def require_generator_cap(n, p, cap):
+    """Raise SizeCapError when an n-row diagram on L(p, q) (an n x n
+    square grid when p = 1) has more than ``cap`` generators, naming the
+    total while it is at most 10^100."""
+    if cap is None or bounded_generator_count(n, p, cap) is not None:
         return
-    total = bounded_generator_count(diagram, 10 ** 100)
+    total = bounded_generator_count(n, p, 10 ** 100)
     raise SizeCapError(
-        "refusing to enumerate %d! * %d^%d %s generators (cap %d)"
-        % (diagram.n, diagram.lens.p, diagram.n,
+        "refusing to enumerate %s %s generators (cap %d)"
+        % ("%d!" % n if p == 1 else "%d! * %d^%d" % (n, p, n),
            "> 10^100" if total is None else "= %d" % total, cap))
 
 
-def generator_columns(n, p):
-    """``(code, columns)`` of every generator of an n-row diagram on
-    L(p, q), in code order; ``columns`` is ``Generator.columns``."""
-    width, size = n * p, p ** n
+def _sigma_codes(n):
+    """``(code, sigma)`` for every permutation sigma of range(n), the code
+    being sigma's digits in base n."""
     for sigma in permutations(range(n)):
-        base = 0
+        code = 0
         for s in sigma:
-            base = base * n + s
-        yield from zip(range(base * size, (base + 1) * size),
-                       product(*(range(s, width, n) for s in sigma)))
+            code = code * n + s
+        yield code, sigma
+
+
+class generator_columns:
+    """``(code, columns)`` of every generator of an n-row diagram on
+    L(p, q), in code order; ``columns`` is ``Generator.columns``.  Like
+    ``range``, a view with a length that yields the pairs afresh on each
+    iteration, so a caller holds none of them it does not keep."""
+
+    def __init__(self, n, p):
+        self.n, self.p = n, p
+
+    def __len__(self):
+        return generator_count(self.n, self.p)
+
+    def __iter__(self):
+        n, p = self.n, self.p
+        width, size = n * p, p ** n
+        for base, sigma in _sigma_codes(n):
+            yield from zip(range(base * size, (base + 1) * size),
+                           product(*(range(s, width, n) for s in sigma)))
 
 
 def enumerate_generators(diagram, cap=DEFAULT_GENERATOR_CAP):
     """All n! * p^n generators as ``Generator`` objects, in code order."""
     require_valid(diagram)
-    require_generator_cap(diagram, cap)
+    require_generator_cap(diagram.n, diagram.lens.p, cap)
     for _, cols in generator_columns(diagram.n, diagram.lens.p):
         yield Generator.from_columns(cols)
 
@@ -178,7 +199,7 @@ def lens_torus(diagram):
     return (diagram.n, diagram.lens.p, diagram.lens.q, diagram.O, diagram.X)
 
 
-def _drop_mask(variant, n):
+def drop_mask(variant, n):
     """Marker bits (O in row k: bit k, X in row k: bit n + k) whose
     parallelograms the variant leaves out."""
     every = (1 << n) - 1
@@ -198,7 +219,7 @@ def parallelogram_table(torus, drop=0, columns=None):
     the marker counts, the box size and the new columns of rows i and j.
     A generator's parallelogram is admissible when none of the
     generator's own bits is in ``block``.  Parallelograms containing a
-    marker of ``drop`` (see ``_drop_mask``) are left out.  With
+    marker of ``drop`` (see ``drop_mask``) are left out.  With
     ``columns``, only SW corners in column ``columns[i]`` are filled in.
     """
     n, p, q, o_cells, x_cells = torus
@@ -282,24 +303,46 @@ def _odd_terms(found):
     return tuple(kept)
 
 
+def generator_terms(table, n, p):
+    """``terms(code, columns)``: the ``(target code, exponents)`` pairs of
+    one generator's admissible parallelograms in ``table`` (see
+    ``parallelogram_table``), exponents being their O counts.  A pair may
+    occur more than once; nothing is cancelled."""
+    width = n * p
+    pairs = [(i, j, cells) for (i, j), cells in table.items()]
+    bits = [[1 << (t * width + c) for c in range(width)] for t in range(n)]
+
+    def terms(code, cols):
+        occupied = sum(map(getitem, bits, cols))
+        return [(code + entry[0], entry[2]) for i, j, cells in pairs
+                for entry in cells[cols[i] * width + cols[j]]
+                if not entry[1] & occupied]
+    return terms
+
+
+def column_decoder(n, p):
+    """``columns(code)``: the column tuple of the generator with that code,
+    as ``generator_columns`` pairs them: sigma from the code's top digits
+    and n*a from the rest, each by one table lookup."""
+    size = p ** n
+    sigmas = dict(_sigma_codes(n))
+    offsets = [tuple(n * a for a in digits)
+               for digits in product(range(p), repeat=n)]
+
+    def columns(code):
+        top, bottom = divmod(code, size)
+        return tuple(map(add, sigmas[top], offsets[bottom]))
+    return columns
+
+
 def collect_terms(torus, variant):
     """Mod-2 collected boundary terms of every generator of the torus,
     keyed by code, as ``SparseBoundary.terms`` holds them."""
     n, p = torus[0], torus[1]
-    width = n * p
-    pairs = [(i, j, cells) for (i, j), cells
-             in parallelogram_table(torus, _drop_mask(variant, n)).items()]
-    bits = [[1 << (t * width + c) for c in range(width)] for t in range(n)]
-    out = {}
-    for code, cols in generator_columns(n, p):
-        occupied = sum(map(getitem, bits, cols))
-        found = []
-        for i, j, cells in pairs:
-            for entry in cells[cols[i] * width + cols[j]]:
-                if not entry[1] & occupied:
-                    found.append((code + entry[0], entry[2]))
-        out[code] = _odd_terms(found)
-    return out
+    terms = generator_terms(
+        parallelogram_table(torus, drop_mask(variant, n)), n, p)
+    return {code: _odd_terms(terms(code, cols))
+            for code, cols in generator_columns(n, p)}
 
 
 def parallelograms_in(table, x, width):
@@ -341,7 +384,7 @@ def build_boundary(diagram, variant, cap=DEFAULT_GENERATOR_CAP):
     require_valid(diagram)
     if variant not in VARIANTS:
         raise ValidationError("unknown boundary variant %r" % (variant,))
-    require_generator_cap(diagram, cap)
+    require_generator_cap(diagram.n, diagram.lens.p, cap)
     return SparseBoundary(n=diagram.n, p=diagram.lens.p, variant=variant,
                           terms=collect_terms(lens_torus(diagram), variant))
 
@@ -381,9 +424,10 @@ def grading_drop_violations(diagram, cap=DEFAULT_GENERATOR_CAP):
     violations (empty when all identities hold).  Knot diagrams only.
     """
     require_valid(diagram)
-    require_generator_cap(diagram, cap)
     n, p = diagram.n, diagram.lens.p
-    table = gradings_table(diagram, list(generator_columns(n, p)))
+    require_generator_cap(n, p, cap)
+    table = gradings_table(diagram, generator_columns(n, p))
+    dm, da = grading_denominators(diagram)
     geometry = parallelogram_table(lens_torus(diagram))
     out = []
     for code, ts in table.items():
@@ -392,14 +436,16 @@ def grading_drop_violations(diagram, cap=DEFAULT_GENERATOR_CAP):
             src, dst = P.source, P.target
             td = table[generator_code(dst, p)]
             n_o, n_x = sum(P.o_counts), sum(P.x_counts)
+            maslov_drop = Fraction(ts.maslov - td.maslov, dm)
+            alexander_drop = Fraction(ts.alexander - td.alexander, da)
             if ts.spin != td.spin:
                 out.append("spin changes %r -> %r" % (src, dst))
-            if ts.maslov - td.maslov != 1 - 2 * n_o:
+            if maslov_drop != 1 - 2 * n_o:
                 out.append("maslov drop %s != 1 - 2*%d for %r -> %r"
-                           % (ts.maslov - td.maslov, n_o, src, dst))
-            if ts.alexander - td.alexander != n_x - n_o:
+                           % (maslov_drop, n_o, src, dst))
+            if alexander_drop != n_x - n_o:
                 out.append("alexander drop %s != %d - %d for %r -> %r"
-                           % (ts.alexander - td.alexander, n_x, n_o, src, dst))
+                           % (alexander_drop, n_x, n_o, src, dst))
     return out
 
 

@@ -13,20 +13,24 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
+from operator import getitem
+from typing import NamedTuple
 
 from .cover import lift_points
 from .errors import ValidationError
 from .grid import canonical_generator, require_knot, require_valid
 
 
-@dataclass(frozen=True)
-class GradingTriple:
+class GradingTriple(NamedTuple):
+    """A generator's Spin^c class and the integer numerators of its Maslov
+    and Alexander gradings over ``grading_denominators(diagram)``."""
+
     spin: int
-    maslov: Fraction
-    alexander: Fraction
+    maslov: int
+    alexander: int
 
 
 def dominance_count(first, second):
@@ -184,18 +188,28 @@ def _marker_cross_table(cells, p, q, n):
     return cross, self_count
 
 
+def grading_denominators(diagram):
+    """``(p * den(d), 2p)`` for a lens diagram, d being d(p, q, q-1):
+    every generator's Maslov grading is an integer over the first and its
+    Alexander grading an integer over the second."""
+    p, q = diagram.lens.p, diagram.lens.q
+    qn = q % p
+    return p * d_invariant(p, qn, qn - 1).denominator, 2 * p
+
+
 def gradings_table(diagram, generators):
     """``{code: GradingTriple}`` for the ``(code, columns)`` pairs of
     ``generators`` (see ``complexes.generator_columns``), from per-diagram
-    integer tables.
+    integer tables.  Each triple holds the Spin^c class and the integer
+    numerators of M and A over ``grading_denominators(diagram)``.
 
     The dominance counts of ``maslov_grading`` are bilinear in the lifted
     points, so the generator-against-marker terms are sums of per-cell
     table entries, and the generator-against-itself term is a sum over
     pairs of components: ``NI[a]`` for a component with itself, a
-    memoised count for two components in different rows.  Tables and
-    memo live for this call only: the tables take O(n*n*p) memory and
-    the memo at most 2*p*p entries, none when n = 1.
+    per-column-pair table entry for two components in different rows.
+    Tables live for this call only and take O(n*n*p*p) memory, O(n*p)
+    when n = 1.
 
     Requires a knot diagram (the Alexander grading is only defined then).
     """
@@ -208,7 +222,12 @@ def gradings_table(diagram, generators):
     cross_o, self_o = _marker_cross_table(diagram.O, p, q, n)
     cross_x, self_x = _marker_cross_table(diagram.X, p, q, n)
     ni = _lift_non_inversions(p, qn)
-    pair_memo = {}
+    # per row, a component's share of raw_o (NI[a] minus its O cross term)
+    # and of raw_o - raw_x
+    maslov_rows = [[ni[c // n] - o for c, o in enumerate(row)] for row in cross_o]
+    alexander_rows = [[x - o for o, x in zip(row_o, row_x)]
+                      for row_o, row_x in zip(cross_o, cross_x)]
+    memo = {}
 
     def pair_term(c1, c2):
         # dominance pairs between the lifts of components in columns c1 and
@@ -216,34 +235,35 @@ def gradings_table(diagram, generators):
         # c1 + nq, c2 + nq, ... (mod n*p); their order depends only on
         # c1 // n, c2 // n and whether c1 % n < c2 % n.
         key = (c1 // n, c2 // n, c1 % n < c2 % n)
-        value = pair_memo.get(key)
+        value = memo.get(key)
         if value is None:
             seq = []
             for k in range(p):
                 shift = n * q * k
                 seq += ((c1 + shift) % width, (c2 + shift) % width)
-            value = _non_inversions(seq) - ni[c1 // n] - ni[c2 // n]
-            pair_memo[key] = value
+            value = memo[key] = (_non_inversions(seq) - ni[c1 // n]
+                                 - ni[c2 // n])
         return value
 
+    # every pair of columns in different residues mod n (none when n = 1)
+    pair = {(c1, c2): pair_term(c1, c2) for c1 in range(width)
+            for r2 in range(n) if r2 != c1 % n for c2 in range(r2, width, n)}
+
     # sum(canonical_generator(diagram).a), without building the generator
-    base_sum = sum(s // n for (s, _) in diagram.O)
+    spin_base = (q - 1) - sum(s // n for (s, _) in diagram.O)
+    sigma_sum = n * (n - 1) // 2
+    # M = (raw_o + p - 1)/p + d and A = (raw_o - raw_x)/(2p) - (n-1)/2, with
+    # raw_o = gg - (O cross terms) + self_o + 1, where gg is the
+    # generator's self count
+    maslov_base = d.denominator * (self_o + p) + p * d.numerator
+    alexander_base = self_o - self_x - (n - 1) * p
     out = {}
     for code, cols in generators:
-        a_sum = gg = cross_sum_o = cross_sum_x = 0
-        for t1, c1 in enumerate(cols):
-            a_sum += c1 // n
-            gg += ni[c1 // n]
-            cross_sum_o += cross_o[t1][c1]
-            cross_sum_x += cross_x[t1][c1]
-            for c2 in cols[t1 + 1:]:
-                gg += pair_term(c1, c2)
-        raw_o = gg - cross_sum_o + self_o + 1
-        raw_x = gg - cross_sum_x + self_x + 1
-        # M = raw_o/p + d + (p-1)/p, A = (raw_o - raw_x)/(2p) - (n-1)/2
+        raw = (sum(map(getitem, maslov_rows, cols))
+               + sum(map(pair.__getitem__, combinations(cols, 2))))
+        # the columns are sigma + n*a with sigma a permutation
         out[code] = GradingTriple(
-            spin=((q - 1) + a_sum - base_sum) % p,
-            maslov=Fraction((raw_o + p - 1) * d.denominator + p * d.numerator,
-                            p * d.denominator),
-            alexander=Fraction(raw_o - raw_x - (n - 1) * p, 2 * p))
+            (spin_base + (sum(cols) - sigma_sum) // n) % p,
+            d.denominator * raw + maslov_base,
+            sum(map(getitem, alexander_rows, cols)) + alexander_base)
     return out

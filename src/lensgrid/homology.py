@@ -4,7 +4,10 @@ The fully blocked ("tilde") complex splits as a direct sum over the exact
 triple (Spin^c class, Alexander grading, Maslov grading); its differential
 preserves the first two and lowers the third by one.  Each (S, A) summand
 is therefore a finite complex of vector spaces graded by M, eliminated
-independently with bit-packed rows.
+independently with bit-packed rows.  The summands are bucketed on the
+integer numerators of the gradings and eliminated one at a time, each
+generator's boundary read from the parallelogram table when its row is
+built, so no whole boundary is ever held.
 
 The homology of the fully blocked complex of a knot carries n-1 tensor
 factors of the rank-two bigraded space with summands in degrees (0, 0)
@@ -20,10 +23,13 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .complexes import (DEFAULT_GENERATOR_CAP, build_boundary,
-                        generator_columns, require_generator_cap)
+# unused here: perfbench/tracing.py wraps the homology.build_boundary binding
+from .complexes import (DEFAULT_GENERATOR_CAP, build_boundary,  # noqa: F401
+                        column_decoder, drop_mask, generator_columns,
+                        generator_terms, lens_torus, parallelogram_table,
+                        require_generator_cap)
 from .errors import InternalInvariantError, LensGridError, SizeCapError
-from .gradings import gradings_table
+from .gradings import grading_denominators, gradings_table
 from .grid import require_valid
 
 DEFAULT_PIECE_CAP = 10 ** 5
@@ -77,18 +83,19 @@ def gf2_rank(rows, pivot="low"):
     return rank
 
 
-def homology_ranks(levels, targets, pivot="low"):
+def homology_ranks(levels, targets, pivot="low", step=1):
     """Rank of the homology at each Maslov level of one graded piece.
 
-    ``levels`` maps M to the ordered basis of the piece; ``targets(x)``
-    yields the boundary terms of x, which are summed mod 2, so a term
-    yielded twice cancels.  Every term of a basis element at level M
-    must lie in ``levels[M - 1]``: the differential stays inside the
-    piece and lowers M by exactly one.
+    ``levels`` maps M to the ordered basis of the piece, or M's integer
+    numerator over the denominator ``step``; ``targets(x)`` yields the
+    boundary terms of x, which are summed mod 2, so a term yielded twice
+    cancels.  Every term of a basis element at level M must lie in the
+    level of M - 1 (key minus ``step``): the differential stays inside
+    the piece and lowers M by exactly one.
     """
     rank_out = {}
     for m, basis in levels.items():
-        below = {y: k for k, y in enumerate(levels.get(m - 1, ()))}
+        below = {y: k for k, y in enumerate(levels.get(m - step, ()))}
         rows = []
         for x in basis:
             row = 0
@@ -103,7 +110,7 @@ def homology_ranks(levels, targets, pivot="low"):
         rank_out[m] = gf2_rank(rows, pivot)
     out = {}
     for m, basis in levels.items():
-        h = len(basis) - rank_out[m] - rank_out.get(m + 1, 0)
+        h = len(basis) - rank_out[m] - rank_out.get(m + step, 0)
         if h < 0:
             raise InternalInvariantError("negative homology rank at M=%s" % (m,))
         if h:
@@ -111,29 +118,46 @@ def homology_ranks(levels, targets, pivot="low"):
     return out
 
 
-def graded_homology(graded, terms, piece_cap=None, pivot="low"):
-    """Ranks ``{S: {(M, A): rank}}`` of a complex split into (S, A) pieces.
+def tilde_targets(torus):
+    """``targets(code)``: the target codes of one generator's tilde
+    parallelograms, read from the torus's table at that generator's
+    corner columns.  A target may repeat."""
+    n, p = torus[0], torus[1]
+    terms = generator_terms(
+        parallelogram_table(torus, drop_mask("tilde", n)), n, p)
+    columns = column_decoder(n, p)
+    return lambda code: [y for y, _ in terms(code, columns(code))]
 
-    ``graded`` yields ``(code, (S, A, M))`` per generator.  Every piece is
-    checked against ``piece_cap`` before ``terms()`` builds the boundary
-    (code -> ``(target code, exponents)`` pairs) that ``homology_ranks``
-    then eliminates piece by piece.
+
+def graded_homology(graded, torus, denominators, piece_cap=None,
+                    pivot="low"):
+    """Ranks ``{S: {(M, A): rank}}`` of the tilde complex of ``torus``.
+
+    ``graded`` yields ``(code, (S, A, M))`` per generator, with A and M
+    the integer numerators of the gradings over ``denominators`` (Maslov
+    first).  The codes are bucketed into (S, A) pieces, every piece is
+    checked against ``piece_cap`` before the parallelogram table is
+    built, and then each piece is eliminated and dropped in turn, its
+    boundary read one generator at a time (the tilde differential
+    preserves S and A).  The result has ``Fraction`` gradings.
     """
+    dm, da = denominators
     pieces = {}
     for code, (s, a, m) in graded:
         pieces.setdefault((s, a), {}).setdefault(m, []).append(code)
-    pieces = sorted(pieces.items())
-    for (s, a), levels in pieces:
-        size = sum(map(len, levels.values()))
+    keys = sorted(pieces)
+    for s, a in keys:
+        size = sum(map(len, pieces[s, a].values()))
         if piece_cap is not None and size > piece_cap:
             raise SizeCapError("graded piece (S=%s, A=%s) has dimension %d "
-                               "(cap %d)" % (s, a, size, piece_cap))
-    boundary = terms()
+                               "(cap %d)" % (s, Fraction(a, da), size,
+                                             piece_cap))
+    targets = tilde_targets(torus)
     out = {}
-    for (s, a), levels in pieces:
-        ranks = homology_ranks(
-            levels, lambda x: (y for (y, _) in boundary[x]), pivot)
-        out.setdefault(s, {}).update(((m, a), h) for m, h in ranks.items())
+    for s, a in keys:
+        ranks = homology_ranks(pieces.pop((s, a)), targets, pivot, dm)
+        out.setdefault(s, {}).update(((Fraction(m, dm), Fraction(a, da)), h)
+                                     for m, h in ranks.items())
     return out
 
 
@@ -141,19 +165,19 @@ def tilde_homology(diagram, cap=DEFAULT_GENERATOR_CAP,
                    piece_cap=DEFAULT_PIECE_CAP, pivot="low"):
     """Bigraded homology table of the fully blocked complex of a knot.
 
-    Every (S, A) piece is checked against ``piece_cap`` before the
-    boundary is built.
+    Every (S, A) piece is checked against ``piece_cap`` before any
+    boundary work.
     """
     require_valid(diagram)
-    require_generator_cap(diagram, cap)
     p, n = diagram.lens.p, diagram.n
-    # the table is freed once bucketed, before the boundary is built
+    require_generator_cap(n, p, cap)
+    # the table is freed once bucketed, before the first piece is eliminated
     graded = ((code, (t.spin, t.alexander, t.maslov)) for code, t
-              in gradings_table(diagram, list(generator_columns(n, p))).items())
+              in gradings_table(diagram, generator_columns(n, p)).items())
     classes = {s: {} for s in range(p)}
-    classes.update(graded_homology(
-        graded, lambda: build_boundary(diagram, "tilde", cap).terms,
-        piece_cap, pivot))
+    classes.update(graded_homology(graded, lens_torus(diagram),
+                                   grading_denominators(diagram), piece_cap,
+                                   pivot))
 
     floor = 2 ** (n - 1)
     for s in range(p):

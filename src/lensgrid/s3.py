@@ -17,18 +17,16 @@ is where the cross-validation has its teeth.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import (DEFAULT_GENERATOR_CAP, collect_terms, generator_code,
+from .complexes import (DEFAULT_GENERATOR_CAP, generator_code,
                         generator_columns, generator_from_code,
                         require_generator_cap)
 from .cover import (lift_diagram, lift_generator, require_valid_s3,
                     s3_link_components)
-from .errors import SizeCapError
 from .gradings import (d_invariant, dominance_count, doubled_centres,
-                       doubled_points, gradings_table)
+                       doubled_points, grading_denominators, gradings_table)
 from .grid import canonical_generator, require_knot, require_valid
 from .homology import HomologyTable, graded_homology
 
@@ -46,9 +44,10 @@ def s3_maslov(points, marker_cells):
 
 
 def _square_gradings(diagram, components):
-    """``points -> (M, A)`` on a validated square-grid diagram with
+    """``points -> (M, 4A)`` on a validated square-grid diagram with
     ``components`` link components: M is ``s3_maslov(points, diagram.O)``
-    and A is ``s3_alexander_total(points, diagram)``.
+    and A is ``s3_alexander_total(points, diagram)``, both integers once
+    A is scaled by 4.
 
     The marker families are doubled and their self terms counted once per
     call, and the generator's two counts against O serve both gradings.
@@ -56,16 +55,16 @@ def _square_gradings(diagram, components):
     o_base = doubled_centres(diagram.O)
     x_base = doubled_centres(diagram.X)
     o_self = dominance_count(o_base, o_base)
-    marker_term = 2 * (o_self - dominance_count(x_base, x_base))
-    shift = Fraction(diagram.N - components, 2)
+    # 4A = 2*(I(g, X) + I(X, g) - I(g, O) - I(O, g)) + constant
+    constant = (2 * (o_self - dominance_count(x_base, x_base))
+                - 2 * (diagram.N - components))
 
     def grade(points):
         gen = doubled_points(points)
         against_o = dominance_count(gen, o_base) + dominance_count(o_base, gen)
         against_x = dominance_count(gen, x_base) + dominance_count(x_base, gen)
         maslov = dominance_count(gen, gen) - against_o + o_self + 1
-        pairing = against_x - against_o
-        return maslov, Fraction(2 * pairing + marker_term, 4) - shift
+        return maslov, 2 * (against_x - against_o) + constant
     return grade
 
 
@@ -78,7 +77,7 @@ def s3_alexander_total(points, diagram):
     """
     require_valid_s3(diagram)
     ell = len(s3_link_components(diagram))
-    return _square_gradings(diagram, ell)(points)[1]
+    return Fraction(_square_gradings(diagram, ell)(points)[1], 4)
 
 
 def s3_tilde_homology(diagram, cap=DEFAULT_GENERATOR_CAP, pivot="low"):
@@ -89,23 +88,19 @@ def s3_tilde_homology(diagram, cap=DEFAULT_GENERATOR_CAP, pivot="low"):
     """
     require_valid_s3(diagram)
     N = diagram.N
-    total = math.factorial(N)
-    if cap is not None and total > cap:
-        raise SizeCapError("refusing to enumerate %d! = %d generators (cap %d)"
-                           % (N, total, cap))
+    require_generator_cap(N, 1, cap)
     ell = len(s3_link_components(diagram))
     grade = _square_gradings(diagram, ell)
 
     # the square torus is the engine's p = 1, q = 0 case, with one Spin^c
-    # class
+    # class; M is an integer and A a numerator over 4
     def graded():
         for code, cols in generator_columns(N, 1):
             m, a = grade(tuple(zip(cols, range(N))))
             yield code, (0, a, m)
 
-    classes = graded_homology(
-        graded(), lambda: collect_terms((N, 1, 0, diagram.O, diagram.X),
-                                        "tilde"), pivot=pivot)
+    classes = graded_homology(graded(), (N, 1, 0, diagram.O, diagram.X),
+                              (1, 4), pivot=pivot)
     return HomologyTable(spin_count=1, tensor_exponent=N - ell,
                          classes=classes)
 
@@ -134,9 +129,9 @@ def verify_cover_relations(diagram, cap=DEFAULT_GENERATOR_CAP):
     content, not exceptions.
     """
     require_valid(diagram)
-    require_generator_cap(diagram, cap)
-    link = require_knot(diagram)
     p, q, n = diagram.lens.p, diagram.lens.q, diagram.n
+    require_generator_cap(n, p, cap)
+    link = require_knot(diagram)
     lifted = lift_diagram(diagram)
     ell = len(s3_link_components(lifted))
     violations = []
@@ -145,24 +140,32 @@ def verify_cover_relations(diagram, cap=DEFAULT_GENERATOR_CAP):
                           "= %d/%d" % (ell, p, link.order))
 
     qn = q % p
-    shift = d_invariant(p, qn, qn - 1) + Fraction(p - 1, p)
-    table = gradings_table(diagram, list(generator_columns(n, p)))
+    d = d_invariant(p, qn, qn - 1)
+    dm, da = grading_denominators(diagram)
+    # M = M~/p + d + (p-1)/p, times dm = p*den(d)
+    shift = p * d.numerator + (p - 1) * d.denominator
+    table = gradings_table(diagram, generator_columns(n, p))
     grade = _square_gradings(lifted, ell)
 
     rows = []
+    base = None
     for code, t in table.items():
         x = generator_from_code(code, n, p)
         m_cover, a_cover = grade(lift_generator(x, diagram))
-        row = {"generator": x, "spin": t.spin, "maslov": t.maslov,
-               "alexander": t.alexander, "cover_maslov": m_cover,
-               "cover_alexander": a_cover}
-        rows.append(row)
-        if t.maslov != Fraction(m_cover, p) + shift:
+        rows.append({"generator": x, "spin": t.spin,
+                     "maslov": Fraction(t.maslov, dm),
+                     "alexander": Fraction(t.alexander, da),
+                     "cover_maslov": m_cover,
+                     "cover_alexander": Fraction(a_cover, 4)})
+        if t.maslov != m_cover * d.denominator + shift:
             violations.append("absolute Maslov shift fails for %r" % (x,))
-        base = rows[0]   # against itself the relations hold trivially
-        if p * (t.maslov - base["maslov"]) != m_cover - base["cover_maslov"]:
+        if base is None:   # against itself the relations hold trivially
+            base = (t.maslov, t.alexander, m_cover, a_cover)
+        # p*dM = dM~ and p*dA = dA~, with M over p*den(d), A over 2p and A~
+        # over 4
+        if t.maslov - base[0] != (m_cover - base[2]) * d.denominator:
             violations.append("relative Maslov relation fails for %r" % (x,))
-        if p * (t.alexander - base["alexander"]) != a_cover - base["cover_alexander"]:
+        if 2 * (t.alexander - base[1]) != a_cover - base[3]:
             violations.append("relative Alexander relation fails for %r" % (x,))
 
     canon = canonical_generator(diagram)
@@ -170,8 +173,8 @@ def verify_cover_relations(diagram, cap=DEFAULT_GENERATOR_CAP):
     if canon_maslov != -(p * n - 1):
         violations.append("canonical generator's lift has square-grid Maslov "
                           "%d, expected %d" % (canon_maslov, -(p * n - 1)))
-    canon_grading = table[generator_code(canon, p)]
-    if canon_grading.maslov != d_invariant(p, qn, qn - 1) - (n - 1):
+    canon_grading = Fraction(table[generator_code(canon, p)].maslov, dm)
+    if canon_grading != d - (n - 1):
         violations.append("canonical generator Maslov %s != d(p,q,q-1) - (n-1)"
-                          % (canon_grading.maslov,))
+                          % (canon_grading,))
     return CoverReport(rows=rows, violations=violations)

@@ -21,7 +21,8 @@ from .complexes import (build_boundary, enumerate_generators, generator_code,
                         parallelograms_in, square_is_zero)
 from .corpus import coprime_qs, gn1_corpus, random_diagram, random_knot_diagrams
 from .cover import S3GridDiagram, lift_diagram, lift_generator
-from .gradings import alexander_grading, d_invariant, gradings_table
+from .gradings import (alexander_grading, d_invariant, grading_denominators,
+                       gradings_table)
 from .grid import (GridDiagram, LensParams, canonical_generator,
                    enumerate_grid_number_one)
 from .homology import (document_bytes, extract_hfk_hat, homology_document,
@@ -79,11 +80,12 @@ def criterion_02(gn1, rnd):
         canon = canonical_generator(d)
         code = generator_code(canon, p)
         grading = gradings_table(d, [(code, canon.columns)])[code]
+        maslov = Fraction(grading.maslov, grading_denominators(d)[0])
         lifted = lift_diagram(d)
         if grading.spin != (q - 1) % p:
             return CheckResult("C02", CRITERIA[1][1], False,
                                "Spin^c anchor fails on %r" % (d,))
-        if grading.maslov != d_invariant(p, qn, qn - 1) - (n - 1):
+        if maslov != d_invariant(p, qn, qn - 1) - (n - 1):
             return CheckResult("C02", CRITERIA[1][1], False,
                                "Maslov anchor fails on %r" % (d,))
         if s3_maslov(lift_generator(canon, d), lifted.O) != -(p * n - 1):
@@ -131,11 +133,13 @@ def criterion_05(gn1, rnd):
 
 def criterion_06(gn1, rnd):
     for d in gn1 + rnd:
-        table = gradings_table(d, list(generator_columns(d.n, d.lens.p)))
+        table = gradings_table(d, generator_columns(d.n, d.lens.p))
+        da = grading_denominators(d)[1]
         swapped = GridDiagram(d.lens, d.n, d.X, d.O)
         for code, t in table.items():
             x = generator_from_code(code, d.n, d.lens.p)
-            if alexander_grading(x, swapped) != -t.alexander - (d.n - 1):
+            if (alexander_grading(x, swapped)
+                    != -Fraction(t.alexander, da) - (d.n - 1)):
                 return CheckResult("C06", CRITERIA[5][1], False,
                                    "symmetry fails for %r on %r" % (x, d))
     return CheckResult("C06", CRITERIA[5][1], True,
@@ -200,7 +204,7 @@ def criterion_09(gn1, rnd, seed=DEFAULT_SEED):
     for d in _census_diagrams(seed):
         n, p = d.n, d.lens.p
         gens = list(enumerate_generators(d))
-        if len(gens) != generator_count(d):
+        if len(gens) != generator_count(n, p):
             return CheckResult("C09", CRITERIA[8][1], False,
                                "generator count wrong on %r" % (d,))
         # the embedded candidates at a generator's corner columns, before

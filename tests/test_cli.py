@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import signal
@@ -7,7 +6,7 @@ import signal
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lensgrid import build_boundary, cli, complexes, homology, s3
+from lensgrid import cli, complexes, homology, s3
 from lensgrid.cli import main
 
 GN1 = "5 2 1\nO: 0\nX: 2\n"
@@ -116,16 +115,18 @@ def test_homology_assoc_graded_variant(grid_file, capsys, monkeypatch):
     # boundary, so the homology command gives the same groups from it
     path = grid_file(KNOT_N2)
     _, tilde_out, _ = run(capsys, "homology", path, "--format", "structured")
+    real = complexes.parallelogram_table
 
-    def graded_tilde(diagram, variant, cap):
-        graded = build_boundary(diagram, "assoc-graded", cap)
-        zero = (0,) * diagram.n
-        return dataclasses.replace(
-            graded, variant="tilde",
-            terms={x: tuple(t for t in terms if t[1] == zero)
-                   for x, terms in graded.terms.items()})
+    def graded_tilde(torus, drop):
+        n = torus[0]
+        assert drop == complexes.drop_mask("tilde", n)
+        graded = real(torus, complexes.drop_mask("assoc-graded", n))
+        zero = (0,) * n
+        return {key: [[e for e in entries if e[2] == zero]
+                      for entries in cells]
+                for key, cells in graded.items()}
 
-    monkeypatch.setattr(homology, "build_boundary", graded_tilde)
+    monkeypatch.setattr(homology, "parallelogram_table", graded_tilde)
     code, graded_out, _ = run(capsys, "homology", path, "--format",
                               "structured")
     assert code == 0
@@ -138,7 +139,9 @@ def test_piece_cap_refuses_before_the_boundary(grid_file, capsys,
     def unreachable(*args):
         raise AssertionError("boundary built before the piece-cap check")
 
-    monkeypatch.setattr(homology, "build_boundary", unreachable)
+    monkeypatch.setattr(homology, "parallelogram_table", unreachable)
+    with pytest.raises(AssertionError):   # the patch is on the path
+        run(capsys, "homology", grid_file(KNOT_N2))
     code, out, err = run(capsys, "homology", grid_file(KNOT_N2),
                          "--piece-cap", "1")
     assert code == 2 and out == ""

@@ -11,8 +11,8 @@ import pytest
 from lensgrid import (Generator, GridDiagram, LensParams, SizeCapError,
                       boundary_export_lines, build_boundary,
                       enumerate_generators, generator_code,
-                      generator_from_code, grading_drop_violations,
-                      lift_diagram, parallelograms_from, square_is_zero)
+                      generator_from_code, grading_denominators,
+                      grading_drop_violations, lift_diagram, parallelograms_from, square_is_zero)
 from lensgrid import complexes
 from lensgrid.complexes import (SparseBoundary, generator_columns,
                                 lens_torus, parallelogram_table,
@@ -405,9 +405,10 @@ def test_grading_drops_catch_a_shifted_maslov_grading(monkeypatch):
     real = complexes.gradings_table
 
     def shifted(diagram, generators):
+        # the table holds numerators: M + 1 adds the Maslov denominator
         table = real(diagram, generators)
-        table[code] = dataclasses.replace(table[code],
-                                          maslov=table[code].maslov + 1)
+        table[code] = table[code]._replace(
+            maslov=table[code].maslov + grading_denominators(diagram)[0])
         return table
 
     monkeypatch.setattr(complexes, "gradings_table", shifted)

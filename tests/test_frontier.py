@@ -1,0 +1,23 @@
+import importlib.util
+import json
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "frontier.py"
+
+
+def test_frontier_bench_runs_one_case_in_one_process(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("frontier", TOOL)
+    frontier = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(frontier)
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps({"other": {"rows": []}}))
+    assert frontier.main(["--label", "smoke", "--out", str(out),
+                          "--case", "2,1,2", "--repeat", "1"]) == 0
+    doc = json.loads(out.read_text())
+    assert set(doc) == {"other", "smoke"}   # earlier labels are kept
+    (row,) = doc["smoke"]["rows"]
+    assert row["diagram"] == "L(2,1) n=2" and len(row["runs"]) == 1
+    assert row["seconds"] > 0 and row["peak_rss_mb"] > 0
+    # every L(2,1) knot's homology has rank 2^(n-1) at least per class
+    assert row["total_rank"] >= 4
+    assert "L(2,1) n=2" in capsys.readouterr().out

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from lensgrid import (Generator, GridDiagram, LensParams, ValidationError,
                       alexander_grading, canonical_generator, d_invariant,
-                      dominance_count, generator_code, gradings_table,
-                      maslov_grading, spin_grading)
+                      dominance_count, generator_code, grading_denominators,
+                      gradings_table, maslov_grading, spin_grading)
 from lensgrid.cli import main
 from lensgrid.corpus import (coprime_qs, random_knot_diagram,
                              random_knot_diagrams)
@@ -155,11 +155,12 @@ def test_gradings_table_matches_pointwise():
         p = d.lens.p
         table = gradings_table(d, [(generator_code(x, p), x.columns)
                                    for x in gens])
+        dm, da = grading_denominators(d)
         for x in gens:
             t = table[generator_code(x, p)]
             assert t.spin == spin_grading(x, d)
-            assert t.maslov == maslov_grading(x, d)
-            assert t.alexander == alexander_grading(x, d)
+            assert Fraction(t.maslov, dm) == maslov_grading(x, d)
+            assert Fraction(t.alexander, da) == alexander_grading(x, d)
 
 
 def test_gradings_refuse_links():

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -6,9 +5,9 @@ import pytest
 
 from lensgrid import (Generator, GridDiagram, LensParams, build_boundary,
                       enumerate_grid_number_one, extract_hfk_hat, format_grid,
-                      generator_columns, gf2_rank, gradings_table,
-                      simplicity_report, tilde_homology)
-from lensgrid import homology
+                      generator_columns, gf2_rank, grading_denominators,
+                      gradings_table, simplicity_report, tilde_homology)
+from lensgrid import complexes, homology
 from lensgrid.cli import main
 from lensgrid.corpus import coprime_qs, random_knot_diagram
 from lensgrid.errors import (InternalInvariantError, LensGridError,
@@ -70,10 +69,11 @@ def test_tilde_homology_against_brute_force_pieces():
     d = random_knot_diagram(3, 1, 2, rng)
     boundary = build_boundary(d, "tilde")
     table = gradings_table(d, list(generator_columns(d.n, 3)))
+    dm, da = grading_denominators(d)
     groups = {}
     for code, t in table.items():
-        groups.setdefault((t.spin, t.alexander), {}).setdefault(
-            t.maslov, []).append(code)
+        groups.setdefault((t.spin, Fraction(t.alexander, da)), {}).setdefault(
+            Fraction(t.maslov, dm), []).append(code)
     expected = {s: {} for s in range(3)}
     for (s, a), levels in groups.items():
         ranks = {}
@@ -115,6 +115,7 @@ def test_gradings_table_is_integer_relative_per_spin():
     d = random_knot_diagram(3, 1, 2, rng)
     gens = list(generator_columns(d.n, 3))
     table = gradings_table(d, gens)
+    dm, da = grading_denominators(d)
     assert set(table) == {code for code, _ in gens}
     # within one Spin^c class both gradings are integer-relative
     by_spin = {}
@@ -123,8 +124,8 @@ def test_gradings_table_is_integer_relative_per_spin():
     for triples in by_spin.values():
         base = triples[0]
         for t in triples:
-            assert (t.maslov - base.maslov).denominator == 1
-            assert (t.alexander - base.alexander).denominator == 1
+            assert Fraction(t.maslov - base.maslov, dm).denominator == 1
+            assert Fraction(t.alexander - base.alexander, da).denominator == 1
 
 
 def test_homology_ranks_levels_and_targets():
@@ -143,15 +144,20 @@ def test_misplaced_boundary_term_is_an_invariant_violation(
     rng = random.Random(4)
     d = random_knot_diagram(3, 1, 2, rng)
     tilde_homology(d)
+    victim = next(x for x, out in build_boundary(d, "tilde").terms.items()
+                  if out)
+    real = homology.generator_terms
 
     def misplaced(*args):
         # the first term x -> y becomes x -> x, which stays at x's level
-        terms = dict(build_boundary(*args).terms)
-        x = next(x for x, out in terms.items() if out)
-        terms[x] = ((x, terms[x][0][1]),) + terms[x][1:]
-        return dataclasses.replace(build_boundary(*args), terms=terms)
+        terms = real(*args)
 
-    monkeypatch.setattr(homology, "build_boundary", misplaced)
+        def moved(code, cols):
+            out = terms(code, cols)
+            return [(code, out[0][1])] + out[1:] if code == victim else out
+        return moved
+
+    monkeypatch.setattr(homology, "generator_terms", misplaced)
     with pytest.raises(InternalInvariantError):
         tilde_homology(d)
     path = tmp_path / "d.grid"
@@ -208,12 +214,14 @@ def test_euler_characteristic_matches_chain_level():
         d = random_knot_diagram(p, rng.choice(coprime_qs(p)), 2, rng)
         gens = list(generator_columns(d.n, p))
         table = gradings_table(d, gens)
+        dm = grading_denominators(d)[0]
         hom = tilde_homology(d)
         for s in range(p):
             triples = [table[code] for code, _ in gens
                        if table[code].spin == s]
-            base = triples[0].maslov
-            chain = sum((-1) ** int(t.maslov - base) for t in triples)
+            base = Fraction(triples[0].maslov, dm)
+            chain = sum((-1) ** int(Fraction(t.maslov, dm) - base)
+                        for t in triples)
             homol = sum((-1) ** int(m - base) * r
                         for (m, a), r in hom.classes[s].items())
             assert chain == homol
@@ -243,6 +251,47 @@ def test_piece_cap_refusal():
     d = random_knot_diagram(3, 1, 2, rng)
     with pytest.raises(SizeCapError):
         tilde_homology(d, piece_cap=1)
+
+
+def test_targets_are_read_only_inside_the_piece_being_eliminated(
+        monkeypatch):
+    # the boundary is read one generator at a time, and only for the
+    # members of the (S, A) piece under elimination
+    d = random_knot_diagram(3, 1, 3, random.Random(21))
+    expected = tilde_homology(d)
+    current, asked = set(), []
+    real_ranks, real_targets = homology.homology_ranks, homology.tilde_targets
+
+    def ranks(levels, targets, *args):
+        current.clear()
+        current.update(code for basis in levels.values() for code in basis)
+        return real_ranks(levels, targets, *args)
+
+    def local_targets(torus):
+        targets = real_targets(torus)
+
+        def checked(code):
+            assert code in current, "targets(%d) outside its piece" % code
+            asked.append(code)
+            return targets(code)
+        return checked
+
+    monkeypatch.setattr(homology, "homology_ranks", ranks)
+    monkeypatch.setattr(homology, "tilde_targets", local_targets)
+    assert tilde_homology(d) == expected
+    assert sorted(asked) == [code for code, _ in generator_columns(3, 3)]
+
+
+def test_tilde_homology_builds_no_whole_boundary(monkeypatch):
+    d = random_knot_diagram(3, 1, 3, random.Random(22))
+    expected = tilde_homology(d)
+
+    def unreachable(*args):
+        raise AssertionError("the whole boundary was collected")
+
+    monkeypatch.setattr(complexes, "collect_terms", unreachable)
+    monkeypatch.setattr(complexes, "_odd_terms", unreachable)
+    assert tilde_homology(d) == expected
 
 
 def test_document_bytes_deterministic():

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -6,15 +5,15 @@ import pytest
 
 from lensgrid import (Generator, GridDiagram, LensParams, S3GridDiagram,
                       enumerate_generators, extract_hfk_hat, generator_code,
-                      generator_columns, gradings_table,
+                      generator_columns, grading_denominators, gradings_table,
                       lift_diagram, lift_generator, maslov_grading,
                       s3_alexander_total, s3_maslov,
                       s3_tilde_homology, verify_cover_relations)
-from lensgrid import s3
+from lensgrid import homology, s3
 from lensgrid.corpus import (coprime_qs, gn1_corpus, random_knot_diagram,
                              random_knot_diagrams)
 from lensgrid.cover import s3_link_components
-from lensgrid.errors import InternalInvariantError
+from lensgrid.errors import InternalInvariantError, SizeCapError
 
 UNKNOT_2x2 = S3GridDiagram(2, ((0, 0), (1, 1)), ((1, 0), (0, 1)))
 
@@ -175,10 +174,12 @@ def test_eq1_relation_on_lifted_homology_case():
     assert table.total_rank() >= 2
     gens = list(enumerate_generators(d2))
     grading = gradings_table(d2, list(generator_columns(2, 2)))
+    dm = grading_denominators(d2)[0]
     code = {x: generator_code(x, 2) for x in gens}
     for x in gens:
         pts = lift_generator(x, d2)
-        assert 2 * (grading[code[x]].maslov - grading[code[gens[0]]].maslov) \
+        assert 2 * Fraction(grading[code[x]].maslov
+                            - grading[code[gens[0]]].maslov, dm) \
             == s3_maslov(pts, lifted2.O) - s3_maslov(lift_generator(gens[0], d2), lifted2.O)
 
 
@@ -197,12 +198,14 @@ def test_verify_cover_reports_a_shifted_grading(monkeypatch, grading,
     gens = list(enumerate_generators(d))
     victim = gens[len(gens) // 2]
     code = generator_code(victim, 5)
+    denominator = dict(zip(("maslov", "alexander"), grading_denominators(d)))
 
     def shifted(diagram, generators):
+        # the table holds numerators: a shift by 1/p adds denominator/p
         table = real(diagram, generators)
         t = table[code]
-        table[code] = dataclasses.replace(
-            t, **{grading: getattr(t, grading) + Fraction(1, diagram.lens.p)})
+        table[code] = t._replace(**{grading: getattr(t, grading)
+                                    + denominator[grading] // diagram.lens.p})
         return table
 
     monkeypatch.setattr(s3, "gradings_table", shifted)
@@ -217,14 +220,29 @@ def test_misplaced_square_grid_term_is_an_invariant_violation(monkeypatch):
     trefoil = S3GridDiagram(5, tuple(((r - 1) % 5, r) for r in range(5)),
                             tuple(((r + 1) % 5, r) for r in range(5)))
     s3_tilde_homology(trefoil)
-    real = s3.collect_terms
+    real = homology.generator_terms
     identity = generator_code(Generator(tuple(range(5)), (0,) * 5), 1)
 
     def misplaced(*args):
         terms = real(*args)
-        terms[identity] = ((identity, (0,) * 5),) + terms[identity]
-        return terms
 
-    monkeypatch.setattr(s3, "collect_terms", misplaced)
+        def added(code, cols):
+            out = terms(code, cols)
+            return [(code, (0,) * 5)] + out if code == identity else out
+        return added
+
+    monkeypatch.setattr(homology, "generator_terms", misplaced)
     with pytest.raises(InternalInvariantError):
         s3_tilde_homology(trefoil)
+
+
+def test_square_grid_cap_refuses_a_huge_grid():
+    # N! has over 5,700 digits at N = 2,000; the refusal names a bound
+    # instead of the number
+    N = 2000
+    grid = S3GridDiagram(N, tuple((r, r) for r in range(N)),
+                         tuple(((r + 1) % N, r) for r in range(N)))
+    with pytest.raises(SizeCapError) as e:
+        s3_tilde_homology(grid, cap=10)
+    assert str(e.value) == ("refusing to enumerate 2000! > 10^100 generators "
+                            "(cap 10)")

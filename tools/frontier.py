@@ -1,0 +1,113 @@
+#!/usr/bin/env python3
+"""Frontier bench: ``tilde_homology`` on the ROADMAP Baseline diagrams,
+one fresh process per run.
+
+    python3 tools/frontier.py --label change --out BENCH_10.json
+    python3 tools/frontier.py --src /path/to/other/checkout/src \
+        --label parent --out BENCH_10.json
+
+A case ``P,Q,N`` is the first diagram of
+``corpus.random_knot_diagrams(P, Q, N, 1, seed=1)``.  Every run is a new
+Python process that imports lensgrid from ``--src``, builds the diagram
+and times the ``tilde_homology`` call alone; it reports those seconds,
+its own peak RSS (``ru_maxrss``) and a digest of the homology table, so
+that two checkouts can be seen to agree.  Runs go one at a time.  A case
+reports the best (least) time of its ``--repeat`` runs and the largest
+peak RSS among them.  The rows are stored in ``--out`` under ``--label``;
+labels already in the file are kept, so one file holds both sides of a
+comparison.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BASELINE = ((5, 2, 4), (3, 1, 5), (7, 3, 4), (2, 1, 6), (5, 2, 5))
+
+CHILD = r"""
+import hashlib, json, resource, sys, time
+sys.path.insert(0, sys.argv[1])
+from lensgrid.corpus import random_knot_diagrams
+from lensgrid.homology import tilde_homology
+p, q, n = map(int, sys.argv[2:5])
+diagram = random_knot_diagrams(p, q, n, 1, seed=1)[0]
+start = time.perf_counter()
+table = tilde_homology(diagram)
+seconds = time.perf_counter() - start
+ranks = sorted((s, str(m), str(a), r) for s, by in table.classes.items()
+               for (m, a), r in by.items())
+print(json.dumps({
+    "seconds": seconds,
+    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "total_rank": table.total_rank(),
+    "ranks_sha256": hashlib.sha256(json.dumps(ranks).encode()).hexdigest()}))
+"""
+
+
+def run_once(src, case):
+    """One child process on one case: its JSON report."""
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD, str(src), *map(str, case)],
+        capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def measure(src, case, repeat):
+    runs = [run_once(src, case) for _ in range(repeat)]
+    if len({r["ranks_sha256"] for r in runs}) != 1:
+        raise RuntimeError("runs of %s disagree on the homology" % (case,))
+    p, q, n = case
+    return {
+        "diagram": "L(%d,%d) n=%d" % (p, q, n),
+        "p": p, "q": q, "n": n,
+        "seconds": min(r["seconds"] for r in runs),
+        "peak_rss_mb": max(r["peak_rss_mb"] for r in runs),
+        "runs": runs,
+        "total_rank": runs[0]["total_rank"],
+        "ranks_sha256": runs[0]["ranks_sha256"],
+    }
+
+
+def parse_case(text):
+    p, q, n = map(int, text.split(","))
+    return p, q, n
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="the src directory to import lensgrid from")
+    parser.add_argument("--label", required=True,
+                        help="key of these rows in the output file")
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--case", type=parse_case, action="append",
+                        metavar="P,Q,N",
+                        help="a case to run (repeatable); default: the "
+                             "Baseline rows %s" % (BASELINE,))
+    parser.add_argument("--repeat", type=int, default=3)
+    args = parser.parse_args(argv)
+
+    rows = []
+    for case in args.case or BASELINE:
+        row = measure(args.src.resolve(), case, args.repeat)
+        print("%-14s %9.2f s %8.1f MB" % (row["diagram"], row["seconds"],
+                                          row["peak_rss_mb"]), flush=True)
+        rows.append(row)
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc[args.label] = {
+        "setup": {"python": platform.python_version(),
+                  "machine": platform.machine(), "repeat": args.repeat},
+        "rows": rows,
+    }
+    args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
