@@ -95,7 +95,6 @@ class SparseBoundary:
 
     n: int
     p: int
-    variant: str
     terms: dict
 
 
@@ -303,21 +302,21 @@ def _odd_terms(found):
     return tuple(kept)
 
 
-def generator_terms(table, n, p):
-    """``terms(code, columns)``: the ``(target code, exponents)`` pairs of
-    one generator's admissible parallelograms in ``table`` (see
-    ``parallelogram_table``), exponents being their O counts.  A pair may
-    occur more than once; nothing is cancelled."""
+def admissible_entries(table, n, p):
+    """``entries(cols)``: the entries of ``table`` (see
+    ``parallelogram_table``) at the corner columns of the generator with
+    column tuple ``cols`` that the generator does not block, one per
+    admissible parallelogram leaving it, in table order."""
     width = n * p
     pairs = [(i, j, cells) for (i, j), cells in table.items()]
     bits = [[1 << (t * width + c) for c in range(width)] for t in range(n)]
 
-    def terms(code, cols):
+    def entries(cols):
         occupied = sum(map(getitem, bits, cols))
-        return [(code + entry[0], entry[2]) for i, j, cells in pairs
+        return [entry for i, j, cells in pairs
                 for entry in cells[cols[i] * width + cols[j]]
                 if not entry[1] & occupied]
-    return terms
+    return entries
 
 
 def column_decoder(n, p):
@@ -339,37 +338,31 @@ def collect_terms(torus, variant):
     """Mod-2 collected boundary terms of every generator of the torus,
     keyed by code, as ``SparseBoundary.terms`` holds them."""
     n, p = torus[0], torus[1]
-    terms = generator_terms(
+    entries = admissible_entries(
         parallelogram_table(torus, drop_mask(variant, n)), n, p)
-    return {code: _odd_terms(terms(code, cols))
+    return {code: _odd_terms([(code + e[0], e[2]) for e in entries(cols)])
             for code, cols in generator_columns(n, p)}
 
 
-def parallelograms_in(table, x, width):
-    """The admissible parallelograms leaving x, with marker counts: the
-    table's entries at x's corner columns that x does not block."""
-    cols = x.columns
-    occupied = sum(1 << (t * width + c) for t, c in enumerate(cols))
-    out = []
-    for (i, j), cells in table.items():
-        for (_, block, o_counts, x_counts, w, h, new_i, new_j) \
-                in cells[cols[i] * width + cols[j]]:
-            if block & occupied:
-                continue
-            target = list(cols)
-            target[i], target[j] = new_i, new_j
-            out.append(Parallelogram(
-                source=x, target=Generator.from_columns(target),
-                moved_rows=(i, j), sw=(cols[i], i), width=w, height=h,
-                o_counts=o_counts, x_counts=x_counts))
-    return out
-
-
 def parallelograms_from(x, diagram):
-    """All admissible parallelograms leaving x, with marker counts, from
-    the table's slice at x's corner columns."""
-    table = parallelogram_table(lens_torus(diagram), columns=x.columns)
-    return parallelograms_in(table, x, diagram.width)
+    """All admissible parallelograms leaving x, with marker counts, as
+    ``Parallelogram`` objects: the object view of ``admissible_entries``
+    on the table's slice at x's corner columns."""
+    n, cols = diagram.n, x.columns
+    table = parallelogram_table(lens_torus(diagram), columns=cols)
+    # rows i and j swap beta curves: new_i lies on row j's, new_j on row i's
+    row_of = {s: t for t, s in enumerate(x.sigma)}
+    out = []
+    for (_, _, o_counts, x_counts, w, h, new_i, new_j) \
+            in admissible_entries(table, n, diagram.lens.p)(cols):
+        i, j = row_of[new_j % n], row_of[new_i % n]
+        target = list(cols)
+        target[i], target[j] = new_i, new_j
+        out.append(Parallelogram(
+            source=x, target=Generator.from_columns(target),
+            moved_rows=(i, j), sw=(cols[i], i), width=w, height=h,
+            o_counts=o_counts, x_counts=x_counts))
+    return out
 
 
 def build_boundary(diagram, variant, cap=DEFAULT_GENERATOR_CAP):
@@ -385,7 +378,7 @@ def build_boundary(diagram, variant, cap=DEFAULT_GENERATOR_CAP):
     if variant not in VARIANTS:
         raise ValidationError("unknown boundary variant %r" % (variant,))
     require_generator_cap(diagram.n, diagram.lens.p, cap)
-    return SparseBoundary(n=diagram.n, p=diagram.lens.p, variant=variant,
+    return SparseBoundary(n=diagram.n, p=diagram.lens.p,
                           terms=collect_terms(lens_torus(diagram), variant))
 
 
@@ -428,24 +421,30 @@ def grading_drop_violations(diagram, cap=DEFAULT_GENERATOR_CAP):
     require_generator_cap(n, p, cap)
     table = gradings_table(diagram, generator_columns(n, p))
     dm, da = grading_denominators(diagram)
-    geometry = parallelogram_table(lens_torus(diagram))
+    entries = admissible_entries(
+        parallelogram_table(lens_torus(diagram)), n, p)
     out = []
-    for code, ts in table.items():
-        for P in parallelograms_in(geometry, generator_from_code(code, n, p),
-                                   diagram.width):
-            src, dst = P.source, P.target
-            td = table[generator_code(dst, p)]
-            n_o, n_x = sum(P.o_counts), sum(P.x_counts)
+    for code, cols in generator_columns(n, p):
+        ts = table[code]
+        for (delta, _, o_counts, x_counts, *_) in entries(cols):
+            td = table[code + delta]
+            n_o, n_x = sum(o_counts), sum(x_counts)
             maslov_drop = Fraction(ts.maslov - td.maslov, dm)
             alexander_drop = Fraction(ts.alexander - td.alexander, da)
+            # messages name the generators, built only for a violation
+            heads = []
             if ts.spin != td.spin:
-                out.append("spin changes %r -> %r" % (src, dst))
+                heads.append("spin changes")
             if maslov_drop != 1 - 2 * n_o:
-                out.append("maslov drop %s != 1 - 2*%d for %r -> %r"
-                           % (maslov_drop, n_o, src, dst))
+                heads.append("maslov drop %s != 1 - 2*%d for"
+                             % (maslov_drop, n_o))
             if alexander_drop != n_x - n_o:
-                out.append("alexander drop %s != %d - %d for %r -> %r"
-                           % (alexander_drop, n_x, n_o, src, dst))
+                heads.append("alexander drop %s != %d - %d for"
+                             % (alexander_drop, n_x, n_o))
+            if heads:
+                move = "%r -> %r" % (generator_from_code(code, n, p),
+                                     generator_from_code(code + delta, n, p))
+                out.extend(head + " " + move for head in heads)
     return out
 
 

@@ -21,7 +21,10 @@ from typing import NamedTuple
 
 from .cover import lift_points
 from .errors import ValidationError
-from .grid import canonical_generator, require_knot, require_valid
+# require_valid is unused here: perfbench/tracing.py wraps the
+# gradings.require_valid binding
+from .grid import (canonical_generator, require_knot,  # noqa: F401
+                   require_valid)
 
 
 class GradingTriple(NamedTuple):
@@ -213,8 +216,7 @@ def gradings_table(diagram, generators):
 
     Requires a knot diagram (the Alexander grading is only defined then).
     """
-    require_valid(diagram)
-    require_knot(diagram)
+    require_knot(diagram)   # validates the diagram first
     p, q, n = diagram.lens.p, diagram.lens.q, diagram.n
     qn = q % p
     d = d_invariant(p, qn, qn - 1)

@@ -64,10 +64,6 @@ class Generator:
     a: tuple
 
     @property
-    def n(self):
-        return len(self.sigma)
-
-    @property
     def columns(self):
         """Horizontal position of the component in each row."""
         n = len(self.sigma)

@@ -25,8 +25,8 @@ from fractions import Fraction
 
 # unused here: perfbench/tracing.py wraps the homology.build_boundary binding
 from .complexes import (DEFAULT_GENERATOR_CAP, build_boundary,  # noqa: F401
-                        column_decoder, drop_mask, generator_columns,
-                        generator_terms, lens_torus, parallelogram_table,
+                        admissible_entries, column_decoder, drop_mask,
+                        generator_columns, lens_torus, parallelogram_table,
                         require_generator_cap)
 from .errors import InternalInvariantError, LensGridError, SizeCapError
 from .gradings import grading_denominators, gradings_table
@@ -123,10 +123,10 @@ def tilde_targets(torus):
     parallelograms, read from the torus's table at that generator's
     corner columns.  A target may repeat."""
     n, p = torus[0], torus[1]
-    terms = generator_terms(
+    entries = admissible_entries(
         parallelogram_table(torus, drop_mask("tilde", n)), n, p)
     columns = column_decoder(n, p)
-    return lambda code: [y for y, _ in terms(code, columns(code))]
+    return lambda code: [code + e[0] for e in entries(columns(code))]
 
 
 def graded_homology(graded, torus, denominators, piece_cap=None,
@@ -208,7 +208,7 @@ def _divide_once(poly):
     return quotient
 
 
-def extract_hfk_hat(table, n=None):
+def extract_hfk_hat(table):
     """Divide out the multi-marker tensor factor from a homology table.
 
     Returns a new table with ``hfk_hat`` filled in when the division by
@@ -216,7 +216,7 @@ def extract_hfk_hat(table, n=None):
     undivided ranks are kept, ``extraction_exact`` is False and ``note``
     carries a diagnostic.
     """
-    exponent = table.tensor_exponent if n is None else n - 1
+    exponent = table.tensor_exponent
     hat = {}
     for s, poly in table.classes.items():
         q = dict(poly)

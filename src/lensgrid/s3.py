@@ -80,7 +80,7 @@ def s3_alexander_total(points, diagram):
     return Fraction(_square_gradings(diagram, ell)(points)[1], 4)
 
 
-def s3_tilde_homology(diagram, cap=DEFAULT_GENERATOR_CAP, pivot="low"):
+def s3_tilde_homology(diagram, cap=DEFAULT_GENERATOR_CAP):
     """Bigraded homology of the fully blocked square-grid complex.
 
     Works for links; the extracted groups divide out one tensor factor
@@ -100,7 +100,7 @@ def s3_tilde_homology(diagram, cap=DEFAULT_GENERATOR_CAP, pivot="low"):
             yield code, (0, a, m)
 
     classes = graded_homology(graded(), (N, 1, 0, diagram.O, diagram.X),
-                              (1, 4), pivot=pivot)
+                              (1, 4))
     return HomologyTable(spin_count=1, tensor_exponent=N - ell,
                          classes=classes)
 

@@ -15,10 +15,11 @@ import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import (build_boundary, enumerate_generators, generator_code,
+from .complexes import (admissible_entries, build_boundary,
+                        enumerate_generators, generator_code,
                         generator_columns, generator_count, generator_from_code,
                         grading_drop_violations, lens_torus, parallelogram_table,
-                        parallelograms_in, square_is_zero)
+                        square_is_zero)
 from .corpus import coprime_qs, gn1_corpus, random_diagram, random_knot_diagrams
 from .cover import S3GridDiagram, lift_diagram, lift_generator
 from .gradings import (alexander_grading, d_invariant, grading_denominators,
@@ -124,9 +125,9 @@ def criterion_05(gn1, rnd):
         bad = grading_drop_violations(d)
         if bad:
             return CheckResult("C05", CRITERIA[4][1], False, bad[0])
-        table = parallelogram_table(lens_torus(d))
-        terms += sum(len(parallelograms_in(table, x, d.width))
-                     for x in enumerate_generators(d))
+        n, p = d.n, d.lens.p
+        entries = admissible_entries(parallelogram_table(lens_torus(d)), n, p)
+        terms += sum(len(entries(cols)) for _, cols in generator_columns(n, p))
     return CheckResult("C05", CRITERIA[4][1], True,
                        "identities exact on %d parallelograms" % terms)
 

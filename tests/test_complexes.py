@@ -20,7 +20,7 @@ from lensgrid.complexes import (SparseBoundary, generator_columns,
 from lensgrid.corpus import (coprime_qs, random_diagram, random_knot_diagram,
                              random_knot_diagrams)
 from lensgrid.grid import format_grid
-from lensgrid.selftest import build_corpus
+from lensgrid.selftest import build_corpus, criterion_05
 
 import parallelogram_oracle as oracle
 
@@ -186,12 +186,10 @@ def test_square_is_zero_tells_monomials_apart():
     # U_1: different monomials, which must not cancel
     terms = {0: ((1, (1, 0)), (2, (0, 0))), 1: ((3, (1, 0)),),
              2: ((3, (0, 1)),), 3: ()}
-    assert not square_is_zero(SparseBoundary(n=2, p=2, variant="minus",
-                                             terms=terms))
+    assert not square_is_zero(SparseBoundary(n=2, p=2, terms=terms))
     terms[0] = ((1, (1, 0)), (2, (1, 0)))
     terms[2] = ((3, (1, 0)),)
-    assert square_is_zero(SparseBoundary(n=2, p=2, variant="minus",
-                                         terms=terms))
+    assert square_is_zero(SparseBoundary(n=2, p=2, terms=terms))
 
 
 def test_boundaries_square_to_zero():
@@ -265,13 +263,20 @@ def test_grading_drops_clean_and_reversed(monkeypatch):
     assert square_is_zero(transpose(tilde))
     minus = build_boundary(d, "minus")
     assert boundary_export_lines(transpose(minus)) != boundary_export_lines(minus)
-    original = complexes.parallelograms_in
+    original = complexes.admissible_entries
 
-    def reversed_corners(table, x, width):
-        return [dataclasses.replace(P, source=P.target, target=P.source)
-                for P in original(table, x, width)]
+    def reversed_corners(table, n, p):
+        # each generator reads the entries that lead into it, delta negated
+        entries = original(table, n, p)
+        columns = dict(generator_columns(n, p))
+        incoming = {}
+        for code, cols in columns.items():
+            for entry in entries(cols):
+                incoming.setdefault(columns[code + entry[0]], []).append(
+                    (-entry[0],) + entry[1:])
+        return lambda cols: incoming.get(cols, [])
 
-    monkeypatch.setattr(complexes, "parallelograms_in", reversed_corners)
+    monkeypatch.setattr(complexes, "admissible_entries", reversed_corners)
     assert grading_drop_violations(d)
 
 
@@ -318,16 +323,21 @@ def test_boundary_exports_match_golden_digests():
     assert golden_digests() == json.loads(GOLDEN.read_text())
 
 
-def oracle_tori():
-    """Six tori: three with q < 0, one with n = 4, a diagram that need not
-    be a knot, and one lifted square grid."""
+def oracle_diagrams():
+    """Five lens diagrams (three with q < 0, one with n = 4, one that need
+    not be a knot) and one lifted square grid."""
     rng = random.Random(71)
     lens = [random_knot_diagram(3, -1, 3, rng),
             random_knot_diagram(5, -2, 2, rng),
             random_knot_diagram(2, -1, 4, rng),
             random_knot_diagram(4, 1, 3, rng),
             random_diagram(5, 2, 2, rng)]
-    lifted = lift_diagram(random_knot_diagram(3, -1, 2, rng))
+    return lens, lift_diagram(random_knot_diagram(3, -1, 2, rng))
+
+
+def oracle_tori():
+    """The tori of ``oracle_diagrams``, the lifted square grid last."""
+    lens, lifted = oracle_diagrams()
     return ([lens_torus(d) for d in lens]
             + [(lifted.N, 1, 0, lifted.O, lifted.X)])
 
@@ -370,6 +380,40 @@ def test_table_matches_per_generator_oracle(torus):
         assert sorted(found) == sorted(expected), (torus, x)
         total += len(found)
     assert total > 0
+
+
+def test_parallelograms_from_matches_per_generator_oracle():
+    """The object view names the moved rows by residue; the scan, which
+    shares no code with the table, names them by construction."""
+    total = 0
+    for d in oracle_diagrams()[0]:
+        for x in enumerate_generators(d):
+            cols = x.columns
+            found = []
+            for P in parallelograms_from(x, d):
+                i, j = P.moved_rows
+                assert P.source == x and P.sw == (cols[i], i)
+                found.append((i, j, P.width, P.height, P.target.columns,
+                              P.o_counts, P.x_counts))
+            expected = oracle.parallelograms(cols, lens_torus(d))
+            assert sorted(found) == sorted(expected), (d, x)
+            total += len(found)
+    assert total > 0
+
+
+def test_checks_build_no_parallelogram_objects(monkeypatch):
+    def refuse(**fields):
+        raise AssertionError("a Parallelogram was built")
+
+    monkeypatch.setattr(complexes, "Parallelogram", refuse)
+    d = random_knot_diagram(3, 1, 2, random.Random(51))
+    with pytest.raises(AssertionError):   # the patch is on the object path
+        for x in enumerate_generators(d):
+            parallelograms_from(x, d)
+    assert grading_drop_violations(d) == []
+    result = criterion_05(*build_corpus())
+    assert result.ok
+    assert result.detail == "identities exact on 17200 parallelograms"
 
 
 def test_generator_codes_round_trip_and_sort_like_sort_key():

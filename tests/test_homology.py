@@ -146,18 +146,22 @@ def test_misplaced_boundary_term_is_an_invariant_violation(
     tilde_homology(d)
     victim = next(x for x, out in build_boundary(d, "tilde").terms.items()
                   if out)
-    real = homology.generator_terms
+    real = homology.admissible_entries
+    victim_cols = dict(generator_columns(d.n, d.lens.p))[victim]
 
     def misplaced(*args):
-        # the first term x -> y becomes x -> x, which stays at x's level
-        terms = real(*args)
+        # the first term x -> y becomes x -> x (code delta 0), which stays
+        # at x's level
+        entries = real(*args)
 
-        def moved(code, cols):
-            out = terms(code, cols)
-            return [(code, out[0][1])] + out[1:] if code == victim else out
+        def moved(cols):
+            out = entries(cols)
+            if cols == victim_cols:
+                return [(0,) + out[0][1:]] + out[1:]
+            return out
         return moved
 
-    monkeypatch.setattr(homology, "generator_terms", misplaced)
+    monkeypatch.setattr(homology, "admissible_entries", misplaced)
     with pytest.raises(InternalInvariantError):
         tilde_homology(d)
     path = tmp_path / "d.grid"

@@ -220,18 +220,20 @@ def test_misplaced_square_grid_term_is_an_invariant_violation(monkeypatch):
     trefoil = S3GridDiagram(5, tuple(((r - 1) % 5, r) for r in range(5)),
                             tuple(((r + 1) % 5, r) for r in range(5)))
     s3_tilde_homology(trefoil)
-    real = homology.generator_terms
-    identity = generator_code(Generator(tuple(range(5)), (0,) * 5), 1)
+    real = homology.admissible_entries
+    identity = Generator(tuple(range(5)), (0,) * 5).columns
+    # code delta 0 and no markers inside: a term x -> x
+    loop = (0, 0, (0,) * 5, (0,) * 5, 1, 1, 0, 0)
 
     def misplaced(*args):
-        terms = real(*args)
+        entries = real(*args)
 
-        def added(code, cols):
-            out = terms(code, cols)
-            return [(code, (0,) * 5)] + out if code == identity else out
+        def added(cols):
+            out = entries(cols)
+            return [loop] + out if cols == identity else out
         return added
 
-    monkeypatch.setattr(homology, "generator_terms", misplaced)
+    monkeypatch.setattr(homology, "admissible_entries", misplaced)
     with pytest.raises(InternalInvariantError):
         s3_tilde_homology(trefoil)
 
