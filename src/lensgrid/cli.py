@@ -25,7 +25,7 @@ from .gradings import grading_denominators, gradings_table
 from .grid import (GridDiagram, LensParams, enumerate_grid_number_one,
                    format_grid, parse_grid, reconstruct_link, require_valid,
                    validate)
-from .homology import (DEFAULT_PIECE_CAP, _frac, document_bytes,
+from .homology import (DEFAULT_PIECE_CAP, document_bytes,
                        extract_hfk_hat, homology_document,
                        poincare_polynomial, simplicity_report, tilde_homology)
 from .s3 import verify_cover_relations
@@ -178,9 +178,9 @@ def cmd_verify_cover(args):
     diagram, digest = _load(args.path)
     report = verify_cover_relations(diagram, args.cap)
     keys = ("generator", "S", "M", "A", "cover_M", "cover_A")
-    rows = [(generator_label(r["generator"]), r["spin"], _frac(r["maslov"]),
-             _frac(r["alexander"]), r["cover_maslov"],
-             _frac(r["cover_alexander"])) for r in report.rows]
+    rows = [(generator_label(r["generator"]), r["spin"], str(r["maslov"]),
+             str(r["alexander"]), r["cover_maslov"],
+             str(r["cover_alexander"])) for r in report.rows]
     if args.format == "structured":
         _emit({"input_sha256": digest, "ok": report.ok,
                "violations": report.violations,

@@ -429,18 +429,19 @@ def grading_drop_violations(diagram, cap=DEFAULT_GENERATOR_CAP):
         for (delta, _, o_counts, x_counts, *_) in entries(cols):
             td = table[code + delta]
             n_o, n_x = sum(o_counts), sum(x_counts)
-            maslov_drop = Fraction(ts.maslov - td.maslov, dm)
-            alexander_drop = Fraction(ts.alexander - td.alexander, da)
-            # messages name the generators, built only for a violation
+            maslov_drop = ts.maslov - td.maslov
+            alexander_drop = ts.alexander - td.alexander
+            # messages name the generators and the drops, built only for a
+            # violation
             heads = []
             if ts.spin != td.spin:
                 heads.append("spin changes")
-            if maslov_drop != 1 - 2 * n_o:
+            if maslov_drop != (1 - 2 * n_o) * dm:
                 heads.append("maslov drop %s != 1 - 2*%d for"
-                             % (maslov_drop, n_o))
-            if alexander_drop != n_x - n_o:
+                             % (Fraction(maslov_drop, dm), n_o))
+            if alexander_drop != (n_x - n_o) * da:
                 heads.append("alexander drop %s != %d - %d for"
-                             % (alexander_drop, n_x, n_o))
+                             % (Fraction(alexander_drop, da), n_x, n_o))
             if heads:
                 move = "%r -> %r" % (generator_from_code(code, n, p),
                                      generator_from_code(code + delta, n, p))

@@ -19,12 +19,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .complexes import (DEFAULT_GENERATOR_CAP, generator_code,
                         generator_columns, generator_from_code,
                         require_generator_cap)
-from .cover import (lift_diagram, lift_generator, require_valid_s3,
-                    s3_link_components)
+# lift_generator is unused here: perfbench/tracing.py wraps the
+# s3.lift_generator binding
+from .cover import (lift_diagram, lift_generator,  # noqa: F401
+                    require_valid_s3, s3_link_components)
+from .errors import InternalInvariantError
 from .gradings import (d_invariant, dominance_count, doubled_centres,
                        doubled_points, grading_denominators, gradings_table)
 from .grid import canonical_generator, require_knot, require_valid
@@ -66,6 +70,59 @@ def _square_gradings(diagram, components):
         maslov = dominance_count(gen, gen) - against_o + o_self + 1
         return maslov, 2 * (against_x - against_o) + constant
     return grade
+
+
+def _cover_gradings(diagram, lifted, components, columns):
+    """``[(M, 4A), ...]`` of the lifts of the lens generators with column
+    tuples ``columns``, in order: the integers ``s3_maslov(lift,
+    lifted.O)`` and ``4 * s3_alexander_total(lift, lifted)``, with
+    ``lifted = lift_diagram(diagram)`` and ``components`` its link
+    components.
+
+    One sweep over the N = n*p rows of the cover serves every generator.
+    ``below_o[c]`` and ``below_x[c]`` count the markers in lower rows with
+    column < c, so each lifted point adds its I(O, g) and I(X, g) share by
+    lookup, and a bitmask of the columns its lift has met gives its
+    I(g, g) share.  Raises InternalInvariantError unless every lift meets
+    every column once.
+    """
+    n, q, N = diagram.n, diagram.lens.q, lifted.N
+    by_row = list(zip(*columns))   # by_row[t]: every generator's column t
+    o_g, x_g, higher, masks = ([0] * len(columns) for _ in range(4))
+    below_o, below_x = [0] * N, [0] * N
+    self_o = self_x = 0
+    for row, ((oc, _), (xc, _)) in enumerate(zip(lifted.O, lifted.X)):
+        k, t = divmod(row, n)
+        # cover.lift_points: (c, t) lifts to column (c + n*q*k) mod N of
+        # row t + n*k
+        shift = n * q * k
+        cols = [(c + shift) % N for c in by_row[t]]
+        o_g = list(map(add, o_g, map(below_o.__getitem__, cols)))
+        x_g = list(map(add, x_g, map(below_x.__getitem__, cols)))
+        # points in lower rows and higher columns; the other points in
+        # lower rows are the point's I(g, g) share
+        higher = [h + (m >> c).bit_count()
+                  for h, m, c in zip(higher, masks, cols)]
+        for i, c in enumerate(cols):   # in place: one mask per generator
+            masks[i] |= 1 << c
+        self_o += below_o[oc]
+        self_x += below_x[xc]
+        below_o[oc + 1:] = [v + 1 for v in below_o[oc + 1:]]
+        below_x[xc + 1:] = [v + 1 for v in below_x[xc + 1:]]
+    full = (1 << N) - 1
+    for cols, mask in zip(columns, masks):
+        if mask != full:
+            raise InternalInvariantError(
+                "lifted generator is not a bijection: columns %r" % (cols,))
+    # a bijection has N*(N-1)/2 pairs of points, so I(g, g) = N*(N-1)/2 -
+    # higher.  g and both marker families meet every row and column once,
+    # so I(g, B) = I(B, g) + N (see gradings._marker_cross_table); then
+    # M = I(g, g) - 2*I(O, g) - N + I(O, O) + 1 and
+    # 4A = 4*(I(X, g) - I(O, g)) + 2*(I(O, O) - I(X, X)) - 2*(N - components)
+    maslov_base = N * (N - 1) // 2 - N + self_o + 1
+    alexander_base = 2 * (self_o - self_x) - 2 * (N - components)
+    return [(maslov_base - h - 2 * o, 4 * (x - o) + alexander_base)
+            for h, o, x in zip(higher, o_g, x_g)]
 
 
 def s3_alexander_total(points, diagram):
@@ -145,18 +202,22 @@ def verify_cover_relations(diagram, cap=DEFAULT_GENERATOR_CAP):
     # M = M~/p + d + (p-1)/p, times dm = p*den(d)
     shift = p * d.numerator + (p - 1) * d.denominator
     table = gradings_table(diagram, generator_columns(n, p))
-    grade = _square_gradings(lifted, ell)
+    # in the table's order, code order
+    cover = _cover_gradings(diagram, lifted, ell,
+                            [cols for _, cols in generator_columns(n, p)])
+    canon_code = generator_code(canonical_generator(diagram), p)
 
     rows = []
     base = None
-    for code, t in table.items():
+    for (code, t), (m_cover, a_cover) in zip(table.items(), cover):
         x = generator_from_code(code, n, p)
-        m_cover, a_cover = grade(lift_generator(x, diagram))
         rows.append({"generator": x, "spin": t.spin,
                      "maslov": Fraction(t.maslov, dm),
                      "alexander": Fraction(t.alexander, da),
                      "cover_maslov": m_cover,
                      "cover_alexander": Fraction(a_cover, 4)})
+        if code == canon_code:
+            canon_maslov = m_cover
         if t.maslov != m_cover * d.denominator + shift:
             violations.append("absolute Maslov shift fails for %r" % (x,))
         if base is None:   # against itself the relations hold trivially
@@ -168,12 +229,10 @@ def verify_cover_relations(diagram, cap=DEFAULT_GENERATOR_CAP):
         if 2 * (t.alexander - base[1]) != a_cover - base[3]:
             violations.append("relative Alexander relation fails for %r" % (x,))
 
-    canon = canonical_generator(diagram)
-    canon_maslov = grade(lift_generator(canon, diagram))[0]
     if canon_maslov != -(p * n - 1):
         violations.append("canonical generator's lift has square-grid Maslov "
                           "%d, expected %d" % (canon_maslov, -(p * n - 1)))
-    canon_grading = Fraction(table[generator_code(canon, p)].maslov, dm)
+    canon_grading = Fraction(table[canon_code].maslov, dm)
     if canon_grading != d - (n - 1):
         violations.append("canonical generator Maslov %s != d(p,q,q-1) - (n-1)"
                           % (canon_grading,))

@@ -183,6 +183,40 @@ def test_eq1_relation_on_lifted_homology_case():
             == s3_maslov(pts, lifted2.O) - s3_maslov(lift_generator(gens[0], d2), lifted2.O)
 
 
+def sweep_diagrams():
+    out = [d for (p, q) in ((7, 2), (7, -3), (29, 3))
+           for d in gn1_corpus((p,)) if d.lens.q == q]
+    for (p, q, n, count) in ((11, 3, 2, 3), (5, -2, 2, 3), (3, -1, 3, 2),
+                             (5, 2, 3, 2)):
+        out += random_knot_diagrams(p, q, n, count, seed="sweep")
+    return out
+
+
+def test_cover_sweep_matches_the_per_point_gradings():
+    # the one-pass sweep of verify_cover_relations against the per-point
+    # reference, generator by generator
+    for d in sweep_diagrams():
+        lifted = lift_diagram(d)
+        ell = len(s3_link_components(lifted))
+        gens = list(enumerate_generators(d))
+        swept = s3._cover_gradings(d, lifted, ell, [x.columns for x in gens])
+        assert len(swept) == len(gens)
+        for x, (m, a4) in zip(gens, swept):
+            lift = lift_generator(x, d)
+            assert (m, a4) == (s3_maslov(lift, lifted.O),
+                               4 * s3_alexander_total(lift, lifted)), (d, x)
+
+
+def test_cover_sweep_refuses_a_lift_that_is_not_a_bijection():
+    # negative control: rows 0 and 1 both in residue 0 mod 2, so the lift
+    # meets the even columns twice and the odd ones never
+    d = random_knot_diagrams(5, -2, 2, 1, seed="sweep")[0]
+    lifted = lift_diagram(d)
+    ell = len(s3_link_components(lifted))
+    with pytest.raises(InternalInvariantError, match=r"columns \(0, 2\)"):
+        s3._cover_gradings(d, lifted, ell, [(0, 1), (0, 2)])
+
+
 @pytest.mark.parametrize("grading, relations", [
     ("maslov", ("absolute Maslov shift", "relative Maslov relation")),
     ("alexander", ("relative Alexander relation",))],
