@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError, ValidationError
-from .grid import Tokens, row_cycles
+from .grid import Tokens, require_valid, row_cycles
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,6 @@ def require_valid_s3(diagram):
 
 def lift_diagram(diagram):
     """Lift a lens-space diagram to the square grid diagram of its preimage."""
-    from .grid import require_valid
     require_valid(diagram)
     p, q, n = diagram.lens.p, diagram.lens.q, diagram.n
     o_cells = tuple(sorted(lift_points(diagram.O, p, q, n), key=lambda c: c[1]))

@@ -70,6 +70,18 @@ def doubled_centres(cells):
     return tuple((2 * s + 1, 2 * t + 1) for (s, t) in cells)
 
 
+def s3_maslov(points, marker_cells):
+    """Integer Maslov grading of a grid generator on the square torus.
+
+    ``points`` are the generator's (col, row) components, ``marker_cells``
+    the cells of the marker family playing the anchoring role.
+    """
+    gen = doubled_points(points)
+    base = doubled_centres(marker_cells)
+    return (dominance_count(gen, gen) - dominance_count(gen, base)
+            - dominance_count(base, gen) + dominance_count(base, base) + 1)
+
+
 @lru_cache(maxsize=None)
 def _d(p, q, i):
     if p == 1:
@@ -117,10 +129,8 @@ def maslov_grading(x, diagram, basepoints="O"):
     """
     p, q, n = diagram.lens.p, diagram.lens.q, diagram.n
     cells = diagram.O if basepoints == "O" else diagram.X
-    gen = doubled_points(lift_points(x.points(), p, q, n))
-    base = doubled_centres(lift_points(cells, p, q, n))
-    raw = (dominance_count(gen, gen) - dominance_count(gen, base)
-           - dominance_count(base, gen) + dominance_count(base, base) + 1)
+    raw = s3_maslov(lift_points(x.points(), p, q, n),
+                    lift_points(cells, p, q, n))
     qn = q % p
     return Fraction(raw, p) + d_invariant(p, qn, qn - 1) + Fraction(p - 1, p)
 

@@ -1,18 +1,19 @@
 """Square-torus grid invariants, used as an independent cross-check.
 
-The Maslov grading here is the classical integer-valued dominance-count
-formula on an N x N grid.  The total Alexander grading is the symmetrised
-dominance pairing J of Manolescu-Ozsvath-Szabo-Thurston between the
-generator and the marker difference X - O, expanded into plain dominance
-counts.  Gradings of a lens-space diagram are validated against
-these by lifting to the universal cover: relative Maslov and Alexander
-gradings scale by 1/p under the covering, and the absolute Maslov
-gradings differ by d(p, q, q-1) + (p-1)/p.
+The Maslov grading is the classical integer-valued dominance-count
+formula on an N x N grid (``gradings.s3_maslov``).  The total Alexander
+grading is the symmetrised dominance pairing J of Manolescu-Ozsvath-
+Szabo-Thurston between the generator and the marker difference X - O,
+expanded into plain dominance counts.  One sweep over a square grid's
+rows grades all its generators; run on the universal-cover lift, it
+checks the gradings of a lens-space diagram: relative Maslov and
+Alexander gradings scale by 1/p under the covering, and the absolute
+Maslov gradings differ by d(p, q, q-1) + (p-1)/p.
 
 The rectangle engine is shared with the lens-space complex (the square
 torus is the untwisted case), so the geometric layer is common code; the
-grading formulas on the two sides are independent of one another, which
-is where the cross-validation has its teeth.
+sweep shares no code with the lens gradings table, which is where the
+cross-validation has its teeth.
 """
 
 from __future__ import annotations
@@ -24,77 +25,42 @@ from operator import add
 from .complexes import (DEFAULT_GENERATOR_CAP, generator_code,
                         generator_columns, generator_from_code,
                         require_generator_cap)
-# lift_generator is unused here: perfbench/tracing.py wraps the
-# s3.lift_generator binding
+# lift_generator and s3_maslov are unused here: perfbench/tracing.py
+# wraps their s3 bindings
 from .cover import (lift_diagram, lift_generator,  # noqa: F401
-                    require_valid_s3, s3_link_components)
+                    s3_link_components)
 from .errors import InternalInvariantError
 from .gradings import (d_invariant, dominance_count, doubled_centres,
-                       doubled_points, grading_denominators, gradings_table)
+                       doubled_points, grading_denominators, gradings_table,
+                       s3_maslov)  # noqa: F401
 from .grid import canonical_generator, require_knot, require_valid
 from .homology import HomologyTable, graded_homology
 
 
-def s3_maslov(points, marker_cells):
-    """Integer Maslov grading of a grid generator on the square torus.
+def _cover_gradings(n, q, lifted, components, columns):
+    """An iterator of ``(M, 4A)`` for the point sets ``g`` on the square
+    grid ``lifted`` with ``components`` link components, one per column
+    tuple of ``columns``, in order: the integers ``s3_maslov(g,
+    lifted.O)`` and ``4 * s3_alexander_total(g, lifted)``.  Row t + n*k
+    of ``g`` holds the point in column ``(cols[t] + n*q*k) mod N``
+    (``cover.lift_points``), so with ``lifted = lift_diagram(diagram)``
+    and the n, q of that lens diagram ``g`` is the lift of the generator
+    with columns ``cols``; with n = N and q = 0 it is a square grid's own.
 
-    ``points`` are the generator's (col, row) components, ``marker_cells``
-    the cells of the marker family playing the anchoring role.
-    """
-    gen = doubled_points(points)
-    base = doubled_centres(marker_cells)
-    return (dominance_count(gen, gen) - dominance_count(gen, base)
-            - dominance_count(base, gen) + dominance_count(base, base) + 1)
-
-
-def _square_gradings(diagram, components):
-    """``points -> (M, 4A)`` on a validated square-grid diagram with
-    ``components`` link components: M is ``s3_maslov(points, diagram.O)``
-    and A is ``s3_alexander_total(points, diagram)``, both integers once
-    A is scaled by 4.
-
-    The marker families are doubled and their self terms counted once per
-    call, and the generator's two counts against O serve both gradings.
-    """
-    o_base = doubled_centres(diagram.O)
-    x_base = doubled_centres(diagram.X)
-    o_self = dominance_count(o_base, o_base)
-    # 4A = 2*(I(g, X) + I(X, g) - I(g, O) - I(O, g)) + constant
-    constant = (2 * (o_self - dominance_count(x_base, x_base))
-                - 2 * (diagram.N - components))
-
-    def grade(points):
-        gen = doubled_points(points)
-        against_o = dominance_count(gen, o_base) + dominance_count(o_base, gen)
-        against_x = dominance_count(gen, x_base) + dominance_count(x_base, gen)
-        maslov = dominance_count(gen, gen) - against_o + o_self + 1
-        return maslov, 2 * (against_x - against_o) + constant
-    return grade
-
-
-def _cover_gradings(diagram, lifted, components, columns):
-    """``[(M, 4A), ...]`` of the lifts of the lens generators with column
-    tuples ``columns``, in order: the integers ``s3_maslov(lift,
-    lifted.O)`` and ``4 * s3_alexander_total(lift, lifted)``, with
-    ``lifted = lift_diagram(diagram)`` and ``components`` its link
-    components.
-
-    One sweep over the N = n*p rows of the cover serves every generator.
+    One sweep over the N rows of the grid serves every generator.
     ``below_o[c]`` and ``below_x[c]`` count the markers in lower rows with
     column < c, so each lifted point adds its I(O, g) and I(X, g) share by
     lookup, and a bitmask of the columns its lift has met gives its
     I(g, g) share.  Raises InternalInvariantError unless every lift meets
     every column once.
     """
-    n, q, N = diagram.n, diagram.lens.q, lifted.N
+    N = lifted.N
     by_row = list(zip(*columns))   # by_row[t]: every generator's column t
     o_g, x_g, higher, masks = ([0] * len(columns) for _ in range(4))
     below_o, below_x = [0] * N, [0] * N
     self_o = self_x = 0
     for row, ((oc, _), (xc, _)) in enumerate(zip(lifted.O, lifted.X)):
         k, t = divmod(row, n)
-        # cover.lift_points: (c, t) lifts to column (c + n*q*k) mod N of
-        # row t + n*k
         shift = n * q * k
         cols = [(c + shift) % N for c in by_row[t]]
         o_g = list(map(add, o_g, map(below_o.__getitem__, cols)))
@@ -121,8 +87,9 @@ def _cover_gradings(diagram, lifted, components, columns):
     # 4A = 4*(I(X, g) - I(O, g)) + 2*(I(O, O) - I(X, X)) - 2*(N - components)
     maslov_base = N * (N - 1) // 2 - N + self_o + 1
     alexander_base = 2 * (self_o - self_x) - 2 * (N - components)
-    return [(maslov_base - h - 2 * o, 4 * (x - o) + alexander_base)
-            for h, o, x in zip(higher, o_g, x_g)]
+    # lazily, so a caller holds no list of all the pairs
+    return ((maslov_base - h - 2 * o, 4 * (x - o) + alexander_base)
+            for h, o, x in zip(higher, o_g, x_g))
 
 
 def s3_alexander_total(points, diagram):
@@ -132,9 +99,16 @@ def s3_alexander_total(points, diagram):
     Expanded, 4*J is 2*[I(g, X) + I(X, g) - I(g, O) - I(O, g)] plus the
     generator-independent 2*(I(O, O) - I(X, X)).
     """
-    require_valid_s3(diagram)
-    ell = len(s3_link_components(diagram))
-    return Fraction(_square_gradings(diagram, ell)(points)[1], 4)
+    ell = len(s3_link_components(diagram))   # validates the diagram first
+    gen = doubled_points(points)
+    o_base, x_base = doubled_centres(diagram.O), doubled_centres(diagram.X)
+
+    def against(base):
+        return dominance_count(gen, base) + dominance_count(base, gen)
+    return Fraction(2 * (against(x_base) - against(o_base))
+                    + 2 * (dominance_count(o_base, o_base)
+                           - dominance_count(x_base, x_base))
+                    - 2 * (diagram.N - ell), 4)
 
 
 def s3_tilde_homology(diagram, cap=DEFAULT_GENERATOR_CAP):
@@ -143,21 +117,18 @@ def s3_tilde_homology(diagram, cap=DEFAULT_GENERATOR_CAP):
     Works for links; the extracted groups divide out one tensor factor
     per marker pair beyond the component count.
     """
-    require_valid_s3(diagram)
+    ell = len(s3_link_components(diagram))   # validates the diagram first
     N = diagram.N
     require_generator_cap(N, 1, cap)
-    ell = len(s3_link_components(diagram))
-    grade = _square_gradings(diagram, ell)
-
+    generators = generator_columns(N, 1)
+    # a square grid is its own cover: N rows of one sheet, no shift
+    grades = _cover_gradings(N, 0, diagram, ell,
+                             [cols for _, cols in generators])
     # the square torus is the engine's p = 1, q = 0 case, with one Spin^c
     # class; M is an integer and A a numerator over 4
-    def graded():
-        for code, cols in generator_columns(N, 1):
-            m, a = grade(tuple(zip(cols, range(N))))
-            yield code, (0, a, m)
-
-    classes = graded_homology(graded(), (N, 1, 0, diagram.O, diagram.X),
-                              (1, 4))
+    graded = ((code, (0, a, m))
+              for (code, _), (m, a) in zip(generators, grades))
+    classes = graded_homology(graded, (N, 1, 0, diagram.O, diagram.X), (1, 4))
     return HomologyTable(spin_count=1, tensor_exponent=N - ell,
                          classes=classes)
 
@@ -203,7 +174,7 @@ def verify_cover_relations(diagram, cap=DEFAULT_GENERATOR_CAP):
     shift = p * d.numerator + (p - 1) * d.denominator
     table = gradings_table(diagram, generator_columns(n, p))
     # in the table's order, code order
-    cover = _cover_gradings(diagram, lifted, ell,
+    cover = _cover_gradings(n, q, lifted, ell,
                             [cols for _, cols in generator_columns(n, p)])
     canon_code = generator_code(canonical_generator(diagram), p)
 

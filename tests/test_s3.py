@@ -193,18 +193,35 @@ def sweep_diagrams():
 
 
 def test_cover_sweep_matches_the_per_point_gradings():
-    # the one-pass sweep of verify_cover_relations against the per-point
-    # reference, generator by generator
+    # the one-pass sweep of verify_cover_relations and s3_tilde_homology
+    # against the per-point reference, generator by generator
     for d in sweep_diagrams():
         lifted = lift_diagram(d)
         ell = len(s3_link_components(lifted))
         gens = list(enumerate_generators(d))
-        swept = s3._cover_gradings(d, lifted, ell, [x.columns for x in gens])
+        swept = list(s3._cover_gradings(d.n, d.lens.q, lifted, ell,
+                                        [x.columns for x in gens]))
         assert len(swept) == len(gens)
         for x, (m, a4) in zip(gens, swept):
             lift = lift_generator(x, d)
             assert (m, a4) == (s3_maslov(lift, lifted.O),
                                4 * s3_alexander_total(lift, lifted)), (d, x)
+    # a square grid is its own cover: n = N and q = 0
+    rng = random.Random("sweep")
+    is_knot = set()
+    for N in range(2, 7):
+        for _ in range(4):
+            d = random_s3_diagram(N, rng)
+            ell = len(s3_link_components(d))
+            is_knot.add(ell == 1)
+            cols = [cols for _, cols in generator_columns(N, 1)]
+            swept = list(s3._cover_gradings(N, 0, d, ell, cols))
+            assert len(swept) == len(cols)
+            for c, (m, a4) in zip(cols, swept):
+                pts = tuple(zip(c, range(N)))
+                assert (m, a4) == (s3_maslov(pts, d.O),
+                                   4 * s3_alexander_total(pts, d)), (d, c)
+    assert is_knot == {True, False}   # knots and multi-component links
 
 
 def test_cover_sweep_refuses_a_lift_that_is_not_a_bijection():
@@ -214,7 +231,27 @@ def test_cover_sweep_refuses_a_lift_that_is_not_a_bijection():
     lifted = lift_diagram(d)
     ell = len(s3_link_components(lifted))
     with pytest.raises(InternalInvariantError, match=r"columns \(0, 2\)"):
-        s3._cover_gradings(d, lifted, ell, [(0, 1), (0, 2)])
+        s3._cover_gradings(d.n, d.lens.q, lifted, ell, [(0, 1), (0, 2)])
+
+
+def test_square_grid_homology_grades_through_the_sweep(monkeypatch):
+    # s3_tilde_homology grades by the one-pass sweep: with the per-point
+    # dominance counts of s3 broken, the unknot, the trefoil and a lifted
+    # grid keep their tables
+    grids = [UNKNOT_2x2,
+             S3GridDiagram(5, tuple(((r - 1) % 5, r) for r in range(5)),
+                           tuple(((r + 1) % 5, r) for r in range(5))),
+             lift_diagram(GridDiagram(LensParams(2, 1), 2, ((0, 0), (1, 1)),
+                                      ((1, 0), (0, 1))))]
+    tables = [s3_tilde_homology(d) for d in grids]
+
+    def broken(first, second):
+        raise AssertionError("per-point dominance count called")
+
+    monkeypatch.setattr(s3, "dominance_count", broken)
+    with pytest.raises(AssertionError, match="per-point"):
+        s3_alexander_total(((0, 0), (1, 1)), UNKNOT_2x2)
+    assert [s3_tilde_homology(d) for d in grids] == tables
 
 
 @pytest.mark.parametrize("grading, relations", [
