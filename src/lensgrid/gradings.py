@@ -15,8 +15,8 @@ import math
 from bisect import bisect_left, insort
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from operator import getitem
+from itertools import accumulate, combinations
+from operator import add, getitem
 from typing import NamedTuple
 
 from .cover import lift_points
@@ -142,13 +142,15 @@ def alexander_grading(x, diagram):
             - (diagram.n - 1)) / 2
 
 
-def _non_inversions(seq):
-    """Number of pairs i < j with seq[i] < seq[j]."""
-    seen = []
-    total = 0
-    for v in seq:
-        total += bisect_left(seen, v)
-        insort(seen, v)
+def _dedekind_sum(h, k):
+    """Dedekind sum s(h, k) for coprime h and k >= 1, by the reciprocity
+    s(h, k) + s(k, h) = (h*h + k*k + 1) / (12*h*k) - 1/4."""
+    total, sign = Fraction(0), 1
+    h %= k
+    while h:
+        total += sign * (Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4))
+        sign = -sign
+        h, k = k % h, h
     return total
 
 
@@ -156,49 +158,118 @@ def _lift_non_inversions(p, q):
     """``NI[a]``: non-inversions of ``k -> (a + q*k) mod p``, for every a.
 
     This is the self-dominance count of the lift of one generator
-    component whose column is ``sigma + n*a``.  Moving a to a + 1 turns
-    the value p - 1, taken at the k* with ``a + q*k* = p - 1 (mod p)``,
-    into 0 and leaves the order of every other pair alone, so
-    ``NI[a+1] = NI[a] + (p - 1) - 2*k*``.
+    component whose column is ``sigma + n*a``.  ``k -> q*k mod p`` has
+    ``(p-1)(p-2)/4 - 3p*s(q, p)`` inversions (Meyer), s being the Dedekind
+    sum, which gives NI[0].  Moving a to a + 1 turns the value p - 1,
+    taken at the k* with ``a + q*k* = p - 1 (mod p)``, into 0 and leaves
+    the order of every other pair alone, so ``NI[a+1] = NI[a] + (p - 1) -
+    2*k*``.
     """
-    out = [_non_inversions([q * k % p for k in range(p)])]
+    inversions = Fraction((p - 1) * (p - 2), 4) - 3 * p * _dedekind_sum(q, p)
     q_inv = pow(q, -1, p)
-    for a in range(p - 1):
-        k_star = (p - 1 - a) * q_inv % p
-        out.append(out[-1] + (p - 1) - 2 * k_star)
-    return out
+    return list(accumulate((p - 1 - 2 * ((p - 1 - a) * q_inv % p)
+                            for a in range(p - 1)),
+                           initial=p * (p - 1) // 2 - int(inversions)))
 
 
-def _marker_cross_table(cells, p, q, n):
+def _shifted_counts(p, q_inv, ni, b):
+    """``[T_b(delta; 0, 0) for delta in range(p)]``, where
+
+        T_b(delta; e, f) = #{(j, k) : j < k + e,
+                             (b + q*j) mod p < (b + delta + q*k) mod p + f}
+
+    counts the pairs of lifts of the points in row t, column ``s_t +
+    n*b``, and in row r, column ``s + n*(b + delta)``, with the first
+    strictly below-left of the second; e is ``[t < r]``, f is ``[s_t <
+    s]``.  T_b(0; 0, 0) is ``NI[b]``.  Moving delta to delta + 1 raises
+    every value of the second sequence by one but the one at k* (``b +
+    delta + q*k* = p - 1``), which wraps to 0 and loses its count; the k
+    that gain are those whose old value sits at a position ``k +
+    q^-1*delta (mod p)`` below k, so the step is ``(q^-1*delta mod p) -
+    k*``.  f adds the pairs j < k of equal values, ``q^-1*delta mod p``
+    of them; e adds the pairs j = k with the first value smaller, ``-delta
+    mod p``; e and f together add the p pairs j = k when delta = 0.
+    """
+    return list(accumulate((q_inv * d % p - q_inv * (p - 1 - b - d) % p
+                            for d in range(p - 1)), initial=ni[b]))
+
+
+def _marker_cross_table(cells, p, q, n, ni):
     """Per-cell cross terms and the self term of one marker family.
 
     Returns ``(cross, self_count)``.  ``cross[r][c]`` is, summed over the
     p lifts of the generator point (c, r), the number of lifted markers
     weakly above-right of the lift plus the number strictly below-left of
     it: the lift's share of ``I(g, B) + I(B, g)``.  ``self_count`` is
-    ``I(B, B)``.  One sweep over the cover's rows keeps ``below[C]``, the
-    markers in lower rows with column < C; the lifted markers meet every
-    row and column once, so the markers weakly above-right of (C, R)
-    number ``width - R - C + below[C]``.
+    ``I(B, B)``.
+
+    The lifted markers meet every row and column of the cover once, so
+    the markers weakly above-right of a lift (C, R) number ``n*p - R - C``
+    plus those strictly below-left of it.  Over the p lifts of ``c = s +
+    n*a`` the first part sums to ``p*n*p - p*(r + s) - n*p*(p-1)``, and
+    marker ``(s_t + n*b, t)`` adds ``T_b(a - b; [t < r], [s_t < s])``
+    (``_shifted_counts``): a vector over a, plus the f parts of the
+    markers in residues below s, the e parts of those in rows below r,
+    and p at ``a = b`` when both hold.  A generator's lift also meets
+    every row and column once, so ``I(g, B) = I(B, g) + n*p``, and
+    ``I(B, B)`` is half the markers' own cross terms less ``n*p``.
+    O(n*n*p) steps.
     """
     width = n * p
-    marker_col = [0] * width
-    for (c, row) in lift_points(cells, p, q, n):
-        marker_col[row] = c
-    below = [0] * width
-    cross = [[0] * width for _ in range(n)]
-    self_count = 0
-    for row in range(width):
-        vals = [width - row - c + 2 * b for c, b in enumerate(below)]
-        # the lift of cell (c, row % n) into this row sits in column c + shift
-        shift = n * q * (row // n) % width
-        rotated = vals[shift:] + vals[:shift]
-        r = row % n
-        cross[r] = [s + v for s, v in zip(cross[r], rotated)]
-        mc = marker_col[row]
-        self_count += below[mc]
-        below[mc + 1:] = [b + 1 for b in below[mc + 1:]]
-    return cross, self_count
+    q_inv = pow(q, -1, p)
+    by_row = sorted((t, s % n, s // n) for (s, t) in cells)
+    counts = [0] * p     # sum of T_b(a - b; 0, 0) over the markers
+    lower = [[0] * p]    # lower[r]: the e parts of the markers in rows < r
+    for t, _, b in by_row:
+        row = _shifted_counts(p, q_inv, ni, b)
+        counts = list(map(add, counts, row[p - b:] + row[:p - b]))
+        if t < n - 1:
+            lower.append([v + (b - a) % p for a, v in enumerate(lower[-1])])
+    left = [[0] * p]     # left[s]: the f parts of the markers in residues < s
+    for _, b in sorted((s % n, s // n) for (s, _) in cells)[:-1]:
+        left.append([v + q_inv * (a - b) % p for a, v in enumerate(left[-1])])
+    base = p * width - n * p * (p - 1)
+    cross = []
+    for r in range(n):
+        out = [0] * width
+        for s in range(n):
+            k = base - p * (r + s)
+            out[s::n] = [k + 2 * (u + v + w)
+                         for u, v, w in zip(counts, left[s], lower[r])]
+        cross.append(out)
+    for t, s_t, b in by_row:
+        for r in range(t + 1, n):
+            for s in range(s_t + 1, n):
+                cross[r][s + n * b] += 2 * p
+    return cross, (sum(cross[t][s] for (s, t) in cells) - width) // 2
+
+
+def _pair_table(p, q, n, ni):
+    """``{(c1, c2): pair term}`` for every pair of columns in different
+    residues mod n (empty when n = 1).
+
+    The pair term of components in columns ``c1 = s1 + n*a1`` and ``c2 =
+    s2 + n*a2`` of rows t1 < t2 counts the dominance pairs between their
+    lifts: ``T_a1(d; 1, [s1 < s2]) + T_a2(-d; 0, [s2 < s1])`` with ``d =
+    a2 - a1 mod p`` (``_shifted_counts``).  O(n*n*p*p) steps.
+    """
+    if n == 1:
+        return {}
+    q_inv = pow(q, -1, p)
+    rows = [_shifted_counts(p, q_inv, ni, a) for a in range(p)]
+    table = {}
+    for s1 in range(n):
+        for s2 in range(n):
+            if s1 == s2:
+                continue
+            f = s1 < s2
+            for a1, row1 in enumerate(rows):
+                for a2, row2 in enumerate(rows):
+                    d = (a2 - a1) % p
+                    table[s1 + n * a1, s2 + n * a2] = (
+                        row1[d] + row2[-d % p] + q_inv * (d if f else -d) % p
+                        + (-d % p if d else f * p))
+    return table
 
 
 def grading_denominators(diagram):
@@ -217,12 +288,15 @@ def gradings_table(diagram, generators):
     numerators of M and A over ``grading_denominators(diagram)``.
 
     The dominance counts of ``maslov_grading`` are bilinear in the lifted
-    points, so the generator-against-marker terms are sums of per-cell
-    table entries, and the generator-against-itself term is a sum over
-    pairs of components: ``NI[a]`` for a component with itself, a
-    per-column-pair table entry for two components in different rows.
-    Tables live for this call only and take O(n*n*p*p) memory, O(n*p)
-    when n = 1.
+    points, and the count between the p lifts of two points is one
+    shifted-lift count ``T_b(delta; e, f)`` (``_shifted_counts``).  So the
+    generator-against-marker terms are sums of per-cell table entries
+    (``_marker_cross_table``), and the generator-against-itself term is a
+    sum over pairs of components: ``NI[a]`` for a component with itself,
+    a per-column-pair entry (``_pair_table``) for two components in
+    different rows.  ``NI`` is built once and serves all three.  No table
+    walks the cover: they take O(n*n*p) steps, O(n*n*p*p) when n > 1 for
+    the pair table, and live for this call only.
 
     Requires a knot diagram (the Alexander grading is only defined then).
     """
@@ -230,36 +304,15 @@ def gradings_table(diagram, generators):
     p, q, n = diagram.lens.p, diagram.lens.q, diagram.n
     qn = q % p
     d = d_invariant(p, qn, qn - 1)
-    width = n * p
-    cross_o, self_o = _marker_cross_table(diagram.O, p, q, n)
-    cross_x, self_x = _marker_cross_table(diagram.X, p, q, n)
     ni = _lift_non_inversions(p, qn)
+    cross_o, self_o = _marker_cross_table(diagram.O, p, qn, n, ni)
+    cross_x, self_x = _marker_cross_table(diagram.X, p, qn, n, ni)
     # per row, a component's share of raw_o (NI[a] minus its O cross term)
     # and of raw_o - raw_x
     maslov_rows = [[ni[c // n] - o for c, o in enumerate(row)] for row in cross_o]
     alexander_rows = [[x - o for o, x in zip(row_o, row_x)]
                       for row_o, row_x in zip(cross_o, cross_x)]
-    memo = {}
-
-    def pair_term(c1, c2):
-        # dominance pairs between the lifts of components in columns c1 and
-        # c2 of rows t1 < t2.  Read by row, the lifts interleave as c1, c2,
-        # c1 + nq, c2 + nq, ... (mod n*p); their order depends only on
-        # c1 // n, c2 // n and whether c1 % n < c2 % n.
-        key = (c1 // n, c2 // n, c1 % n < c2 % n)
-        value = memo.get(key)
-        if value is None:
-            seq = []
-            for k in range(p):
-                shift = n * q * k
-                seq += ((c1 + shift) % width, (c2 + shift) % width)
-            value = memo[key] = (_non_inversions(seq) - ni[c1 // n]
-                                 - ni[c2 // n])
-        return value
-
-    # every pair of columns in different residues mod n (none when n = 1)
-    pair = {(c1, c2): pair_term(c1, c2) for c1 in range(width)
-            for r2 in range(n) if r2 != c1 % n for c2 in range(r2, width, n)}
+    pair = _pair_table(p, qn, n, ni)
 
     # sum(canonical_generator(diagram).a), without building the generator
     spin_base = (q - 1) - sum(s // n for (s, _) in diagram.O)

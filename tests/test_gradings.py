@@ -3,7 +3,9 @@ import hashlib
 import io
 import json
 import random
+from bisect import bisect_left, insort
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -11,8 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 from lensgrid import (Generator, GridDiagram, LensParams, ValidationError,
                       alexander_grading, canonical_generator, d_invariant,
-                      dominance_count, generator_code, grading_denominators,
-                      gradings_table, maslov_grading, spin_grading)
+                      dominance_count, generator_code, generator_columns,
+                      grading_denominators, gradings_table, maslov_grading,
+                      spin_grading)
+from lensgrid.cover import lift_points
+from lensgrid.gradings import (_lift_non_inversions, _marker_cross_table,
+                               _pair_table)
 from lensgrid.cli import main
 from lensgrid.corpus import (coprime_qs, random_knot_diagram,
                              random_knot_diagrams)
@@ -161,6 +167,111 @@ def test_gradings_table_matches_pointwise():
             assert t.spin == spin_grading(x, d)
             assert Fraction(t.maslov, dm) == maslov_grading(x, d)
             assert Fraction(t.alexander, da) == alexander_grading(x, d)
+
+
+def non_inversions(seq):
+    """Number of pairs i < j with seq[i] < seq[j]."""
+    seen = []
+    total = 0
+    for v in seq:
+        total += bisect_left(seen, v)
+        insort(seen, v)
+    return total
+
+
+def sweep_marker_cross_table(cells, p, q, n):
+    """``_marker_cross_table`` by one sweep over the cover's n*p rows, kept
+    as its reference: ``below[C]`` counts the markers in lower rows with
+    column < C, and the markers weakly above-right of (C, R) number
+    ``width - R - C + below[C]``.  O((n*p)**2) steps."""
+    width = n * p
+    marker_col = [0] * width
+    for (c, row) in lift_points(cells, p, q, n):
+        marker_col[row] = c
+    below = [0] * width
+    cross = [[0] * width for _ in range(n)]
+    self_count = 0
+    for row in range(width):
+        vals = [width - row - c + 2 * b for c, b in enumerate(below)]
+        # the lift of cell (c, row % n) into this row sits in column c + shift
+        shift = n * q * (row // n) % width
+        rotated = vals[shift:] + vals[:shift]
+        r = row % n
+        cross[r] = [s + v for s, v in zip(cross[r], rotated)]
+        mc = marker_col[row]
+        self_count += below[mc]
+        below[mc + 1:] = [b + 1 for b in below[mc + 1:]]
+    return cross, self_count
+
+
+def interleaved_pair_term(c1, c2, p, q, n):
+    """``_pair_table``'s entry for columns c1, c2 of rows t1 < t2, kept as
+    its reference: read by row, the lifts interleave as c1, c2, c1 + nq,
+    c2 + nq, ... (mod n*p), and the cross pairs are the non-inversions of
+    that sequence less those of each component's own lifts."""
+    width = n * p
+    seq = []
+    for k in range(p):
+        shift = n * q * k
+        seq += ((c1 + shift) % width, (c2 + shift) % width)
+    own = [non_inversions(seq[i::2]) for i in (0, 1)]
+    return non_inversions(seq) - sum(own)
+
+
+def qs_of(p):
+    return coprime_qs(p) or [1, -1]    # p = 1: every q gives the sphere
+
+
+def test_lift_non_inversions_match_the_count():
+    # NI[0] comes from a Dedekind sum, the rest from a recurrence
+    for p in range(1, 120):
+        for q in range(1, max(p, 2)):
+            if gcd(p, q) == 1:
+                ni = _lift_non_inversions(p, q % p)
+                assert ni[0] == non_inversions([q * k % p for k in range(p)])
+                if p <= 30:
+                    assert ni == [non_inversions([(a + q * k) % p
+                                                  for k in range(p)])
+                                  for a in range(p)]
+
+
+def test_marker_cross_table_matches_the_cover_sweep():
+    rng = random.Random(14)
+    for _ in range(520):
+        p = rng.randint(1, 40)
+        q = rng.choice(qs_of(p))
+        n = rng.randint(1, 5)
+        sigma = rng.sample(range(n), n)
+        cells = tuple((sigma[t] + n * rng.randrange(p), t) for t in range(n))
+        ni = _lift_non_inversions(p, q % p)
+        assert _marker_cross_table(cells, p, q % p, n, ni) \
+            == sweep_marker_cross_table(cells, p, q, n), (p, q, n, cells)
+
+
+def test_pair_table_matches_the_interleaved_count():
+    rng = random.Random(15)
+    cases = [(p, q, n) for n in (2, 3, 4) for p in range(1, 14)
+             for q in qs_of(p)]
+    for p, q, n in rng.sample(cases, 60) + [(13, 5, 2), (11, -3, 3), (7, 2, 4)]:
+        table = _pair_table(p, q % p, n, _lift_non_inversions(p, q % p))
+        assert len(table) == n * (n - 1) * p * p
+        for (c1, c2), value in table.items():
+            assert value == interleaved_pair_term(c1, c2, p, q, n), \
+                (p, q, n, c1, c2)
+
+
+@pytest.mark.parametrize("q", [2, -7919])
+def test_grid_number_one_maslov_at_large_p(q):
+    # every generator of a grid-number-one knot is alone in its Spin^c
+    # class with M = d(p, q, S); through the cover sweep this diagram took
+    # minutes
+    p = 20011
+    d = GridDiagram(LensParams(p, q), 1, ((0, 0),), ((7, 0),))
+    table = gradings_table(d, generator_columns(1, p))
+    dm, _ = grading_denominators(d)
+    assert sorted(t.spin for t in table.values()) == list(range(p))
+    for t in table.values():
+        assert Fraction(t.maslov, dm) == d_invariant(p, q, t.spin)
 
 
 def test_gradings_refuse_links():
