@@ -9,15 +9,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from fractions import Fraction
 from functools import cache
 
 from . import selftest
 from .complexes import (DEFAULT_GENERATOR_CAP, VARIANTS,
                         boundary_export_lines, bounded_generator_count,
-                        build_boundary, generator_columns, generator_from_code,
-                        generator_label, require_generator_cap,
-                        square_is_zero)
+                        build_boundary, generator_columns, generator_label,
+                        label_decoder, require_generator_cap, square_is_zero)
 from .cover import format_s3_grid, lift_diagram, s3_link_components
 from .errors import (InternalInvariantError, LensGridError, ParseError,
                      SizeCapError, ValidationError)
@@ -27,7 +25,8 @@ from .grid import (GridDiagram, LensParams, enumerate_grid_number_one,
                    validate)
 from .homology import (DEFAULT_PIECE_CAP, document_bytes,
                        extract_hfk_hat, homology_document,
-                       poincare_polynomial, simplicity_report, tilde_homology)
+                       poincare_polynomial, rational_text, simplicity_report,
+                       tilde_homology)
 from .s3 import verify_cover_relations
 
 
@@ -123,14 +122,14 @@ def cmd_gradings(args):
     n, p = diagram.n, diagram.lens.p
     require_generator_cap(n, p, args.cap)
     table = gradings_table(diagram, generator_columns(n, p))
-    # the numerators sort as the gradings do
-    graded = sorted((t.spin, t.alexander, t.maslov,
-                     generator_label(generator_from_code(code, n, p)))
+    label = label_decoder(n, p)
+    # the numerators sort as the gradings do; ties sort by label text
+    graded = sorted((t.spin, t.alexander, t.maslov, label(code))
                     for code, t in table.items())
     dm, da = grading_denominators(diagram)
     keys = ("generator", "S", "M", "A")
-    rows = [(label, s, str(Fraction(m, dm)), str(Fraction(a, da)))
-            for s, a, m, label in graded]
+    rows = [(text, s, rational_text(m, dm), rational_text(a, da))
+            for s, a, m, text in graded]
     if args.format == "structured":
         _emit({"input_sha256": digest, "swap_roles": bool(args.swap_roles),
                "rows": [dict(zip(keys, r)) for r in rows]})

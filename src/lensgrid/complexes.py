@@ -334,6 +334,22 @@ def column_decoder(n, p):
     return columns
 
 
+def label_decoder(n, p):
+    """``label(code)``: ``generator_label`` of the generator with that
+    code, from the code's digits by two table lookups, as
+    ``column_decoder`` reads its columns."""
+    size = p ** n
+    sigmas = {code: " ".join(map(str, sigma))
+              for code, sigma in _sigma_codes(n)}
+    offsets = [" ".join(map(str, digits))
+               for digits in product(range(p), repeat=n)]
+
+    def label(code):
+        top, bottom = divmod(code, size)
+        return "[%s|%s]" % (sigmas[top], offsets[bottom])
+    return label
+
+
 def collect_terms(torus, variant):
     """Mod-2 collected boundary terms of every generator of the torus,
     keyed by code, as ``SparseBoundary.terms`` holds them."""
@@ -416,6 +432,12 @@ def grading_drop_violations(diagram, cap=DEFAULT_GENERATOR_CAP):
     drop Maslov by exactly 1 and preserve Alexander.  Returns the list of
     violations (empty when all identities hold).  Knot diagrams only.
     """
+    return _grading_drops(diagram, cap)[0]
+
+
+def _grading_drops(diagram, cap=DEFAULT_GENERATOR_CAP):
+    """``grading_drop_violations``' list and the number of parallelograms
+    it checked, from one parallelogram table."""
     require_valid(diagram)
     n, p = diagram.n, diagram.lens.p
     require_generator_cap(n, p, cap)
@@ -424,9 +446,12 @@ def grading_drop_violations(diagram, cap=DEFAULT_GENERATOR_CAP):
     entries = admissible_entries(
         parallelogram_table(lens_torus(diagram)), n, p)
     out = []
+    checked = 0
     for code, cols in generator_columns(n, p):
         ts = table[code]
-        for (delta, _, o_counts, x_counts, *_) in entries(cols):
+        found = entries(cols)
+        checked += len(found)
+        for (delta, _, o_counts, x_counts, *_) in found:
             td = table[code + delta]
             n_o, n_x = sum(o_counts), sum(x_counts)
             maslov_drop = ts.maslov - td.maslov
@@ -446,7 +471,7 @@ def grading_drop_violations(diagram, cap=DEFAULT_GENERATOR_CAP):
                 move = "%r -> %r" % (generator_from_code(code, n, p),
                                      generator_from_code(code + delta, n, p))
                 out.extend(head + " " + move for head in heads)
-    return out
+    return out, checked
 
 
 def generator_label(x):
@@ -457,8 +482,8 @@ def boundary_export_lines(boundary):
     """Deterministic text export, one line per term, in code order."""
     n, p = boundary.n, boundary.p
     # every target is a generator, hence a key of the terms
-    labels = {x: generator_label(generator_from_code(x, n, p))
-              for x in boundary.terms}
+    label = label_decoder(n, p)
+    labels = {x: label(x) for x in boundary.terms}
     monomials = {}
     lines = []
     for x in sorted(boundary.terms):

@@ -19,9 +19,10 @@ reported as data, never rounded away.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from math import gcd, lcm
 
 # unused here: perfbench/tracing.py wraps the homology.build_boundary binding
 from .complexes import (DEFAULT_GENERATOR_CAP, build_boundary,  # noqa: F401
@@ -188,8 +189,13 @@ def tilde_homology(diagram, cap=DEFAULT_GENERATOR_CAP,
     return HomologyTable(spin_count=p, tensor_exponent=n - 1, classes=classes)
 
 
-def _divide_once(poly):
-    """Divide a bigraded rank polynomial by (1 + u^-1 v^-1), or None."""
+def _divide_once(poly, step):
+    """Divide a bigraded rank polynomial by (1 + u^-1 v^-1), or None.
+
+    The keys are (M, A) pairs on which ``step`` is the bigrading (1, 1):
+    integer numerators over (D_m, D_a) take ``step = (D_m, D_a)``.
+    """
+    dm, da = step
     quotient = {}
     rem = dict(poly)
     while rem:
@@ -199,7 +205,7 @@ def _divide_once(poly):
             return None
         quotient[key] = c
         m, a = key
-        lower = (m - 1, a - 1)
+        lower = (m - dm, a - da)
         v = rem.get(lower, 0) - c
         if v:
             rem[lower] = v
@@ -214,20 +220,30 @@ def extract_hfk_hat(table):
     Returns a new table with ``hfk_hat`` filled in when the division by
     (1 + u^-1 v^-1)^(n-1) is exact in every Spin^c class; otherwise the
     undivided ranks are kept, ``extraction_exact`` is False and ``note``
-    carries a diagnostic.
+    carries a diagnostic.  Each class is divided on the integer numerators
+    of its gradings over their common denominators, so only the
+    quotient's keys are made ``Fraction``s.
     """
     exponent = table.tensor_exponent
     hat = {}
     for s, poly in table.classes.items():
-        q = dict(poly)
+        if not exponent:
+            hat[s] = dict(poly)
+            continue
+        dm = lcm(*(m.denominator for m, _ in poly))
+        da = lcm(*(a.denominator for _, a in poly))
+        q = {(m.numerator * (dm // m.denominator),
+              a.numerator * (da // a.denominator)): r
+             for (m, a), r in poly.items()}
         for _ in range(exponent):
-            q = _divide_once(q)
+            q = _divide_once(q, (dm, da))
             if q is None:
                 return replace(
                     table, hfk_hat=dict(table.classes), extraction_exact=False,
                     note="rank polynomial of Spin^c class %s is not divisible "
                          "by (1 + u^-1 v^-1)^%d" % (s, exponent))
-        hat[s] = q
+        hat[s] = {(Fraction(m, dm), Fraction(a, da)): r
+                  for (m, a), r in q.items()}
     return replace(table, hfk_hat=hat, extraction_exact=True, note="")
 
 
@@ -249,36 +265,50 @@ def simplicity_report(table):
     return "other"
 
 
-def _frac(x):
-    return str(Fraction(x))
+def rational_text(num, den):
+    """``str(Fraction(num, den))`` for a positive ``den``, from integers."""
+    g = gcd(num, den)
+    if g == den:
+        return str(num // g)
+    return "%d/%d" % (num // g, den // g)
+
+
+def _rank_terms(by_bigrading):
+    """``(M, A, rank)`` per bigrading in grading order, M and A as text."""
+    return [(rational_text(m.numerator, m.denominator),
+             rational_text(a.numerator, a.denominator), r)
+            for (m, a), r in sorted(by_bigrading.items())]
+
+
+def _polynomial(terms):
+    if not terms:
+        return "0"
+    return " + ".join("%d*u^(%s)*v^(%s)" % (r, m, a) for m, a, r in terms)
 
 
 def poincare_polynomial(by_bigrading):
     """Deterministic string form of a bigraded rank polynomial."""
-    if not by_bigrading:
-        return "0"
-    return " + ".join("%d*u^(%s)*v^(%s)" % (r, _frac(m), _frac(a))
-                      for (m, a), r in sorted(by_bigrading.items()))
+    return _polynomial(_rank_terms(by_bigrading))
 
 
-def _rank_rows(by_bigrading):
-    return [{"M": _frac(m), "A": _frac(a), "rank": r}
-            for (m, a), r in sorted(by_bigrading.items())]
+def _rank_rows(terms):
+    return [{"M": m, "A": a, "rank": r} for m, a, r in terms]
 
 
 def homology_document(table, extra=None):
     """Machine-readable result document (JSON-serialisable, deterministic)."""
+    terms = {str(s): _rank_terms(by)
+             for s, by in sorted(table.classes.items())}
     doc = {
         "spin_count": table.spin_count,
         "tensor_exponent": table.tensor_exponent,
         "extraction_exact": table.extraction_exact,
         "total_rank": table.total_rank(),
-        "classes": {str(s): _rank_rows(by) for s, by in sorted(table.classes.items())},
-        "poincare": {str(s): poincare_polynomial(by)
-                     for s, by in sorted(table.classes.items())},
+        "classes": {s: _rank_rows(t) for s, t in terms.items()},
+        "poincare": {s: _polynomial(t) for s, t in terms.items()},
     }
     if table.hfk_hat is not None:
-        doc["hfk_hat"] = {str(s): _rank_rows(by)
+        doc["hfk_hat"] = {str(s): _rank_rows(_rank_terms(by))
                           for s, by in sorted(table.hfk_hat.items())}
         doc["hat_total_rank"] = table.hat_total_rank()
     if table.note:
@@ -288,5 +318,44 @@ def homology_document(table, extra=None):
     return doc
 
 
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _json_text(value, newline):
+    """JSON text of a document value whose inner lines start ``newline``."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = []
+        for key, item in sorted(value.items()):
+            if type(key) is not str:
+                raise TypeError("document keys are str, not %s"
+                                % type(key).__name__)
+            items.append(encode_basestring_ascii(key) + ": "
+                         + _json_text(item, inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return ("[" + inner
+                + ("," + inner).join([_json_text(v, inner) for v in value])
+                + newline + "]")
+    if value is None or kind is bool:
+        return _LITERALS[value]
+    raise TypeError("%s is not a document type" % kind.__name__)
+
+
 def document_bytes(doc):
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+    """The bytes of ``json.dumps(doc, indent=2, sort_keys=True) + "\n"``.
+
+    A document holds only str, int, bool, None, and dicts with str keys,
+    lists and tuples of these; anything else raises TypeError.
+    """
+    return (_json_text(doc, "\n") + "\n").encode()

@@ -185,6 +185,27 @@ def test_boundary_export_and_debug_orientation(grid_file, capsys):
     assert code == 1 and "unrecognized arguments" in err
 
 
+KNOT_N3 = "3 -1 3\nO: 0 4 8\nX: 7 2 3\n"
+STRUCTURED_ARGVS = (("validate",), ("info",), ("gradings",),
+                    ("gradings", "--swap-roles"), ("homology",),
+                    ("verify-cover",)) + tuple(
+    ("boundary-export", "--variant", v) for v in complexes.VARIANTS)
+
+
+@pytest.mark.parametrize("text", (GN1, KNOT_N2, KNOT_N3))
+def test_structured_output_is_indented_sorted_json(grid_file, capsys, text):
+    # the oracle is the standard library's encoder, which shares no code
+    # with the document writer
+    path = grid_file(text)
+    p, q = text.split()[:2]
+    argvs = [(argv[0], path) + argv[1:] for argv in STRUCTURED_ARGVS]
+    for argv in argvs + [("enumerate-gn1", p, q)]:
+        code, out, _ = run(capsys, *argv, "--format", "structured")
+        assert code == 0, argv
+        assert out == json.dumps(json.loads(out), indent=2,
+                                 sort_keys=True) + "\n", argv
+
+
 def test_usage_errors_exit_one(grid_file, capsys):
     path = grid_file(KNOT_N2)
     for argv in (["homology"], ["frobnicate", path],

@@ -1,7 +1,9 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lensgrid import (Generator, GridDiagram, LensParams, build_boundary,
                       enumerate_grid_number_one, extract_hfk_hat, format_grid,
@@ -12,8 +14,8 @@ from lensgrid.cli import main
 from lensgrid.corpus import coprime_qs, random_knot_diagram
 from lensgrid.errors import (InternalInvariantError, LensGridError,
                              SizeCapError)
-from lensgrid.homology import (_divide_once, document_bytes,
-                               homology_document)
+from lensgrid.homology import (HomologyTable, _divide_once, document_bytes,
+                               homology_document, rational_text)
 
 
 def test_gf2_rank_small():
@@ -183,12 +185,56 @@ def test_gn1_homology_rank_p():
 
 def test_divide_once():
     v = {(Fraction(0), Fraction(0)): 1, (Fraction(-1), Fraction(-1)): 1}
-    assert _divide_once(v) == {(Fraction(0), Fraction(0)): 1}
+    assert _divide_once(v, (1, 1)) == {(Fraction(0), Fraction(0)): 1}
     assert _divide_once({(Fraction(0), Fraction(0)): 1,
-                         (Fraction(-2), Fraction(-2)): 1}) is None
+                         (Fraction(-2), Fraction(-2)): 1}, (1, 1)) is None
     square = {(Fraction(0), Fraction(0)): 1, (Fraction(-1), Fraction(-1)): 2,
               (Fraction(-2), Fraction(-2)): 1}
-    assert _divide_once(_divide_once(square)) == {(Fraction(0), Fraction(0)): 1}
+    assert (_divide_once(_divide_once(square, (1, 1)), (1, 1))
+            == {(Fraction(0), Fraction(0)): 1})
+    # integer numerators over (3, 4): the step is (3, 4)
+    assert _divide_once({(2, 1): 1, (-1, -3): 1}, (3, 4)) == {(2, 1): 1}
+    assert _divide_once({(2, 1): 1, (-1, -2): 1}, (3, 4)) is None
+
+
+def test_extraction_matches_division_on_fraction_keys():
+    # each class is a polynomial times (1 + u^-1 v^-1)^exponent, its terms
+    # with unlike denominators; a stray term makes class 1 inexact
+    rng = random.Random(8)
+    for _ in range(60):
+        exponent = rng.randrange(1, 4)
+        classes = {}
+        for s in range(3):
+            poly = {}
+            for _ in range(rng.randrange(1, 4)):
+                m = Fraction(rng.randrange(-9, 9), rng.choice((1, 2, 3, 4)))
+                a = Fraction(rng.randrange(-9, 9), rng.choice((1, 2, 5)))
+                poly[m, a] = poly.get((m, a), 0) + 1
+            for _ in range(exponent):
+                times = {}
+                for (m, a), r in poly.items():
+                    for key in ((m, a), (m - 1, a - 1)):
+                        times[key] = times.get(key, 0) + r
+                poly = times
+            classes[s] = poly
+        if rng.random() < 0.3:
+            classes[1][Fraction(99), Fraction(0)] = 1
+        table = extract_hfk_hat(HomologyTable(3, exponent, classes))
+        expected = {}
+        for s, poly in classes.items():
+            for _ in range(exponent):
+                poly = poly and _divide_once(poly, (1, 1))
+            expected[s] = poly
+        if all(expected.values()):
+            assert table.extraction_exact and table.note == ""
+            assert table.hfk_hat == expected
+            assert all(type(m) is Fraction and type(a) is Fraction
+                       for by in table.hfk_hat.values() for m, a in by)
+        else:
+            assert not table.extraction_exact
+            assert table.hfk_hat == classes
+            assert table.note == ("rank polynomial of Spin^c class 1 is not "
+                                  "divisible by (1 + u^-1 v^-1)^%d" % exponent)
 
 
 def test_extraction_identity_at_n1():
@@ -307,3 +353,39 @@ def test_document_bytes_deterministic():
     assert len(docs) == 1
     blob = docs.pop().decode()
     assert "e-0" not in blob and "0." not in blob  # fractions, never decimals
+
+
+def test_rational_text_matches_fraction():
+    for num in range(-50, 51):
+        for den in range(1, 25):
+            assert rational_text(num, den) == str(Fraction(num, den))
+
+
+# document values: text with quotes, backslashes, control and non-ASCII
+# characters, ints past 64 bits, bools and None, nested in dicts with str
+# keys, lists and tuples, empty ones included
+_SPECIAL = '"\\/\n\t\x00\x1f\x7f\xe9\u2028\U0001f600'
+_text = st.text(st.sampled_from(_SPECIAL) | st.characters(), max_size=8)
+_scalars = st.one_of(_text, st.integers(), st.integers(-2 ** 80, 2 ** 80),
+                     st.booleans(), st.none())
+_documents = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=3).map(tuple),
+                            st.dictionaries(_text, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_documents)
+def test_document_bytes_match_json_dumps(doc):
+    expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert document_bytes(doc) == expected.encode()
+
+
+@pytest.mark.parametrize("doc", [1.5, {"rows": [{"M": 0.25}]}, {1, 2},
+                                 [frozenset()], {1: "x"}, {"a": {2: 0}},
+                                 {"a": 1, 2: "b"}, Fraction(1, 2)])
+def test_document_bytes_refuse_other_types(doc):
+    with pytest.raises(TypeError):
+        document_bytes(doc)
