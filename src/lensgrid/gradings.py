@@ -15,7 +15,7 @@ import math
 from bisect import bisect_left, insort
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, permutations
 from operator import add, getitem
 from typing import NamedTuple
 
@@ -281,11 +281,10 @@ def grading_denominators(diagram):
     return p * d_invariant(p, qn, qn - 1).denominator, 2 * p
 
 
-def gradings_table(diagram, generators):
-    """``{code: GradingTriple}`` for the ``(code, columns)`` pairs of
-    ``generators`` (see ``complexes.generator_columns``), from per-diagram
-    integer tables.  Each triple holds the Spin^c class and the integer
-    numerators of M and A over ``grading_denominators(diagram)``.
+def _grading_tables(diagram):
+    """The per-diagram integer tables of ``gradings_table`` and
+    ``permutation_gradings``: ``(p, n, spin_base, maslov_base,
+    alexander_base, maslov_rows, alexander_rows, pair)``.
 
     The dominance counts of ``maslov_grading`` are bilinear in the lifted
     points, and the count between the p lifts of two points is one
@@ -296,9 +295,13 @@ def gradings_table(diagram, generators):
     a per-column-pair entry (``_pair_table``) for two components in
     different rows.  ``NI`` is built once and serves all three.  No table
     walks the cover: they take O(n*n*p) steps, O(n*n*p*p) when n > 1 for
-    the pair table, and live for this call only.
+    the pair table.
 
-    Requires a knot diagram (the Alexander grading is only defined then).
+    A generator with columns ``cols = sigma + n*a`` has Spin^c class
+    ``(spin_base + sum(a)) mod p``, Maslov numerator ``maslov_base`` plus
+    ``maslov_rows[t][cols[t]]`` over t and ``pair[cols[t], cols[u]]`` over
+    t < u, and Alexander numerator ``alexander_base`` plus
+    ``alexander_rows[t][cols[t]]`` over t.
     """
     require_knot(diagram)   # validates the diagram first
     p, q, n = diagram.lens.p, diagram.lens.q, diagram.n
@@ -308,27 +311,83 @@ def gradings_table(diagram, generators):
     cross_o, self_o = _marker_cross_table(diagram.O, p, qn, n, ni)
     cross_x, self_x = _marker_cross_table(diagram.X, p, qn, n, ni)
     # per row, a component's share of raw_o (NI[a] minus its O cross term)
-    # and of raw_o - raw_x
-    maslov_rows = [[ni[c // n] - o for c, o in enumerate(row)] for row in cross_o]
+    # and of raw_o - raw_x; the Maslov terms scaled by M's denominator
+    dm = d.denominator
+    maslov_rows = [[dm * (ni[c // n] - o) for c, o in enumerate(row)]
+                   for row in cross_o]
     alexander_rows = [[x - o for o, x in zip(row_o, row_x)]
                       for row_o, row_x in zip(cross_o, cross_x)]
-    pair = _pair_table(p, qn, n, ni)
-
     # sum(canonical_generator(diagram).a), without building the generator
     spin_base = (q - 1) - sum(s // n for (s, _) in diagram.O)
-    sigma_sum = n * (n - 1) // 2
     # M = (raw_o + p - 1)/p + d and A = (raw_o - raw_x)/(2p) - (n-1)/2, with
     # raw_o = gg - (O cross terms) + self_o + 1, where gg is the
     # generator's self count
-    maslov_base = d.denominator * (self_o + p) + p * d.numerator
-    alexander_base = self_o - self_x - (n - 1) * p
+    return (p, n, spin_base, dm * (self_o + p) + p * d.numerator,
+            self_o - self_x - (n - 1) * p, maslov_rows, alexander_rows,
+            {k: dm * v for k, v in _pair_table(p, qn, n, ni).items()})
+
+
+def gradings_table(diagram, generators):
+    """``{code: GradingTriple}`` for the ``(code, columns)`` pairs of
+    ``generators`` (see ``complexes.generator_columns``), from the
+    per-diagram integer tables of ``_grading_tables``, which live for this
+    call only.  Each triple holds the Spin^c class and the integer
+    numerators of M and A over ``grading_denominators(diagram)``.
+
+    Requires a knot diagram (the Alexander grading is only defined then).
+    """
+    (p, n, spin_base, maslov_base, alexander_base, maslov_rows,
+     alexander_rows, pair) = _grading_tables(diagram)
+    sigma_sum = n * (n - 1) // 2
     out = {}
     for code, cols in generators:
-        raw = (sum(map(getitem, maslov_rows, cols))
-               + sum(map(pair.__getitem__, combinations(cols, 2))))
         # the columns are sigma + n*a with sigma a permutation
         out[code] = GradingTriple(
             (spin_base + (sum(cols) - sigma_sum) // n) % p,
-            d.denominator * raw + maslov_base,
+            sum(map(getitem, maslov_rows, cols))
+            + sum(map(pair.__getitem__, combinations(cols, 2))) + maslov_base,
             sum(map(getitem, alexander_rows, cols)) + alexander_base)
     return out
+
+
+def permutation_gradings(diagram):
+    """``(first, spins, maslovs, alexanders)`` per permutation sigma, in
+    code order: the Spin^c classes and the Maslov and Alexander numerators
+    of sigma's p^n generators, codes ``first, first + 1, ...``, as
+    ``gradings_table`` gives them.  ``spins`` depends on sum(a) alone and
+    is one list for every sigma.
+
+    The Spin^c and Alexander lists are outer sums of per-row values.  The
+    Maslov pair sums are carried down the rows: each choice of the rows
+    above row u gets one pending length-p vector, row u's values plus
+    their pair terms with that choice, so row u adds whole vectors.
+    """
+    (p, n, spin_base, maslov_base, alexander_base, maslov_rows,
+     alexander_rows, pair) = _grading_tables(diagram)
+    size = p ** n
+    # carry[s, r][a][b]: the pair term of column s + n*a in an earlier row
+    # and column r + n*b in a later one
+    carry = {(s, r): [[pair[s + n * a, r + n * b] for b in range(p)]
+                      for a in range(p)]
+             for s in range(n) for r in range(n) if s != r}
+    spins = [spin_base % p]
+    for _ in range(n):
+        spins = [(s + a) % p for s in spins for a in range(p)]
+
+    def graded(sigma):
+        first = 0
+        for s in sigma:
+            first = first * n + s
+        alexanders = [alexander_base]
+        for row, s in zip(alexander_rows, sigma):
+            values = row[s::n]
+            alexanders = [v + w for v in alexanders for w in values]
+        maslovs = [maslov_base]
+        for u, r in enumerate(sigma):
+            pending = [maslov_rows[u][r::n]]
+            for s in sigma[:u]:
+                pending = [list(map(add, vec, terms)) for vec in pending
+                           for terms in carry[s, r]]
+            maslovs = [m + v for m, vec in zip(maslovs, pending) for v in vec]
+        return first * size, spins, maslovs, alexanders
+    return map(graded, permutations(range(n)))

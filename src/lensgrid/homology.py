@@ -19,18 +19,23 @@ reported as data, never rounded away.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
 
 # unused here: perfbench/tracing.py wraps the homology.build_boundary binding
 from .complexes import (DEFAULT_GENERATOR_CAP, build_boundary,  # noqa: F401
                         admissible_entries, column_decoder, drop_mask,
-                        generator_columns, lens_torus, parallelogram_table,
+                        lens_torus, parallelogram_table,
                         require_generator_cap)
 from .errors import InternalInvariantError, LensGridError, SizeCapError
-from .gradings import grading_denominators, gradings_table
+# gradings_table is unused here: perfbench/tracing.py wraps the
+# homology.gradings_table binding
+from .gradings import (grading_denominators, gradings_table,  # noqa: F401
+                       permutation_gradings)
 from .grid import require_valid
 
 DEFAULT_PIECE_CAP = 10 ** 5
@@ -143,9 +148,13 @@ def graded_homology(graded, torus, denominators, piece_cap=None,
     preserves S and A).  The result has ``Fraction`` gradings.
     """
     dm, da = denominators
+    levels = defaultdict(list)
+    for code, key in graded:
+        levels[key].append(code)
     pieces = {}
-    for code, (s, a, m) in graded:
-        pieces.setdefault((s, a), {}).setdefault(m, []).append(code)
+    for (s, a, m), codes in levels.items():
+        pieces.setdefault((s, a), {})[m] = codes
+    del levels   # so that each piece is freed once eliminated
     keys = sorted(pieces)
     for s, a in keys:
         size = sum(map(len, pieces[s, a].values()))
@@ -172,9 +181,11 @@ def tilde_homology(diagram, cap=DEFAULT_GENERATOR_CAP,
     require_valid(diagram)
     p, n = diagram.lens.p, diagram.n
     require_generator_cap(n, p, cap)
-    # the table is freed once bucketed, before the first piece is eliminated
-    graded = ((code, (t.spin, t.alexander, t.maslov)) for code, t
-              in gradings_table(diagram, generator_columns(n, p)).items())
+    size = p ** n
+    # one permutation's gradings at a time, never a table of every generator
+    graded = chain.from_iterable(
+        zip(range(first, first + size), zip(spins, alexanders, maslovs))
+        for first, spins, maslovs, alexanders in permutation_gradings(diagram))
     classes = {s: {} for s in range(p)}
     classes.update(graded_homology(graded, lens_torus(diagram),
                                    grading_denominators(diagram), piece_cap,
@@ -308,8 +319,12 @@ def homology_document(table, extra=None):
         "poincare": {s: _polynomial(t) for s, t in terms.items()},
     }
     if table.hfk_hat is not None:
-        doc["hfk_hat"] = {str(s): _rank_rows(_rank_terms(by))
-                          for s, by in sorted(table.hfk_hat.items())}
+        # a class whose extracted ranks are its tilde ranks (every class
+        # when the tensor exponent is 0) reuses its formatted rows
+        doc["hfk_hat"] = {
+            str(s): (doc["classes"][str(s)] if by == table.classes.get(s)
+                     else _rank_rows(_rank_terms(by)))
+            for s, by in sorted(table.hfk_hat.items())}
         doc["hat_total_rank"] = table.hat_total_rank()
     if table.note:
         doc["note"] = table.note

@@ -18,7 +18,7 @@ from lensgrid import (Generator, GridDiagram, LensParams, ValidationError,
                       spin_grading)
 from lensgrid.cover import lift_points
 from lensgrid.gradings import (_lift_non_inversions, _marker_cross_table,
-                               _pair_table)
+                               _pair_table, permutation_gradings)
 from lensgrid.cli import main
 from lensgrid.corpus import (coprime_qs, random_knot_diagram,
                              random_knot_diagrams)
@@ -272,6 +272,39 @@ def test_grid_number_one_maslov_at_large_p(q):
     assert sorted(t.spin for t in table.values()) == list(range(p))
     for t in table.values():
         assert Fraction(t.maslov, dm) == d_invariant(p, q, t.spin)
+
+
+def bulk_gradings(d):
+    """``permutation_gradings(d)`` as ``{code: (S, M, A)}``."""
+    size = d.lens.p ** d.n
+    out = {}
+    for first, spins, maslovs, alexanders in permutation_gradings(d):
+        assert len(spins) == len(maslovs) == len(alexanders) == size
+        out.update(zip(range(first, first + size),
+                       zip(spins, maslovs, alexanders)))
+    return out
+
+
+def test_permutation_gradings_match_gradings_table():
+    rng = random.Random(16)
+    diagrams = []
+    for n in (1, 2, 3, 4):
+        for k in range(6):
+            p = rng.randint(2, 7)
+            q = rng.choice([q for q in coprime_qs(p) if (q > 0) == (k % 2)])
+            diagrams.append(random_knot_diagram(p, q, n, rng))
+    for q in (2, -7919):
+        diagrams.append(GridDiagram(LensParams(20011, q), 1, ((0, 0),),
+                                    ((7, 0),)))
+    for d in diagrams:
+        table = gradings_table(d, generator_columns(d.n, d.lens.p))
+        bulk = bulk_gradings(d)
+        assert bulk == {code: (t.spin, t.maslov, t.alexander)
+                        for code, t in table.items()}, d
+        # q and q mod p give the same lens space and the same torus
+        reduced = GridDiagram(LensParams(d.lens.p, d.lens.q % d.lens.p),
+                              d.n, d.O, d.X)
+        assert bulk_gradings(reduced) == bulk, d
 
 
 def test_gradings_refuse_links():

@@ -9,7 +9,7 @@ from lensgrid import (Generator, GridDiagram, LensParams, build_boundary,
                       enumerate_grid_number_one, extract_hfk_hat, format_grid,
                       generator_columns, gf2_rank, grading_denominators,
                       gradings_table, simplicity_report, tilde_homology)
-from lensgrid import complexes, homology
+from lensgrid import complexes, gradings, homology
 from lensgrid.cli import main
 from lensgrid.corpus import coprime_qs, random_knot_diagram
 from lensgrid.errors import (InternalInvariantError, LensGridError,
@@ -342,6 +342,44 @@ def test_tilde_homology_builds_no_whole_boundary(monkeypatch):
     monkeypatch.setattr(complexes, "collect_terms", unreachable)
     monkeypatch.setattr(complexes, "_odd_terms", unreachable)
     assert tilde_homology(d) == expected
+
+
+def test_tilde_homology_builds_no_grading_table(monkeypatch):
+    # each permutation's gradings come as three lists from
+    # permutation_gradings: no GradingTriple and no table of every
+    # generator on the homology path
+    d = random_knot_diagram(3, -1, 3, random.Random(23))
+    expected = tilde_homology(d)
+
+    def unreachable(*args):
+        raise AssertionError("a per-generator grading was built")
+
+    monkeypatch.setattr(homology, "gradings_table", unreachable)
+    monkeypatch.setattr(gradings, "GradingTriple", unreachable)
+    assert tilde_homology(d) == expected
+
+
+def test_hat_rows_reuse_the_tilde_rows(monkeypatch):
+    # with tensor exponent 0 the extracted ranks are the tilde ranks, so
+    # each class is formatted once: p calls of _rank_terms, not 2p
+    calls = []
+    real = homology._rank_terms
+
+    def counting(by_bigrading):
+        calls.append(by_bigrading)
+        return real(by_bigrading)
+
+    monkeypatch.setattr(homology, "_rank_terms", counting)
+    gn1 = GridDiagram(LensParams(7, 3), 1, ((0, 0),), ((4, 0),))
+    doc = homology_document(extract_hfk_hat(tilde_homology(gn1)))
+    assert len(calls) == 7
+    assert doc["hfk_hat"] == doc["classes"]
+    # an extracted table that differs from the tilde one is formatted anew
+    calls.clear()
+    two_row = random_knot_diagram(3, 1, 2, random.Random(9))
+    doc = homology_document(extract_hfk_hat(tilde_homology(two_row)))
+    assert len(calls) == 6
+    assert doc["hfk_hat"] != doc["classes"]
 
 
 def test_document_bytes_deterministic():
