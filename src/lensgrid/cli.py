@@ -14,8 +14,8 @@ from functools import cache
 from . import selftest
 from .complexes import (DEFAULT_GENERATOR_CAP, VARIANTS,
                         boundary_export_lines, bounded_generator_count,
-                        build_boundary, generator_columns, generator_label,
-                        label_decoder, require_generator_cap, square_is_zero)
+                        build_boundary, generator_columns, label_decoder,
+                        require_generator_cap, square_is_zero)
 from .cover import format_s3_grid, lift_diagram, s3_link_components
 from .errors import (InternalInvariantError, LensGridError, ParseError,
                      SizeCapError, ValidationError)
@@ -176,10 +176,13 @@ def cmd_lift(args):
 def cmd_verify_cover(args):
     diagram, digest = _load(args.path)
     report = verify_cover_relations(diagram, args.cap)
+    label = label_decoder(diagram.n, diagram.lens.p)
+    dm, da = grading_denominators(diagram)
     keys = ("generator", "S", "M", "A", "cover_M", "cover_A")
-    rows = [(generator_label(r["generator"]), r["spin"], str(r["maslov"]),
-             str(r["alexander"]), r["cover_maslov"],
-             str(r["cover_alexander"])) for r in report.rows]
+    rows = [(label(code), t.spin, rational_text(t.maslov, dm),
+             rational_text(t.alexander, da), m_cover,
+             rational_text(a_cover, 4))
+            for code, t, m_cover, a_cover in report.rows]
     if args.format == "structured":
         _emit({"input_sha256": digest, "ok": report.ok,
                "violations": report.violations,

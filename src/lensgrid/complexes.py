@@ -335,9 +335,9 @@ def column_decoder(n, p):
 
 
 def label_decoder(n, p):
-    """``label(code)``: ``generator_label`` of the generator with that
-    code, from the code's digits by two table lookups, as
-    ``column_decoder`` reads its columns."""
+    """``label(code)``: the text ``[sigma|a]`` of the generator with that
+    code, its digits separated by spaces, from the code by two table
+    lookups, as ``column_decoder`` reads its columns."""
     size = p ** n
     sigmas = {code: " ".join(map(str, sigma))
               for code, sigma in _sigma_codes(n)}
@@ -472,10 +472,6 @@ def _grading_drops(diagram, cap=DEFAULT_GENERATOR_CAP):
                                      generator_from_code(code + delta, n, p))
                 out.extend(head + " " + move for head in heads)
     return out, checked
-
-
-def generator_label(x):
-    return "[%s|%s]" % (" ".join(map(str, x.sigma)), " ".join(map(str, x.a)))
 
 
 def boundary_export_lines(boundary):

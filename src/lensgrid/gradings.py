@@ -15,8 +15,8 @@ import math
 from bisect import bisect_left, insort
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations, permutations
-from operator import add, getitem
+from itertools import accumulate, permutations
+from operator import add
 from typing import NamedTuple
 
 from .cover import lift_points
@@ -282,9 +282,9 @@ def grading_denominators(diagram):
 
 
 def _grading_tables(diagram):
-    """The per-diagram integer tables of ``gradings_table`` and
-    ``permutation_gradings``: ``(p, n, spin_base, maslov_base,
-    alexander_base, maslov_rows, alexander_rows, pair)``.
+    """The per-diagram integer tables of ``permutation_gradings``: ``(p, n,
+    spin_base, maslov_base, alexander_base, maslov_rows, alexander_rows,
+    pair)``.
 
     The dominance counts of ``maslov_grading`` are bilinear in the lifted
     points, and the count between the p lifts of two points is one
@@ -329,33 +329,28 @@ def _grading_tables(diagram):
 
 def gradings_table(diagram, generators):
     """``{code: GradingTriple}`` for the ``(code, columns)`` pairs of
-    ``generators`` (see ``complexes.generator_columns``), from the
-    per-diagram integer tables of ``_grading_tables``, which live for this
-    call only.  Each triple holds the Spin^c class and the integer
-    numerators of M and A over ``grading_denominators(diagram)``.
+    ``generators`` (see ``complexes.generator_columns``): a view over
+    ``permutation_gradings``, so it grades every generator of the diagram
+    whatever subset is asked for.  Each triple holds the Spin^c class and
+    the integer numerators of M and A over
+    ``grading_denominators(diagram)``.
 
     Requires a knot diagram (the Alexander grading is only defined then).
     """
-    (p, n, spin_base, maslov_base, alexander_base, maslov_rows,
-     alexander_rows, pair) = _grading_tables(diagram)
-    sigma_sum = n * (n - 1) // 2
-    out = {}
-    for code, cols in generators:
-        # the columns are sigma + n*a with sigma a permutation
-        out[code] = GradingTriple(
-            (spin_base + (sum(cols) - sigma_sum) // n) % p,
-            sum(map(getitem, maslov_rows, cols))
-            + sum(map(pair.__getitem__, combinations(cols, 2))) + maslov_base,
-            sum(map(getitem, alexander_rows, cols)) + alexander_base)
-    return out
+    blocks = {first: list(map(GradingTriple, spins, maslovs, alexanders))
+              for first, spins, maslovs, alexanders
+              in permutation_gradings(diagram)}
+    size = diagram.lens.p ** diagram.n
+    return {code: blocks[code - code % size][code % size]
+            for code, _ in generators}
 
 
 def permutation_gradings(diagram):
     """``(first, spins, maslovs, alexanders)`` per permutation sigma, in
     code order: the Spin^c classes and the Maslov and Alexander numerators
-    of sigma's p^n generators, codes ``first, first + 1, ...``, as
-    ``gradings_table`` gives them.  ``spins`` depends on sum(a) alone and
-    is one list for every sigma.
+    of sigma's p^n generators, codes ``first, first + 1, ...``.  ``spins``
+    depends on sum(a) alone and is one list for every sigma.  It is the
+    only reader of ``_grading_tables``.
 
     The Spin^c and Alexander lists are outer sums of per-row values.  The
     Maslov pair sums are carried down the rows: each choice of the rows

@@ -34,7 +34,7 @@ from .gradings import (d_invariant, dominance_count, doubled_centres,
                        doubled_points, grading_denominators, gradings_table,
                        s3_maslov)  # noqa: F401
 from .grid import canonical_generator, require_knot, require_valid
-from .homology import HomologyTable, graded_homology
+from .homology import HomologyTable, graded_homology, rational_text
 
 
 def _cover_gradings(n, q, lifted, components, columns):
@@ -135,7 +135,10 @@ def s3_tilde_homology(diagram, cap=DEFAULT_GENERATOR_CAP):
 
 @dataclass
 class CoverReport:
-    """Outcome of cross-checking lens gradings through the universal cover."""
+    """Outcome of cross-checking lens gradings through the universal cover.
+
+    ``rows``: ``(code, GradingTriple, cover M, 4 * cover A)`` per generator
+    in code order, all integers, as ``gradings_table`` gives the triple."""
 
     rows: list
     violations: list
@@ -169,42 +172,42 @@ def verify_cover_relations(diagram, cap=DEFAULT_GENERATOR_CAP):
 
     qn = q % p
     d = d_invariant(p, qn, qn - 1)
-    dm, da = grading_denominators(diagram)
+    dm, _ = grading_denominators(diagram)
     # M = M~/p + d + (p-1)/p, times dm = p*den(d)
     shift = p * d.numerator + (p - 1) * d.denominator
-    table = gradings_table(diagram, generator_columns(n, p))
+    generators = list(generator_columns(n, p))
+    table = gradings_table(diagram, generators)
     # in the table's order, code order
     cover = _cover_gradings(n, q, lifted, ell,
-                            [cols for _, cols in generator_columns(n, p)])
+                            [cols for _, cols in generators])
     canon_code = generator_code(canonical_generator(diagram), p)
 
     rows = []
     base = None
     for (code, t), (m_cover, a_cover) in zip(table.items(), cover):
-        x = generator_from_code(code, n, p)
-        rows.append({"generator": x, "spin": t.spin,
-                     "maslov": Fraction(t.maslov, dm),
-                     "alexander": Fraction(t.alexander, da),
-                     "cover_maslov": m_cover,
-                     "cover_alexander": Fraction(a_cover, 4)})
+        rows.append((code, t, m_cover, a_cover))
         if code == canon_code:
             canon_maslov = m_cover
-        if t.maslov != m_cover * d.denominator + shift:
-            violations.append("absolute Maslov shift fails for %r" % (x,))
         if base is None:   # against itself the relations hold trivially
             base = (t.maslov, t.alexander, m_cover, a_cover)
         # p*dM = dM~ and p*dA = dA~, with M over p*den(d), A over 2p and A~
-        # over 4
+        # over 4; messages name the generator, built only for a violation
+        if t.maslov != m_cover * d.denominator + shift:
+            violations.append("absolute Maslov shift fails for %r"
+                              % (generator_from_code(code, n, p),))
         if t.maslov - base[0] != (m_cover - base[2]) * d.denominator:
-            violations.append("relative Maslov relation fails for %r" % (x,))
+            violations.append("relative Maslov relation fails for %r"
+                              % (generator_from_code(code, n, p),))
         if 2 * (t.alexander - base[1]) != a_cover - base[3]:
-            violations.append("relative Alexander relation fails for %r" % (x,))
+            violations.append("relative Alexander relation fails for %r"
+                              % (generator_from_code(code, n, p),))
 
     if canon_maslov != -(p * n - 1):
         violations.append("canonical generator's lift has square-grid Maslov "
                           "%d, expected %d" % (canon_maslov, -(p * n - 1)))
-    canon_grading = Fraction(table[canon_code].maslov, dm)
-    if canon_grading != d - (n - 1):
+    # M = d - (n-1), times dm
+    canon_grading = table[canon_code].maslov
+    if canon_grading != p * d.numerator - (n - 1) * dm:
         violations.append("canonical generator Maslov %s != d(p,q,q-1) - (n-1)"
-                          % (canon_grading,))
+                          % (rational_text(canon_grading, dm),))
     return CoverReport(rows=rows, violations=violations)

@@ -156,9 +156,31 @@ def test_verify_cover_random_and_rows():
     assert report.ok
     assert len(report.rows) == 50
     p = 5
-    for row in report.rows:
-        assert row["maslov"] == Fraction(row["cover_maslov"], p) \
-            + (report.rows[0]["maslov"] - Fraction(report.rows[0]["cover_maslov"], p))
+    dm = grading_denominators(d)[0]
+    maslovs = [(Fraction(t.maslov, dm), Fraction(m_cover, p))
+               for _, t, m_cover, _ in report.rows]
+    for maslov, cover_maslov in maslovs:
+        assert maslov == cover_maslov + (maslovs[0][0] - maslovs[0][1])
+
+
+def test_verify_cover_keeps_integers_until_a_violation(monkeypatch):
+    # the rows carry codes and numerators: no Generator and no Fraction is
+    # built while every relation holds
+    diagrams = (random_knot_diagrams(7, 3, 2, 1, seed=17)
+                + random_knot_diagrams(5, -2, 2, 1, seed=17)
+                + [d for d in gn1_corpus((11,)) if d.lens.q == 3][:1])
+    assert len(diagrams) == 3
+
+    def unreachable(*args):
+        raise AssertionError("built a Generator or a Fraction")
+
+    monkeypatch.setattr(s3, "generator_from_code", unreachable)
+    monkeypatch.setattr(s3, "Fraction", unreachable)
+    for d in diagrams:
+        report = verify_cover_relations(d)
+        assert report.ok, (d, report.violations[:2])
+        assert all(type(v) is int for row in report.rows
+                   for v in (row[0], row[2], row[3], *row[1])), d
 
 
 def test_eq1_relation_on_lifted_homology_case():
