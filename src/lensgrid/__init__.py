@@ -20,8 +20,8 @@ from .gradings import (GradingTriple, alexander_grading, d_invariant,
 from .complexes import (Parallelogram, SparseBoundary, boundary_export_lines,
                         build_boundary, enumerate_generators,
                         generator_code, generator_columns, generator_from_code,
-                        grading_drop_violations, parallelograms_from,
-                        square_is_zero)
+                        grading_drop_violations, pack_term,
+                        parallelograms_from, square_is_zero)
 from .homology import (HomologyTable, extract_hfk_hat, gf2_rank,
                        homology_document, simplicity_report, tilde_homology)
 from .s3 import (CoverReport, s3_alexander_total, s3_maslov,

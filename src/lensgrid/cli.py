@@ -277,7 +277,7 @@ def build_parser():
                                help="tilde homology and knot Floer groups"))
     sp.add_argument("--piece-cap", type=int, default=DEFAULT_PIECE_CAP,
                     help="per graded piece elimination cap")
-    sp.add_argument("--pivot", choices=("low", "high"), default="low")
+    sp.add_argument("--pivot", choices=("low", "high"), default="high")
 
     capped(sub.add_parser("lift", help="emit the universal-cover grid file"))
     capped(sub.add_parser("verify-cover",

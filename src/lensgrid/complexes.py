@@ -59,7 +59,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, permutations, product, repeat
-from operator import add, getitem
+from operator import add, getitem, or_
 
 from .errors import SizeCapError, ValidationError
 from .grid import Generator, require_valid
@@ -68,6 +68,9 @@ from .gradings import grading_denominators, gradings_table
 DEFAULT_GENERATOR_CAP = 10 ** 7
 
 VARIANTS = ("tilde", "assoc-graded", "hat", "minus")
+
+# bits per U-exponent in a packed boundary term (see ``SparseBoundary``)
+EXPONENT_BITS = 2
 
 
 @dataclass(frozen=True)
@@ -87,15 +90,30 @@ class SparseBoundary:
     """Mod-2 collected boundary terms on generator codes.
 
     ``terms`` maps the code of every generator x (see ``generator_code``;
-    ``generator_from_code(code, n, p)`` decodes it) to a tuple of
-    ``(target code, exponents)`` pairs sorted by code, exponents being the
-    U-monomial of the term; pairs appearing an even number of times have
-    already been cancelled.  Treat instances as immutable.
+    ``generator_from_code(code, n, p)`` decodes it) to a sorted tuple of
+    packed terms (``pack_term``): the term y U^e is ``y << 2n`` plus one
+    2-bit digit per exponent, U_0 the most significant, so the integers
+    sort as the ``(y, e)`` tuples do.  ``term >> 2n`` is y and ``term >>
+    2(n-1-k) & 3`` is e_k.  Every exponent is 0 or 1, so the digit-wise
+    sum of two terms never carries, and ``square_is_zero`` adds them as
+    integers.  Terms appearing an even number of times have already been
+    cancelled.  Treat instances as immutable.
     """
 
     n: int
     p: int
     terms: dict
+
+
+def pack_term(target, exponents):
+    """The packed term ``target U^exponents`` (see ``SparseBoundary``);
+    an exponent must be 0 or 1, as every parallelogram's marker count is."""
+    term = target
+    for e in exponents:
+        if e not in (0, 1):
+            raise ValueError("U-exponent %r is not 0 or 1" % (e,))
+        term = term << EXPONENT_BITS | e
+    return term
 
 
 def generator_count(n, p):
@@ -213,23 +231,28 @@ def parallelogram_table(torus, drop=0, columns=None):
     the parallelograms with SW corner on the row-i component in column
     c_i and NE corner on a lift of the row-j component in column c_j.
     Each entry is the tuple ``(delta, block, o_counts, x_counts, width,
-    height, new_i, new_j)``: the code delta of the move, the mask with
-    bit ``r*width + c`` set when a component at (c, r) would lie inside,
-    the marker counts, the box size and the new columns of rows i and j.
-    A generator's parallelogram is admissible when none of the
-    generator's own bits is in ``block``.  Parallelograms containing a
-    marker of ``drop`` (see ``drop_mask``) are left out.  With
-    ``columns``, only SW corners in column ``columns[i]`` are filled in.
+    height, new_i, new_j, key)``: the code delta of the move, the mask
+    with bit ``r*width + c`` set when a component at (c, r) would lie
+    inside, the marker counts, the box size, the new columns of rows i
+    and j, and the packed term ``pack_term(delta, o_counts)``, so that
+    ``(code << 2n) + key`` is the term the move adds to the boundary of
+    the generator with that code.  A generator's parallelogram is
+    admissible when none of the generator's own bits is in ``block``.
+    Parallelograms containing a marker of ``drop`` (see ``drop_mask``)
+    are left out.  With ``columns``, only SW corners in column
+    ``columns[i]`` are filled in.
     """
     n, p, q, o_cells, x_cells = torus
     width, shear = n * p, n * q
     winding = torus_winding(width, shear)
-    size = p ** n
+    size, code_shift = p ** n, EXPONENT_BITS * n
     weight = [[(c % n) * n ** (n - 1 - t) * size + (c // n) * p ** (n - 1 - t)
                for c in range(width)] for t in range(n)]
     # a box whose top is k row periods up is embedded while its width is
     # below reach[k]: the shear offsets of the levels under the top stay
     # at least that far from zero on both sides
+    row_bits = [[1 << (t * width + c) for c in range(width)]
+                for t in range(n)]
     reach = [width]
     for b in range(1, winding):
         off = b * shear % width
@@ -247,21 +270,22 @@ def parallelogram_table(torus, drop=0, columns=None):
             for m in range(m0, m0 + winding):
                 h, drift = j + m * n - i, m * shear
                 limit = reach[h // n]
-                # the markers and the other rows' components met by the
-                # band of rows i .. i+h-1, with their level's shear
-                markers, others = [], []
+                # by column of the band of rows i .. i+h-1 (mod width,
+                # with their level's shear), twice over: the markers met,
+                # and the bits of the other rows' components there
+                at, comps = [0] * width, [0] * width
                 for row in range(i, i + h):
                     t, lift = row % n, row // n * shear
-                    markers.append((o_cells[t][0] + lift, 1 << t))
-                    markers.append((x_cells[t][0] + lift, 1 << (n + t)))
+                    at[(o_cells[t][0] + lift) % width] |= 1 << t
+                    at[(x_cells[t][0] + lift) % width] |= 1 << (n + t)
                     if t != i and t != j:
-                        others.append((t * width, -lift))
+                        bits = row_bits[t]
+                        cut = -lift % width
+                        comps = list(map(or_, comps, bits[cut:] + bits[:cut]))
+                at += at
+                comps += comps
                 for ci in sw_cols:
-                    inside = [0] * limit   # markers at each offset from ci
-                    for s, bit in markers:
-                        d = (s - ci) % width
-                        if d < limit:
-                            inside[d] |= bit
+                    inside = at[ci:ci + limit]   # markers at each offset
                     new_j = (ci - drift) % width
                     fixed = w_j[new_j] - w_i[ci]
                     content = block = 0
@@ -274,19 +298,22 @@ def parallelogram_table(torus, drop=0, columns=None):
                             cj = (new_i - drift) % width
                             pair = counts.get(content)
                             if pair is None:
+                                o = tuple(content >> k & 1 for k in range(n))
                                 pair = counts[content] = (
-                                    tuple(content >> k & 1 for k in range(n)),
-                                    tuple(content >> (n + k) & 1 for k in range(n)))
-                            entry = (w_i[new_i] - w_j[cj] + fixed, block,
-                                     pair[0], pair[1], w, h, new_i, new_j)
+                                    o, tuple(content >> (n + k) & 1
+                                             for k in range(n)),
+                                    pack_term(0, o))
+                            delta = w_i[new_i] - w_j[cj] + fixed
+                            entry = (delta, block, pair[0], pair[1], w, h,
+                                     new_i, new_j,
+                                     (delta << code_shift) + pair[2])
                             key = ci * width + cj
                             if cells[key]:
                                 cells[key].append(entry)
                             else:
                                 cells[key] = [entry]
                         # components at offset w lie inside the wider boxes
-                        for base, shift in others:
-                            block |= 1 << (base + (ci + w + shift) % width)
+                        block |= comps[ci + w]
     return table
 
 
@@ -354,9 +381,10 @@ def collect_terms(torus, variant):
     """Mod-2 collected boundary terms of every generator of the torus,
     keyed by code, as ``SparseBoundary.terms`` holds them."""
     n, p = torus[0], torus[1]
+    shift = EXPONENT_BITS * n
     entries = admissible_entries(
         parallelogram_table(torus, drop_mask(variant, n)), n, p)
-    return {code: _odd_terms([(code + e[0], e[2]) for e in entries(cols)])
+    return {code: _odd_terms([(code << shift) + e[8] for e in entries(cols)])
             for code, cols in generator_columns(n, p)}
 
 
@@ -369,7 +397,7 @@ def parallelograms_from(x, diagram):
     # rows i and j swap beta curves: new_i lies on row j's, new_j on row i's
     row_of = {s: t for t, s in enumerate(x.sigma)}
     out = []
-    for (_, _, o_counts, x_counts, w, h, new_i, new_j) \
+    for (_, _, o_counts, x_counts, w, h, new_i, new_j, _) \
             in admissible_entries(table, n, diagram.lens.p)(cols):
         i, j = row_of[new_j % n], row_of[new_i % n]
         target = list(cols)
@@ -402,21 +430,16 @@ def square_is_zero(boundary):
     """Whether the boundary composed with itself cancels mod 2, with the
     U-monomials multiplied along the way.
 
-    Exponent vectors are packed into the digits of one integer, wide
-    enough that adding two of them never carries, and a term z U^e of
-    the square becomes the single integer key ``z << shift | e``.
+    A path x -> y -> z with monomials U^e and U^f is the packed term of
+    y -> z plus the digits e of x -> y (see ``SparseBoundary``).
     """
     terms = boundary.terms
-    exponents = {e for out in terms.values() for _, e in out}
-    top = max((max(e, default=0) for e in exponents), default=0)
-    digit = (2 * top).bit_length()
-    packed = {e: sum(v << (digit * k) for k, v in enumerate(e))
-              for e in exponents}
-    shift = digit * boundary.n
-    keyed = {x: [(y << shift) + packed[e] for y, e in out]
-             for x, out in terms.items()}
+    shift = EXPONENT_BITS * boundary.n
+    digits = (1 << shift) - 1
+    get = terms.get
     for out in terms.values():
-        keys = [key + packed[e] for y, e in out for key in keyed.get(y, ())]
+        keys = [after + e for term in out for e in [term & digits]
+                for after in get(term >> shift, ())]
         keys.sort()
         if keys[::2] != keys[1::2]:   # some key occurs an odd number of times
             return False
@@ -477,17 +500,17 @@ def _grading_drops(diagram, cap=DEFAULT_GENERATOR_CAP):
 def boundary_export_lines(boundary):
     """Deterministic text export, one line per term, in code order."""
     n, p = boundary.n, boundary.p
+    shift = EXPONENT_BITS * n
+    digits = (1 << shift) - 1
     # every target is a generator, hence a key of the terms
     label = label_decoder(n, p)
     labels = {x: label(x) for x in boundary.terms}
-    monomials = {}
+    monomials = {pack_term(0, e): " " + " ".join(map("U%d^%d".__mod__,
+                                                     enumerate(e)))
+                 for e in product((0, 1), repeat=n)}
     lines = []
     for x in sorted(boundary.terms):
         head = labels[x] + " -> "
-        for (y, exps) in boundary.terms[x]:
-            mono = monomials.get(exps)
-            if mono is None:
-                mono = monomials[exps] = " ".join(
-                    "U%d^%d" % (k, e) for k, e in enumerate(exps))
-            lines.append(head + labels[y] + " " + mono)
+        lines += [head + labels[term >> shift] + monomials[term & digits]
+                  for term in boundary.terms[x]]
     return lines

@@ -142,16 +142,23 @@ def alexander_grading(x, diagram):
             - (diagram.n - 1)) / 2
 
 
-def _dedekind_sum(h, k):
-    """Dedekind sum s(h, k) for coprime h and k >= 1, by the reciprocity
-    s(h, k) + s(k, h) = (h*h + k*k + 1) / (12*h*k) - 1/4."""
-    total, sign = Fraction(0), 1
-    h %= k
-    while h:
-        total += sign * (Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4))
-        sign = -sign
-        h, k = k % h, h
-    return total
+def _dedekind_sum_6k(h, k):
+    """``6k * s(h, k)``, an integer, for coprime h and k >= 1, s being the
+    Dedekind sum.  The reciprocity s(h, k) + s(k, h) = (h*h + k*k + 1) /
+    (12*h*k) - 1/4 down the Euclid remainders r_0 = k, r_1 = h mod k, ...
+    makes s an alternating sum of ``(a*a + b*b + 1 - 3*a*b) / (12*a*b)``
+    over adjacent remainders a, b: an integer N over 12 times their
+    product P, and ``6k*s = k*N / (2P)`` exactly."""
+    rems = [k, h % k]
+    while rems[-1]:
+        rems.append(rems[-2] % rems[-1])
+    rems.pop()
+    product = math.prod(rems)
+    numerator = 0
+    for i, (a, b) in enumerate(zip(rems, rems[1:])):
+        term = (a * a + b * b + 1 - 3 * a * b) * (product // (a * b))
+        numerator += -term if i % 2 else term
+    return k * numerator // (2 * product)
 
 
 def _lift_non_inversions(p, q):
@@ -165,11 +172,11 @@ def _lift_non_inversions(p, q):
     the order of every other pair alone, so ``NI[a+1] = NI[a] + (p - 1) -
     2*k*``.
     """
-    inversions = Fraction((p - 1) * (p - 2), 4) - 3 * p * _dedekind_sum(q, p)
+    inversions = ((p - 1) * (p - 2) - 2 * _dedekind_sum_6k(q, p)) // 4
     q_inv = pow(q, -1, p)
     return list(accumulate((p - 1 - 2 * ((p - 1 - a) * q_inv % p)
                             for a in range(p - 1)),
-                           initial=p * (p - 1) // 2 - int(inversions)))
+                           initial=p * (p - 1) // 2 - inversions))
 
 
 def _shifted_counts(p, q_inv, ni, b):

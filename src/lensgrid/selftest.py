@@ -212,7 +212,7 @@ def criterion_09(gn1, rnd, seed=DEFAULT_SEED):
             cols = x.columns
             cands = [(i, j, (h - j + i) // n, w, h)
                      for (i, j), cells in table.items()
-                     for (_, _, _, _, w, h, _, _)
+                     for (_, _, _, _, w, h, _, _, _)
                      in cells[cols[i] * d.width + cols[j]]]
             if len(cands) != n * (n - 1):
                 return CheckResult(

@@ -15,7 +15,7 @@ from lensgrid import (Generator, GridDiagram, LensParams, SizeCapError,
                       grading_drop_violations, lift_diagram, parallelograms_from, square_is_zero)
 from lensgrid import complexes
 from lensgrid.complexes import (SparseBoundary, generator_columns,
-                                lens_torus, parallelogram_table,
+                                lens_torus, pack_term, parallelogram_table,
                                 torus_winding)
 from lensgrid.corpus import (coprime_qs, random_diagram, random_knot_diagram,
                              random_knot_diagrams)
@@ -92,7 +92,7 @@ def table_candidates(table, cols, width):
     n = len(cols)
     return [(i, j, (h - j + i) // n, w, h)
             for (i, j), cells in table.items()
-            for (_, _, _, _, w, h, _, _) in cells[cols[i] * width + cols[j]]]
+            for (_, _, _, _, w, h, _, _, _) in cells[cols[i] * width + cols[j]]]
 
 
 def test_candidate_census_twisted():
@@ -158,6 +158,91 @@ def test_n2_all_embedded_candidates_admissible():
                     == len(table_candidates(table, x.columns, d.width)))
 
 
+def unpack_term(term, n):
+    """``(target, exponents)`` of a packed term of an n-row boundary: the
+    decoder of ``SparseBoundary.terms``, inverse to ``pack_term``."""
+    return term >> 2 * n, tuple(term >> 2 * (n - 1 - k) & 3
+                                for k in range(n))
+
+
+def tuple_terms(boundary):
+    """The boundary's terms as sorted ``(target, exponents)`` pairs."""
+    return {x: tuple(unpack_term(t, boundary.n) for t in out)
+            for x, out in boundary.terms.items()}
+
+
+def packed(terms):
+    """A hand-built n = 2 boundary with ``(target, exponents)`` terms."""
+    return SparseBoundary(n=2, p=2, terms={
+        x: tuple(sorted(pack_term(y, e) for y, e in out))
+        for x, out in terms.items()})
+
+
+def reference_square_is_zero(n, terms):
+    """The d^2 = 0 check on ``(target, exponents)`` terms, as it was before
+    terms were packed: exponent vectors are packed into the digits of one
+    integer, wide enough that adding two of them never carries, and a
+    term z U^e of the square becomes the single key ``z << shift | e``."""
+    exponents = {e for out in terms.values() for _, e in out}
+    top = max((max(e, default=0) for e in exponents), default=0)
+    digit = (2 * top).bit_length()
+    packed = {e: sum(v << (digit * k) for k, v in enumerate(e))
+              for e in exponents}
+    shift = digit * n
+    keyed = {x: [(y << shift) + packed[e] for y, e in out]
+             for x, out in terms.items()}
+    for out in terms.values():
+        keys = [key + packed[e] for y, e in out for key in keyed.get(y, ())]
+        keys.sort()
+        if keys[::2] != keys[1::2]:
+            return False
+    return True
+
+
+def test_packed_terms_round_trip_and_refuse_big_exponents():
+    for term in ((0, ()), (5, (1, 0)), (12, (0, 1, 1)), (3, (1, 1, 1, 1))):
+        assert unpack_term(pack_term(*term), len(term[1])) == term
+    # packed order is the order of the (target, exponents) tuples
+    pairs = sorted((y, e) for y in range(4) for e in product((0, 1), repeat=3))
+    assert sorted(pairs, key=lambda t: pack_term(*t)) == pairs
+    for bad in ((2, 0), (0, 3), (-1, 0)):
+        with pytest.raises(ValueError):
+            pack_term(1, bad)
+
+
+def test_packed_square_check_matches_the_reference():
+    """The packed d^2 check agrees with the tuple-keyed reference on every
+    variant, and on boundaries with one term deleted, which it rejects."""
+    rng = random.Random(83)
+    rejected = 0
+    for (p, n) in ((3, 2), (5, 2), (2, 3), (3, 3), (2, 4)):
+        d = random_diagram(p, rng.choice(coprime_qs(p)), n, rng)
+        for variant in VARIANTS:
+            boundary = build_boundary(d, variant)
+            terms = tuple_terms(boundary)
+            assert square_is_zero(boundary)
+            assert reference_square_is_zero(n, terms)
+            x = rng.choice([x for x, out in terms.items() if out] or [None])
+            if x is None:
+                continue
+            cut = dict(boundary.terms)
+            cut[x] = cut[x][1:]
+            verdict = square_is_zero(dataclasses.replace(boundary, terms=cut))
+            assert verdict == reference_square_is_zero(
+                n, {**terms, x: terms[x][1:]})
+            rejected += not verdict
+    assert rejected > 0
+
+
+def test_square_is_zero_keeps_exponent_digits_apart():
+    # 0 -> 3 through 1 with U_1 * U_1 and through 2 with U_0: if the U_1
+    # digit could carry into U_0 the two paths would wrongly cancel
+    terms = {0: ((1, (0, 1)), (2, (0, 0))), 1: ((3, (0, 1)),),
+             2: ((3, (1, 0)),), 3: ()}
+    assert not square_is_zero(packed(terms))
+    assert not reference_square_is_zero(2, terms)
+
+
 def test_short_only_recipe_breaks_d_squared():
     """Dropping the parallelograms taller than one row period must break
     d^2 = 0; the winding candidates are genuine differential terms."""
@@ -173,10 +258,13 @@ def test_short_only_recipe_breaks_d_squared():
             for P in parallelograms_from(x, d):
                 if P.height >= d.n or any(P.o_counts) or any(P.x_counts):
                     continue
-                bucket[(generator_code(P.target, 3), (0, 0))] += 1
+                bucket[pack_term(generator_code(P.target, 3), (0, 0))] += 1
             truncated[generator_code(x, 3)] = tuple(sorted(
                 t for t, c in bucket.items() if c % 2))
-        if not square_is_zero(dataclasses.replace(full, terms=truncated)):
+        truncated = dataclasses.replace(full, terms=truncated)
+        verdict = square_is_zero(truncated)
+        assert verdict == reference_square_is_zero(2, tuple_terms(truncated))
+        if not verdict:
             found += 1
     assert found > 0
 
@@ -186,10 +274,12 @@ def test_square_is_zero_tells_monomials_apart():
     # U_1: different monomials, which must not cancel
     terms = {0: ((1, (1, 0)), (2, (0, 0))), 1: ((3, (1, 0)),),
              2: ((3, (0, 1)),), 3: ()}
-    assert not square_is_zero(SparseBoundary(n=2, p=2, terms=terms))
+    assert not square_is_zero(packed(terms))
+    assert not reference_square_is_zero(2, terms)
     terms[0] = ((1, (1, 0)), (2, (1, 0)))
     terms[2] = ((3, (1, 0)),)
-    assert square_is_zero(SparseBoundary(n=2, p=2, terms=terms))
+    assert square_is_zero(packed(terms))
+    assert reference_square_is_zero(2, terms)
 
 
 def test_boundaries_square_to_zero():
@@ -211,19 +301,20 @@ def test_gn1_boundaries_vanish():
 def test_term_set_inclusions_and_monomials():
     rng = random.Random(41)
     d = random_knot_diagram(3, 1, 2, rng)
-    tilde, graded, hat, minus = (build_boundary(d, v) for v in VARIANTS)
+    tilde, graded, hat, minus = (tuple_terms(build_boundary(d, v))
+                                 for v in VARIANTS)
     zero = (0, 0)
-    for x in minus.terms:
-        m_terms = set(minus.terms[x])
-        assert set(hat.terms[x]) == {t for t in m_terms if t[1][0] == 0}
-        assert set(graded.terms[x]) <= m_terms
-        assert set(tilde.terms[x]) == {t for t in graded.terms[x] if t[1] == zero}
+    for x in minus:
+        m_terms = set(minus[x])
+        assert set(hat[x]) == {t for t in m_terms if t[1][0] == 0}
+        assert set(graded[x]) <= m_terms
+        assert set(tilde[x]) == {t for t in graded[x] if t[1] == zero}
     # monomial exponents record the O counts
-    for x in minus.terms:
+    for x in minus:
         expected = Counter()
         for P in parallelograms_from(generator_from_code(x, 2, 3), d):
             expected[(generator_code(P.target, 3), P.o_counts)] += 1
-        assert set(minus.terms[x]) == {t for t, c in expected.items() if c % 2}
+        assert set(minus[x]) == {t for t, c in expected.items() if c % 2}
 
 
 def test_early_stop_tilde_matches_counted_parallelograms():
@@ -238,7 +329,8 @@ def test_early_stop_tilde_matches_counted_parallelograms():
             bucket = Counter(generator_code(P.target, p)
                              for P in parallelograms_from(x, d)
                              if not any(P.o_counts) and not any(P.x_counts))
-            expected = {(y, (0, 0, 0)) for y, c in bucket.items() if c % 2}
+            expected = {pack_term(y, (0, 0, 0))
+                        for y, c in bucket.items() if c % 2}
             assert set(tilde.terms[generator_code(x, p)]) == expected, (d, x)
             kept += len(expected)
     assert kept > 0
@@ -247,9 +339,9 @@ def test_early_stop_tilde_matches_counted_parallelograms():
 def transpose(boundary):
     """The boundary with every term reversed: the wrong corner convention."""
     flipped = {x: [] for x in boundary.terms}
-    for x, terms in boundary.terms.items():
+    for x, terms in tuple_terms(boundary).items():
         for (y, mono) in terms:
-            flipped[y].append((x, mono))
+            flipped[y].append(pack_term(x, mono))
     return dataclasses.replace(
         boundary, terms={x: tuple(sorted(v)) for x, v in flipped.items()})
 
@@ -367,8 +459,9 @@ def test_table_matches_per_generator_oracle(torus):
         code = generator_code(x, p)
         found = []
         for (i, j), cells in table.items():
-            for (delta, block, o_counts, x_counts, w, h, new_i, new_j) \
+            for (delta, block, o_counts, x_counts, w, h, new_i, new_j, key) \
                     in cells[cols[i] * width + cols[j]]:
+                assert key == pack_term(delta, o_counts)
                 if block & occupied:
                     continue
                 target = list(cols)

@@ -19,9 +19,9 @@ from lensgrid import (Generator, GridDiagram, LensParams, ValidationError,
                       grading_denominators, gradings_table, maslov_grading,
                       spin_grading)
 from lensgrid.cover import lift_points
-from lensgrid.gradings import (_grading_tables, _lift_non_inversions,
-                               _marker_cross_table, _pair_table,
-                               permutation_gradings)
+from lensgrid.gradings import (_dedekind_sum_6k, _grading_tables,
+                               _lift_non_inversions, _marker_cross_table,
+                               _pair_table, permutation_gradings)
 from lensgrid.cli import main
 from lensgrid.corpus import (coprime_qs, random_knot_diagram,
                              random_knot_diagrams)
@@ -223,6 +223,31 @@ def interleaved_pair_term(c1, c2, p, q, n):
 
 def qs_of(p):
     return coprime_qs(p) or [1, -1]    # p = 1: every q gives the sphere
+
+
+def fraction_dedekind_sum(h, k):
+    """Dedekind sum s(h, k) for coprime h and k >= 1 in exact Fractions, by
+    the reciprocity s(h, k) + s(k, h) = (h*h + k*k + 1) / (12*h*k) - 1/4:
+    the reference of the integer ``_dedekind_sum_6k``."""
+    total, sign = Fraction(0), 1
+    h %= k
+    while h:
+        total += sign * (Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4))
+        sign = -sign
+        h, k = k % h, h
+    return total
+
+
+def test_integer_dedekind_sum_matches_fractions():
+    cases = [(h, k) for k in range(1, 61) for h in range(-k, 2 * k + 1)
+             if gcd(h, k) == 1]
+    rng = random.Random(16)
+    for k in (20011, 200003):
+        cases += [(h, k) for h in [1, 2, 3, k - 1, k - 2, k + 2, -5]
+                  + rng.sample(range(1, k), 300) if gcd(h, k) == 1]
+    for h, k in cases:
+        assert _dedekind_sum_6k(h, k) == 6 * k * fraction_dedekind_sum(h, k), \
+            (h, k)
 
 
 def test_lift_non_inversions_match_the_count():

@@ -84,7 +84,8 @@ def test_tilde_homology_against_brute_force_pieces():
             rows = []
             for x in basis:
                 row = 0
-                for (y, _) in boundary.terms.get(x, ()):
+                for term in boundary.terms.get(x, ()):
+                    y = term >> 2 * d.n   # the target of a packed term
                     row |= 1 << below[y]
                 rows.append(row)
             ranks[m] = brute_force_rank(rows) if rows else 0
