@@ -32,7 +32,7 @@ column c adds a fixed amount to the code, and a parallelogram changes
 only the components of its two rows, so the code of its target is the
 source's code plus a constant of the parallelogram.  Inside the pipeline
 a generator is its code and its column tuple, as ``generator_columns``
-yields them or ``column_decoder`` recovers them from the code alone;
+yields them or ``admissible_entries`` recovers them from the code alone;
 boundaries and gradings are keyed by code, and ``Generator`` objects are
 built only for output and the lift.
 
@@ -59,7 +59,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, permutations, product, repeat
-from operator import add, getitem, or_
+from operator import lshift, or_
 
 from .errors import SizeCapError, ValidationError
 from .grid import Generator, require_valid
@@ -330,41 +330,45 @@ def _odd_terms(found):
 
 
 def admissible_entries(table, n, p):
-    """``entries(cols)``: the entries of ``table`` (see
-    ``parallelogram_table``) at the corner columns of the generator with
-    column tuple ``cols`` that the generator does not block, one per
-    admissible parallelogram leaving it, in table order."""
-    width = n * p
-    pairs = [(i, j, cells) for (i, j), cells in table.items()]
-    bits = [[1 << (t * width + c) for c in range(width)] for t in range(n)]
+    """``entries_of(codes)``: per code of the batch, the list of entries of
+    ``table`` (see ``parallelogram_table``) at the generator's corner
+    columns that it does not block, in table order, one per admissible
+    parallelogram leaving it.  The one place that applies the block mask."""
+    width, size = n * p, p ** n
+    # column sigma_t + n*a_t: per sigma, pair cell bases and row bits; per
+    # a, pair offsets (shared ints: a pointer each) and row shifts n*a_t
+    by_pair = list(table.values())
+    by_sigma = {top: ([sigma[i] * width + sigma[j] for i, j in table],
+                      [1 << t * width + s for t, s in enumerate(sigma)])
+                for top, sigma in _sigma_codes(n)}
+    offset = [[n * (x * width + y) for y in range(p)]
+              for x in range(p)] if table else []   # n = 1: no pairs
+    index = [[offset[a[i]][a[j]] for a in product(range(p), repeat=n)]
+             for i, j in table]
+    by_digits = list(zip(list(zip(*index)) or [()] * size,
+                         product(range(0, width, n), repeat=n)))
 
-    def entries(cols):
-        occupied = sum(map(getitem, bits, cols))
-        return [entry for i, j, cells in pairs
-                for entry in cells[cols[i] * width + cols[j]]
-                if not entry[1] & occupied]
-    return entries
-
-
-def column_decoder(n, p):
-    """``columns(code)``: the column tuple of the generator with that code,
-    as ``generator_columns`` pairs them: sigma from the code's top digits
-    and n*a from the rest, each by one table lookup."""
-    size = p ** n
-    sigmas = dict(_sigma_codes(n))
-    offsets = [tuple(n * a for a in digits)
-               for digits in product(range(p), repeat=n)]
-
-    def columns(code):
-        top, bottom = divmod(code, size)
-        return tuple(map(add, sigmas[top], offsets[bottom]))
-    return columns
+    def entries_of(codes):
+        out = []
+        for code in codes:
+            top, bottom = divmod(code, size)
+            bases, row_bits = by_sigma[top]
+            keys, shifts = by_digits[bottom]
+            occupied = sum(map(lshift, row_bits, shifts))
+            found = []
+            for cells, base, key in zip(by_pair, bases, keys):
+                for entry in cells[base + key]:
+                    if not entry[1] & occupied:
+                        found.append(entry)
+            out.append(found)
+        return out
+    return entries_of
 
 
 def label_decoder(n, p):
     """``label(code)``: the text ``[sigma|a]`` of the generator with that
     code, its digits separated by spaces, from the code by two table
-    lookups, as ``column_decoder`` reads its columns."""
+    lookups, as ``admissible_entries`` reads its columns."""
     size = p ** n
     sigmas = {code: " ".join(map(str, sigma))
               for code, sigma in _sigma_codes(n)}
@@ -381,24 +385,27 @@ def collect_terms(torus, variant):
     """Mod-2 collected boundary terms of every generator of the torus,
     keyed by code, as ``SparseBoundary.terms`` holds them."""
     n, p = torus[0], torus[1]
-    shift = EXPONENT_BITS * n
-    entries = admissible_entries(
+    shift, size = EXPONENT_BITS * n, p ** n
+    entries_of = admissible_entries(
         parallelogram_table(torus, drop_mask(variant, n)), n, p)
-    return {code: _odd_terms([(code << shift) + e[8] for e in entries(cols)])
-            for code, cols in generator_columns(n, p)}
+    batches = (range(base * size, (base + 1) * size)   # one per permutation
+               for base, _ in _sigma_codes(n))
+    return {code: _odd_terms([(code << shift) + e[8] for e in found])
+            for codes in batches
+            for code, found in zip(codes, entries_of(codes))}
 
 
 def parallelograms_from(x, diagram):
     """All admissible parallelograms leaving x, with marker counts, as
     ``Parallelogram`` objects: the object view of ``admissible_entries``
     on the table's slice at x's corner columns."""
-    n, cols = diagram.n, x.columns
+    n, p, cols = diagram.n, diagram.lens.p, x.columns
     table = parallelogram_table(lens_torus(diagram), columns=cols)
     # rows i and j swap beta curves: new_i lies on row j's, new_j on row i's
     row_of = {s: t for t, s in enumerate(x.sigma)}
     out = []
     for (_, _, o_counts, x_counts, w, h, new_i, new_j, _) \
-            in admissible_entries(table, n, diagram.lens.p)(cols):
+            in admissible_entries(table, n, p)([generator_code(x, p)])[0]:
         i, j = row_of[new_j % n], row_of[new_i % n]
         target = list(cols)
         target[i], target[j] = new_i, new_j
@@ -466,13 +473,12 @@ def _grading_drops(diagram, cap=DEFAULT_GENERATOR_CAP):
     require_generator_cap(n, p, cap)
     table = gradings_table(diagram, generator_columns(n, p))
     dm, da = grading_denominators(diagram)
-    entries = admissible_entries(
+    entries_of = admissible_entries(
         parallelogram_table(lens_torus(diagram)), n, p)
     out = []
     checked = 0
-    for code, cols in generator_columns(n, p):
+    for code, found in zip(table, entries_of(table)):
         ts = table[code]
-        found = entries(cols)
         checked += len(found)
         for (delta, _, o_counts, x_counts, *_) in found:
             td = table[code + delta]

@@ -310,7 +310,6 @@ def _grading_tables(diagram):
     t < u, and Alexander numerator ``alexander_base`` plus
     ``alexander_rows[t][cols[t]]`` over t.
     """
-    require_knot(diagram)   # validates the diagram first
     p, q, n = diagram.lens.p, diagram.lens.q, diagram.n
     qn = q % p
     d = d_invariant(p, qn, qn - 1)
@@ -344,6 +343,7 @@ def gradings_table(diagram, generators):
 
     Requires a knot diagram (the Alexander grading is only defined then).
     """
+    require_knot(diagram)   # validates the diagram first
     blocks = {first: list(map(GradingTriple, spins, maslovs, alexanders))
               for first, spins, maslovs, alexanders
               in permutation_gradings(diagram)}
@@ -357,7 +357,7 @@ def permutation_gradings(diagram):
     code order: the Spin^c classes and the Maslov and Alexander numerators
     of sigma's p^n generators, codes ``first, first + 1, ...``.  ``spins``
     depends on sum(a) alone and is one list for every sigma.  It is the
-    only reader of ``_grading_tables``.
+    only reader of ``_grading_tables``; its callers check the knot.
 
     The Spin^c and Alexander lists are outer sums of per-row values.  The
     Maslov pair sums are carried down the rows: each choice of the rows

@@ -207,7 +207,11 @@ def reconstruct_link(diagram):
     arcs divided by n, taken mod p.  This fixes one identification of the
     first homology with Z_p; only the order of the class is canonical.
     """
-    require_valid(diagram)
+    return link_structure(require_valid(diagram))
+
+
+def link_structure(diagram):
+    """``reconstruct_link`` of a diagram the caller has already validated."""
     p, q, n = diagram.lens.p, diagram.lens.q, diagram.n
     width = n * p
     cycles = row_cycles([s % n for (s, _) in diagram.O],
@@ -230,9 +234,9 @@ def reconstruct_link(diagram):
                          order=p // math.gcd(cls, p))
 
 
-def require_knot(diagram):
-    """Raise unless the diagram encodes a single-component knot."""
-    link = reconstruct_link(diagram)
+def require_knot(diagram, validated=False):
+    """Raise unless the diagram is a knot; validate it unless ``validated``."""
+    link = (link_structure if validated else reconstruct_link)(diagram)
     if link.component_count != 1:
         raise KnotRequiredError(link.component_count)
     return link

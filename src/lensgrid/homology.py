@@ -6,8 +6,8 @@ preserves the first two and lowers the third by one.  Each (S, A) summand
 is therefore a finite complex of vector spaces graded by M, eliminated
 independently with bit-packed rows.  The summands are bucketed on the
 integer numerators of the gradings and eliminated one at a time, each
-generator's boundary read from the parallelogram table when its row is
-built, so no whole boundary is ever held.
+Maslov level's boundary read from the parallelogram table in one batch
+when its rows are built, so no whole boundary is ever held.
 
 The homology of the fully blocked complex of a knot carries n-1 tensor
 factors of the rank-two bigraded space with summands in degrees (0, 0)
@@ -28,15 +28,14 @@ from math import gcd, lcm
 
 # unused here: perfbench/tracing.py wraps the homology.build_boundary binding
 from .complexes import (DEFAULT_GENERATOR_CAP, build_boundary,  # noqa: F401
-                        admissible_entries, column_decoder, drop_mask,
-                        lens_torus, parallelogram_table,
-                        require_generator_cap)
+                        admissible_entries, drop_mask, lens_torus,
+                        parallelogram_table, require_generator_cap)
 from .errors import InternalInvariantError, LensGridError, SizeCapError
 # gradings_table is unused here: perfbench/tracing.py wraps the
 # homology.gradings_table binding
 from .gradings import (grading_denominators, gradings_table,  # noqa: F401
                        permutation_gradings)
-from .grid import require_valid
+from .grid import require_knot, require_valid
 
 DEFAULT_PIECE_CAP = 10 ** 5
 
@@ -91,30 +90,30 @@ def gf2_rank(rows, pivot="high"):
     return rank
 
 
-def homology_ranks(levels, targets, pivot="high", step=1):
+def homology_ranks(levels, entries_of, pivot="high", step=1):
     """Rank of the homology at each Maslov level of one graded piece.
 
     ``levels`` maps M to the ordered basis of the piece, or M's integer
-    numerator over the denominator ``step``; ``targets(x)`` yields the
-    boundary terms of x, which are summed mod 2, so a term yielded twice
-    cancels.  Every term of a basis element at level M must lie in the
-    level of M - 1 (key minus ``step``): the differential stays inside
-    the piece and lowers M by exactly one.
+    numerator over the denominator ``step``; ``entries_of(basis)`` gives
+    each x's entries e (``complexes.admissible_entries``), one call per
+    level, and the terms ``x + e[0]`` are summed mod 2.  Every term at
+    level M must lie in the level of M - 1 (key minus ``step``).
     """
     rank_out = {}
     for m, basis in levels.items():
         below = {y: k for k, y in enumerate(levels.get(m - step, ()))}
+        entries = entries_of(basis)
         rows = []
-        for x in basis:
-            row = 0
-            for y in targets(x):
-                k = below.get(y)
-                if k is None:
-                    raise InternalInvariantError(
-                        "boundary term %r -> %r leaves its graded piece or "
-                        "drops M by other than 1" % (x, y))
-                row ^= 1 << k
-            rows.append(row)
+        try:
+            for x, found in zip(basis, entries):
+                row = 0
+                for entry in found:
+                    row ^= 1 << below[x + entry[0]]
+                rows.append(row)
+        except KeyError as term:
+            raise InternalInvariantError(
+                "boundary term %r -> %r leaves its graded piece or drops M "
+                "by other than 1" % (x, term.args[0])) from None
         rank_out[m] = gf2_rank(rows, pivot)
     out = {}
     for m, basis in levels.items():
@@ -126,17 +125,6 @@ def homology_ranks(levels, targets, pivot="high", step=1):
     return out
 
 
-def tilde_targets(torus):
-    """``targets(code)``: the target codes of one generator's tilde
-    parallelograms, read from the torus's table at that generator's
-    corner columns.  A target may repeat."""
-    n, p = torus[0], torus[1]
-    entries = admissible_entries(
-        parallelogram_table(torus, drop_mask("tilde", n)), n, p)
-    columns = column_decoder(n, p)
-    return lambda code: [code + e[0] for e in entries(columns(code))]
-
-
 def graded_homology(graded, torus, denominators, piece_cap=None,
                     pivot="high"):
     """Ranks ``{S: {(M, A): rank}}`` of the tilde complex of ``torus``.
@@ -146,7 +134,7 @@ def graded_homology(graded, torus, denominators, piece_cap=None,
     first).  The codes are bucketed into (S, A) pieces, every piece is
     checked against ``piece_cap`` before the parallelogram table is
     built, and then each piece is eliminated and dropped in turn, its
-    boundary read one generator at a time (the tilde differential
+    boundary read one Maslov level at a time (the tilde differential
     preserves S and A).  The result has ``Fraction`` gradings.
     """
     dm, da = denominators
@@ -164,10 +152,11 @@ def graded_homology(graded, torus, denominators, piece_cap=None,
             raise SizeCapError("graded piece (S=%s, A=%s) has dimension %d "
                                "(cap %d)" % (s, Fraction(a, da), size,
                                              piece_cap))
-    targets = tilde_targets(torus)
+    entries_of = admissible_entries(
+        parallelogram_table(torus, drop_mask("tilde", torus[0])), *torus[:2])
     out = {}
     for s, a in keys:
-        ranks = homology_ranks(pieces.pop((s, a)), targets, pivot, dm)
+        ranks = homology_ranks(pieces.pop((s, a)), entries_of, pivot, dm)
         out.setdefault(s, {}).update(((Fraction(m, dm), Fraction(a, da)), h)
                                      for m, h in ranks.items())
     return out
@@ -183,6 +172,7 @@ def tilde_homology(diagram, cap=DEFAULT_GENERATOR_CAP,
     require_valid(diagram)
     p, n = diagram.lens.p, diagram.n
     require_generator_cap(n, p, cap)
+    require_knot(diagram, validated=True)
     size = p ** n
     # one permutation's gradings at a time, never a table of every generator
     graded = chain.from_iterable(

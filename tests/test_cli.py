@@ -6,7 +6,7 @@ import signal
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lensgrid import cli, complexes, homology, s3
+from lensgrid import cli, complexes, grid, homology, s3
 from lensgrid.cli import main
 
 GN1 = "5 2 1\nO: 0\nX: 2\n"
@@ -261,6 +261,31 @@ def test_verify_cover_refuses_before_the_lift(grid_file, capsys, monkeypatch):
 def test_size_cap_exit_two(grid_file, capsys):
     code, _, err = run(capsys, "homology", grid_file(KNOT_N2), "--cap", "3")
     assert code == 2 and "cap" in err
+
+
+def test_homology_validates_its_diagram_twice(grid_file, capsys,
+                                              monkeypatch):
+    # once when the file is loaded and once in tilde_homology; the knot
+    # check reuses that validation
+    calls = []
+    real = grid.validate
+
+    def counting(diagram):
+        calls.append(diagram)
+        return real(diagram)
+
+    monkeypatch.setattr(grid, "validate", counting)
+    code, out, _ = run(capsys, "homology", grid_file(KNOT_N2),
+                       "--format", "structured")
+    assert code == 0 and json.loads(out)["total_rank"] > 0
+    assert len(calls) == 2
+    # the refusals keep their order: validation, generator cap, knot
+    code, _, err = run(capsys, "homology", grid_file(BAD_GCD), "--cap", "0")
+    assert code == 1 and "cap" not in err
+    code, _, err = run(capsys, "homology", grid_file(LINK), "--cap", "3")
+    assert code == 2 and err.startswith("refused:")
+    code, _, err = run(capsys, "homology", grid_file(LINK))
+    assert code == 1 and "knots only" in err
 
 
 def test_boundary_export_refuses_before_the_table(grid_file, capsys,

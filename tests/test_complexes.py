@@ -2,17 +2,20 @@ import dataclasses
 import hashlib
 import json
 import random
+import sys
 from collections import Counter
 from itertools import permutations, product
 from pathlib import Path
 
 import pytest
 
-from lensgrid import (Generator, GridDiagram, LensParams, SizeCapError,
-                      boundary_export_lines, build_boundary,
+from lensgrid import (Generator, GridDiagram, LensParams, S3GridDiagram,
+                      SizeCapError, boundary_export_lines, build_boundary,
                       enumerate_generators, generator_code,
                       generator_from_code, grading_denominators,
-                      grading_drop_violations, lift_diagram, parallelograms_from, square_is_zero)
+                      grading_drop_violations, lift_diagram,
+                      parallelograms_from, s3_tilde_homology, square_is_zero,
+                      tilde_homology)
 from lensgrid import complexes
 from lensgrid.complexes import (SparseBoundary, generator_columns,
                                 lens_torus, pack_term, parallelogram_table,
@@ -359,14 +362,14 @@ def test_grading_drops_clean_and_reversed(monkeypatch):
 
     def reversed_corners(table, n, p):
         # each generator reads the entries that lead into it, delta negated
-        entries = original(table, n, p)
-        columns = dict(generator_columns(n, p))
+        entries_of = original(table, n, p)
+        codes = [code for code, _ in generator_columns(n, p)]
         incoming = {}
-        for code, cols in columns.items():
-            for entry in entries(cols):
-                incoming.setdefault(columns[code + entry[0]], []).append(
+        for code, found in zip(codes, entries_of(codes)):
+            for entry in found:
+                incoming.setdefault(code + entry[0], []).append(
                     (-entry[0],) + entry[1:])
-        return lambda cols: incoming.get(cols, [])
+        return lambda batch: [incoming.get(code, []) for code in batch]
 
     monkeypatch.setattr(complexes, "admissible_entries", reversed_corners)
     assert grading_drop_violations(d)
@@ -473,6 +476,87 @@ def test_table_matches_per_generator_oracle(torus):
         assert sorted(found) == sorted(expected), (torus, x)
         total += len(found)
     assert total > 0
+
+
+def reader_diagrams():
+    """Random diagrams with n = 2..4, knots or not, q of both signs."""
+    rng = random.Random(73)
+    return [random_diagram(p, q, n, rng)
+            for p, q, n in ((3, 1, 2), (5, -2, 2), (3, -1, 3), (4, 1, 3),
+                            (2, 1, 4), (2, -1, 4))]
+
+
+def oracle_entries(cols, torus, drop):
+    """``(w, h, target columns, O counts, X counts)`` of the oracle's
+    parallelograms from ``cols`` that meet no marker of ``drop``."""
+    n = torus[0]
+    return sorted((w, h, target, o, x)
+                  for (_, _, w, h, target, o, x)
+                  in oracle.parallelograms(cols, torus)
+                  if not any(o[k] and drop >> k & 1
+                             or x[k] and drop >> n + k & 1
+                             for k in range(n)))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_batch_reader_matches_per_generator_oracle(variant):
+    """``entries_of(codes)`` gives, per code of the batch, the admissible
+    entries of the variant's table, as the scan finds them."""
+    total = 0
+    for d in reader_diagrams():
+        n, p = d.n, d.lens.p
+        torus, drop = lens_torus(d), complexes.drop_mask(variant, n)
+        entries_of = complexes.admissible_entries(
+            parallelogram_table(torus, drop), n, p)
+        pairs = list(generator_columns(n, p))
+        codes = [code for code, _ in pairs]
+        assert entries_of([]) == []
+        batch = entries_of(codes)
+        assert len(batch) == len(codes)
+        for (code, cols), found in zip(pairs, batch):
+            got = []
+            for (delta, _, o_counts, x_counts, w, h, *_) in found:
+                target = generator_from_code(code + delta, n, p).columns
+                got.append((w, h, target, o_counts, x_counts))
+            assert sorted(got) == oracle_entries(cols, torus, drop), (d, cols)
+            total += len(got)
+        # a batch in any order, a code repeated, reads each code alone
+        shuffled = (random.Random(75).sample(codes, min(len(codes), 20))
+                    + [codes[-1]] * 2)
+        by_code = dict(zip(codes, batch))
+        assert entries_of(shuffled) == [by_code[c] for c in shuffled]
+    assert total > 0
+
+
+def test_every_table_read_goes_through_the_one_reader(monkeypatch):
+    """With the reader swapped for one that raises, at every binding the
+    package looks it up by, every path to the parallelogram table fails."""
+    class Refused(Exception):
+        pass
+
+    def refuse(*args):
+        raise Refused
+
+    bound = [(module, name) for module in list(sys.modules.values())
+             if module and module.__name__.startswith("lensgrid")
+             for name, value in vars(module).items()
+             if value is complexes.admissible_entries]
+    assert {m.__name__ for m, _ in bound} >= {"lensgrid.complexes",
+                                              "lensgrid.homology"}
+    for module, name in bound:
+        monkeypatch.setattr(module, name, refuse)
+    d = random_knot_diagram(3, -1, 2, random.Random(74))
+    trefoil = S3GridDiagram(
+        5, tuple(((r - 1) % 5, r) for r in range(5)),
+        tuple(((r + 1) % 5, r) for r in range(5)))
+    calls = [lambda: tilde_homology(d),
+             lambda: s3_tilde_homology(trefoil),
+             lambda: grading_drop_violations(d),
+             lambda: parallelograms_from(Generator((0, 1), (0, 0)), d)]
+    calls += [lambda v=v: build_boundary(d, v) for v in VARIANTS]
+    for call in calls:
+        with pytest.raises(Refused):
+            call()
 
 
 def test_parallelograms_from_matches_per_generator_oracle():

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -133,13 +134,19 @@ def test_gradings_table_is_integer_relative_per_spin():
 
 def test_homology_ranks_levels_and_targets():
     # d(c) = d(d) = a + b, and e's two terms c + c cancel
-    levels = {0: ["a", "b"], 1: ["c", "d"], 2: ["e"]}
-    targets = {"a": [], "b": [], "c": ["a", "b"], "d": ["b", "a"],
-               "e": ["c", "c"]}
-    assert homology.homology_ranks(levels, targets.get) == {0: 1, 1: 1, 2: 1}
-    targets["c"] = ["a", "d"]   # d sits at M = 1, not M = 0
+    a, b, c, d, e = range(5)
+    levels = {0: [a, b], 1: [c, d], 2: [e]}
+    targets = {a: [], b: [], c: [a, b], d: [b, a], e: [c, c]}
+
+    def entries_of(codes):
+        # the reader's batch shape: per code, entries whose delta leads
+        # to each target
+        return [[(y - x,) for y in targets[x]] for x in codes]
+
+    assert homology.homology_ranks(levels, entries_of) == {0: 1, 1: 1, 2: 1}
+    targets[c] = [a, d]   # d sits at M = 1, not M = 0
     with pytest.raises(InternalInvariantError):
-        homology.homology_ranks(levels, targets.get)
+        homology.homology_ranks(levels, entries_of)
 
 
 def test_misplaced_boundary_term_is_an_invariant_violation(
@@ -150,18 +157,16 @@ def test_misplaced_boundary_term_is_an_invariant_violation(
     victim = next(x for x, out in build_boundary(d, "tilde").terms.items()
                   if out)
     real = homology.admissible_entries
-    victim_cols = dict(generator_columns(d.n, d.lens.p))[victim]
 
     def misplaced(*args):
         # the first term x -> y becomes x -> x (code delta 0), which stays
         # at x's level
-        entries = real(*args)
+        entries_of = real(*args)
 
-        def moved(cols):
-            out = entries(cols)
-            if cols == victim_cols:
-                return [(0,) + out[0][1:]] + out[1:]
-            return out
+        def moved(codes):
+            return [[(0,) + found[0][1:]] + found[1:] if code == victim
+                    else found
+                    for code, found in zip(codes, entries_of(codes))]
         return moved
 
     monkeypatch.setattr(homology, "admissible_entries", misplaced)
@@ -306,31 +311,67 @@ def test_piece_cap_refusal():
 
 def test_targets_are_read_only_inside_the_piece_being_eliminated(
         monkeypatch):
-    # the boundary is read one generator at a time, and only for the
+    # the boundary is read one Maslov level at a time, and only for the
     # members of the (S, A) piece under elimination
     d = random_knot_diagram(3, 1, 3, random.Random(21))
     expected = tilde_homology(d)
     current, asked = set(), []
-    real_ranks, real_targets = homology.homology_ranks, homology.tilde_targets
+    real_ranks, real_reader = (homology.homology_ranks,
+                               homology.admissible_entries)
 
-    def ranks(levels, targets, *args):
+    def ranks(levels, entries_of, *args):
         current.clear()
         current.update(code for basis in levels.values() for code in basis)
-        return real_ranks(levels, targets, *args)
+        return real_ranks(levels, entries_of, *args)
 
-    def local_targets(torus):
-        targets = real_targets(torus)
+    def local_reader(*args):
+        entries_of = real_reader(*args)
 
-        def checked(code):
-            assert code in current, "targets(%d) outside its piece" % code
-            asked.append(code)
-            return targets(code)
+        def checked(codes):
+            for code in codes:
+                assert code in current, "code %d outside its piece" % code
+            asked.extend(codes)
+            return entries_of(codes)
         return checked
 
     monkeypatch.setattr(homology, "homology_ranks", ranks)
-    monkeypatch.setattr(homology, "tilde_targets", local_targets)
+    monkeypatch.setattr(homology, "admissible_entries", local_reader)
     assert tilde_homology(d) == expected
     assert sorted(asked) == [code for code, _ in generator_columns(3, 3)]
+
+
+def test_tilde_homology_reads_each_maslov_level_in_one_batch(monkeypatch):
+    # one reader call per (S, A, M) level, over that level's whole basis,
+    # never one call per generator
+    d = random_knot_diagram(3, -1, 3, random.Random(24))
+    expected = tilde_homology(d)
+    table = gradings_table(d, generator_columns(3, 3))
+    levels = {}
+    for code, t in table.items():
+        levels.setdefault(t, []).append(code)
+    piece_of = {code: (t.spin, t.alexander) for code, t in table.items()}
+    real = homology.admissible_entries
+    batches, readers = [], []
+
+    def counting(*args):
+        readers.append(args)
+        entries_of = real(*args)
+
+        def batch(codes):
+            batches.append(list(codes))
+            return entries_of(codes)
+        return batch
+
+    monkeypatch.setattr(homology, "admissible_entries", counting)
+    assert tilde_homology(d) == expected
+    assert len(readers) == 1
+    assert len(batches) == len(levels) < len(table)
+    assert sorted(map(sorted, batches)) == sorted(map(sorted, levels.values()))
+    # the levels of one piece are read together, one piece after another
+    pieces = [piece_of[codes[0]] for codes in batches]
+    assert all(piece_of[code] == piece for codes, piece in zip(batches, pieces)
+               for code in codes)
+    assert len(set(pieces)) == len([k for k, g in groupby(pieces)])
 
 
 def test_tilde_homology_builds_no_whole_boundary(monkeypatch):

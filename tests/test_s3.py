@@ -314,16 +314,16 @@ def test_misplaced_square_grid_term_is_an_invariant_violation(monkeypatch):
                             tuple(((r + 1) % 5, r) for r in range(5)))
     s3_tilde_homology(trefoil)
     real = homology.admissible_entries
-    identity = Generator(tuple(range(5)), (0,) * 5).columns
+    identity = generator_code(Generator(tuple(range(5)), (0,) * 5), 1)
     # code delta 0 and no markers inside: a term x -> x
     loop = (0, 0, (0,) * 5, (0,) * 5, 1, 1, 0, 0)
 
     def misplaced(*args):
-        entries = real(*args)
+        entries_of = real(*args)
 
-        def added(cols):
-            out = entries(cols)
-            return [loop] + out if cols == identity else out
+        def added(codes):
+            return [[loop] + found if code == identity else found
+                    for code, found in zip(codes, entries_of(codes))]
         return added
 
     monkeypatch.setattr(homology, "admissible_entries", misplaced)
