@@ -7,7 +7,9 @@ is therefore a finite complex of vector spaces graded by M, eliminated
 independently with bit-packed rows.  The summands are bucketed on the
 integer numerators of the gradings and eliminated one at a time, each
 Maslov level's boundary read from the parallelogram table in one batch
-when its rows are built, so no whole boundary is ever held.
+when its rows are built, so no whole boundary is ever held.  For a knot
+only the summands with A >= 0 are eliminated; the symmetry of the knot
+Floer groups gives the rest, and full elimination is the fallback.
 
 The homology of the fully blocked complex of a knot carries n-1 tensor
 factors of the rank-two bigraded space with summands in degrees (0, 0)
@@ -24,7 +26,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 # unused here: perfbench/tracing.py wraps the homology.build_boundary binding
 from .complexes import (DEFAULT_GENERATOR_CAP, build_boundary,  # noqa: F401
@@ -125,6 +127,45 @@ def homology_ranks(levels, entries_of, pivot="high", step=1):
     return out
 
 
+def _graded_pieces(graded, piece_cap, da):
+    """``{(S, A): {M: codes}}`` from ``graded``'s ``(code, (S, A, M))``
+    pairs, every piece checked against ``piece_cap`` in (S, A) order."""
+    levels = defaultdict(list)
+    for code, key in graded:
+        levels[key].append(code)
+    pieces = {}
+    for (s, a, m), codes in levels.items():
+        pieces.setdefault((s, a), {})[m] = codes
+    del levels   # so that each piece is freed once eliminated
+    for s, a in sorted(pieces):
+        size = sum(map(len, pieces[s, a].values()))
+        if piece_cap is not None and size > piece_cap:
+            raise SizeCapError("graded piece (S=%s, A=%s) has dimension %d "
+                               "(cap %d)" % (s, Fraction(a, da), size,
+                                             piece_cap))
+    return pieces
+
+
+def _tilde_reader(torus):
+    return admissible_entries(
+        parallelogram_table(torus, drop_mask("tilde", torus[0])), *torus[:2])
+
+
+def _eliminate(pieces, keys, entries_of, pivot, dm, out):
+    """Eliminate and drop the pieces ``keys``, adding each one's ranks to
+    ``out[S]`` as ``{(M, A): rank}`` on integer numerators."""
+    for s, a in keys:
+        ranks = homology_ranks(pieces.pop((s, a)), entries_of, pivot, dm)
+        out.setdefault(s, {}).update(((m, a), h) for m, h in ranks.items())
+
+
+def _fractions(classes, denominators):
+    dm, da = denominators
+    return {s: {(Fraction(m, dm), Fraction(a, da)): h
+                for (m, a), h in by.items()}
+            for s, by in classes.items()}
+
+
 def graded_homology(graded, torus, denominators, piece_cap=None,
                     pivot="high"):
     """Ranks ``{S: {(M, A): rank}}`` of the tilde complex of ``torus``.
@@ -137,29 +178,74 @@ def graded_homology(graded, torus, denominators, piece_cap=None,
     boundary read one Maslov level at a time (the tilde differential
     preserves S and A).  The result has ``Fraction`` gradings.
     """
-    dm, da = denominators
-    levels = defaultdict(list)
-    for code, key in graded:
-        levels[key].append(code)
-    pieces = {}
-    for (s, a, m), codes in levels.items():
-        pieces.setdefault((s, a), {})[m] = codes
-    del levels   # so that each piece is freed once eliminated
-    keys = sorted(pieces)
-    for s, a in keys:
-        size = sum(map(len, pieces[s, a].values()))
-        if piece_cap is not None and size > piece_cap:
-            raise SizeCapError("graded piece (S=%s, A=%s) has dimension %d "
-                               "(cap %d)" % (s, Fraction(a, da), size,
-                                             piece_cap))
-    entries_of = admissible_entries(
-        parallelogram_table(torus, drop_mask("tilde", torus[0])), *torus[:2])
+    pieces = _graded_pieces(graded, piece_cap, denominators[1])
     out = {}
-    for s, a in keys:
-        ranks = homology_ranks(pieces.pop((s, a)), entries_of, pivot, dm)
-        out.setdefault(s, {}).update(((Fraction(m, dm), Fraction(a, da)), h)
-                                     for m, h in ranks.items())
-    return out
+    _eliminate(pieces, sorted(pieces), _tilde_reader(torus), pivot,
+               denominators[0], out)
+    return _fractions(out, denominators)
+
+
+def _mirror_class(p, q, k):
+    """c of the symmetry ``hat[s][(M, A)] == hat[c - s][(M - 2A, -A)]`` of
+    a knot of homology class k in L(p, q): the class of the canonical X
+    generator (tests/test_symmetry.py derives it)."""
+    return (q - 1 - q * k) % p
+
+
+def _derived_ranks(top, pieces, c, exponent, denominators):
+    """The tilde ranks ``{(S, A): {M: rank}}`` of every A < 0 piece, derived
+    from the ranks ``top[S]`` of the A >= 0 pieces, or None when a check
+    fails; keys are integer numerators over ``denominators``.  ``pieces``
+    holds the bucketed A < 0 pieces, ``{(S, A): {M: codes}}``.
+
+    Each class is divided by (1 + u^-1 v^-1)^exponent from the top down
+    to A = 0, which needs no term below A = 0.  HFK-hat at A < 0 is the
+    reflection of class c - S, and the product with the tensor factor
+    gives the tilde ranks.  None unless every quotient coefficient is
+    nonnegative, the A = 0 rows of S and c - S agree, and each A < 0
+    piece has ranks only at its levels, none above a level's size, and
+    its levels' Euler characteristic.
+    """
+    dm, da = denominators
+    reflect = 2 * dm // da          # 2A, on M's numerators, per step of A
+    hats = {}
+    for s, poly in top.items():
+        for _ in range(exponent):
+            poly = _divide_once(poly, denominators, floor=0)
+            if poly is None:
+                return None
+        hats[s] = poly
+    p = len(top)
+    derived = {}
+    for s, hat in hats.items():
+        # the mirror's A = 0 row must be in this class; both ways round,
+        # over every s, the two rows agree
+        mirror = []
+        for (m, a), r in hats[(c - s) % p].items():
+            if a:
+                mirror.append(((m - reflect * a, -a), r))
+            elif hat.get((m, 0)) != r:
+                return None
+        for (m, a), r in chain(hat.items(), mirror):
+            for i in range(exponent + 1):
+                if a - i * da < 0:
+                    by = derived.setdefault((s, a - i * da), {})
+                    key = m - i * dm
+                    by[key] = by.get(key, 0) + comb(exponent, i) * r
+    for key in set(derived).union(pieces):
+        levels, ranks = pieces.get(key, {}), derived.get(key, {})
+        if not ranks.keys() <= levels.keys():
+            return None
+        euler = 0
+        m0 = next(iter(levels))
+        for m, codes in levels.items():
+            h = len(codes) - ranks.get(m, 0)
+            if h < 0:
+                return None
+            euler += -h if (m - m0) // dm & 1 else h
+        if euler:
+            return None
+    return derived
 
 
 def tilde_homology(diagram, cap=DEFAULT_GENERATOR_CAP,
@@ -167,21 +253,36 @@ def tilde_homology(diagram, cap=DEFAULT_GENERATOR_CAP,
     """Bigraded homology table of the fully blocked complex of a knot.
 
     Every (S, A) piece is checked against ``piece_cap`` before any
-    boundary work.
+    boundary work.  Only the A >= 0 pieces are eliminated; the A < 0
+    ranks follow from the symmetry of HFK-hat (``_derived_ranks``), and
+    when one of its checks fails, the A < 0 pieces are eliminated too.
     """
     require_valid(diagram)
-    p, n = diagram.lens.p, diagram.n
+    p, q, n = diagram.lens.p, diagram.lens.q, diagram.n
     require_generator_cap(n, p, cap)
-    require_knot(diagram, validated=True)
+    k = require_knot(diagram, validated=True).homology_class
     size = p ** n
     # one permutation's gradings at a time, never a table of every generator
     graded = chain.from_iterable(
         zip(range(first, first + size), zip(spins, alexanders, maslovs))
         for first, spins, maslovs, alexanders in permutation_gradings(diagram))
-    classes = {s: {} for s in range(p)}
-    classes.update(graded_homology(graded, lens_torus(diagram),
-                                   grading_denominators(diagram), piece_cap,
-                                   pivot))
+    denominators = grading_denominators(diagram)
+    pieces = _graded_pieces(graded, piece_cap, denominators[1])
+    entries_of = _tilde_reader(lens_torus(diagram))
+    ranks = {s: {} for s in range(p)}
+    if n > 1:   # with n = 1 each piece is one generator: nothing to save
+        _eliminate(pieces, sorted(key for key in pieces if key[1] >= 0),
+                   entries_of, pivot, denominators[0], ranks)
+        derived = _derived_ranks(ranks, pieces, _mirror_class(p, q, k),
+                                 n - 1, denominators)
+        if derived is not None:
+            pieces.clear()
+            for (s, a), by in derived.items():
+                ranks[s].update(((m, a), r) for m, r in by.items())
+    # every piece when n = 1, the A < 0 ones when a check failed
+    _eliminate(pieces, sorted(pieces), entries_of, pivot, denominators[0],
+               ranks)
+    classes = _fractions(ranks, denominators)
 
     floor = 2 ** (n - 1)
     for s in range(p):
@@ -192,11 +293,13 @@ def tilde_homology(diagram, cap=DEFAULT_GENERATOR_CAP,
     return HomologyTable(spin_count=p, tensor_exponent=n - 1, classes=classes)
 
 
-def _divide_once(poly, step):
+def _divide_once(poly, step, floor=None):
     """Divide a bigraded rank polynomial by (1 + u^-1 v^-1), or None.
 
     The keys are (M, A) pairs on which ``step`` is the bigrading (1, 1):
-    integer numerators over (D_m, D_a) take ``step = (D_m, D_a)``.
+    integer numerators over (D_m, D_a) take ``step = (D_m, D_a)``.  With
+    a ``floor``, only the quotient's terms at A >= floor are computed, from
+    the terms of ``poly`` there.
     """
     dm, da = step
     quotient = {}
@@ -208,6 +311,8 @@ def _divide_once(poly, step):
             return None
         quotient[key] = c
         m, a = key
+        if floor is not None and a - da < floor:
+            continue
         lower = (m - dm, a - da)
         v = rem.get(lower, 0) - c
         if v:

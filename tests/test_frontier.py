@@ -2,6 +2,9 @@ import importlib.util
 import json
 from pathlib import Path
 
+from lensgrid import generator_columns, gradings_table
+from lensgrid.corpus import random_knot_diagrams
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "frontier.py"
 
 
@@ -20,4 +23,10 @@ def test_frontier_bench_runs_one_case_in_one_process(tmp_path, capsys):
     assert row["seconds"] > 0 and row["peak_rss_mb"] > 0
     # every L(2,1) knot's homology has rank 2^(n-1) at least per class
     assert row["total_rank"] >= 4
+    # the share of generators in the pieces with A >= 0
+    (d,) = random_knot_diagrams(2, 1, 2, 1, seed=1)
+    table = gradings_table(d, generator_columns(2, 2))
+    share = sum(t.alexander >= 0 for t in table.values()) / len(table)
+    assert row["a_nonnegative_share"] == share
+    assert all(run["a_nonnegative_share"] == share for run in row["runs"])
     assert "L(2,1) n=2" in capsys.readouterr().out

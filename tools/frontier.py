@@ -11,7 +11,9 @@ A case ``P,Q,N`` is the first diagram of
 Python process that imports lensgrid from ``--src``, builds the diagram
 and times the ``tilde_homology`` call alone; it reports those seconds,
 its own peak RSS (``ru_maxrss``) and a digest of the homology table, so
-that two checkouts can be seen to agree.  Runs go one at a time.  A case
+that two checkouts can be seen to agree.  After the timed call it counts
+the share of generators with Alexander grading A >= 0, the ones whose
+pieces ``tilde_homology`` eliminates.  Runs go one at a time.  A case
 reports the best (least) time of its ``--repeat`` runs and the largest
 peak RSS among them.  The rows are stored in ``--out`` under ``--label``;
 labels already in the file are kept, so one file holds both sides of a
@@ -34,17 +36,24 @@ CHILD = r"""
 import hashlib, json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
 from lensgrid.corpus import random_knot_diagrams
+from lensgrid.gradings import permutation_gradings
 from lensgrid.homology import tilde_homology
 p, q, n = map(int, sys.argv[2:5])
 diagram = random_knot_diagrams(p, q, n, 1, seed=1)[0]
 start = time.perf_counter()
 table = tilde_homology(diagram)
 seconds = time.perf_counter() - start
+peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 ranks = sorted((s, str(m), str(a), r) for s, by in table.classes.items()
                for (m, a), r in by.items())
+total = nonnegative = 0
+for *_, alexanders in permutation_gradings(diagram):
+    total += len(alexanders)
+    nonnegative += sum(a >= 0 for a in alexanders)
 print(json.dumps({
     "seconds": seconds,
-    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "peak_rss_mb": peak_rss_mb,
+    "a_nonnegative_share": nonnegative / total,
     "total_rank": table.total_rank(),
     "ranks_sha256": hashlib.sha256(json.dumps(ranks).encode()).hexdigest()}))
 """
@@ -71,6 +80,7 @@ def measure(src, case, repeat):
         "runs": runs,
         "total_rank": runs[0]["total_rank"],
         "ranks_sha256": runs[0]["ranks_sha256"],
+        "a_nonnegative_share": runs[0]["a_nonnegative_share"],
     }
 
 
@@ -96,8 +106,9 @@ def main(argv=None):
     rows = []
     for case in args.case or BASELINE:
         row = measure(args.src.resolve(), case, args.repeat)
-        print("%-14s %9.2f s %8.1f MB" % (row["diagram"], row["seconds"],
-                                          row["peak_rss_mb"]), flush=True)
+        print("%-14s %9.2f s %8.1f MB   A >= 0: %5.1f%%"
+              % (row["diagram"], row["seconds"], row["peak_rss_mb"],
+                 100 * row["a_nonnegative_share"]), flush=True)
         rows.append(row)
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc[args.label] = {
