@@ -19,13 +19,12 @@ from .complexes import (DEFAULT_GENERATOR_CAP, VARIANTS,
 from .cover import format_s3_grid, lift_diagram, s3_link_components
 from .errors import (InternalInvariantError, LensGridError, ParseError,
                      SizeCapError, ValidationError)
-from .gradings import grading_denominators, gradings_table
+from .gradings import grading_denominators, gradings_table, rational_text
 from .grid import (GridDiagram, LensParams, enumerate_grid_number_one,
                    format_grid, parse_grid, reconstruct_link, require_valid,
                    validate)
-from .homology import (DEFAULT_PIECE_CAP, document_bytes,
-                       extract_hfk_hat, homology_document,
-                       poincare_polynomial, rational_text, simplicity_report,
+from .homology import (DEFAULT_PIECE_CAP, _polynomial, document_bytes,
+                       extract_hfk_hat, homology_document, simplicity_report,
                        tilde_homology)
 from .s3 import verify_cover_relations
 
@@ -154,14 +153,14 @@ def cmd_homology(args):
     else:
         print("L(%d,%d) grid number %d, tilde homology"
               % (diagram.lens.p, diagram.lens.q, diagram.n))
-        for s in sorted(table.classes):
-            print("Spin^c class %d: %s" % (s, poincare_polynomial(table.classes[s])))
+        for s, text in doc["poincare"].items():
+            print("Spin^c class %s: %s" % (s, text))
         if table.extraction_exact:
             print("knot Floer groups (tensor factor divided out):")
-            for s in sorted(table.hfk_hat):
-                print("  class %d: %s" % (s, poincare_polynomial(table.hfk_hat[s])))
+            for s, rows in doc["hfk_hat"].items():
+                print("  class %s: %s" % (s, _polynomial(rows)))
             print("total rank %d, classification: %s"
-                  % (table.hat_total_rank(), doc["classification"]))
+                  % (doc["hat_total_rank"], doc["classification"]))
         else:
             print("extraction inexact: %s" % table.note)
     return 0

@@ -57,13 +57,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, permutations, product, repeat
 from operator import lshift, or_
 
 from .errors import SizeCapError, ValidationError
 from .grid import Generator, require_valid
-from .gradings import grading_denominators, gradings_table
+from .gradings import grading_denominators, gradings_table, rational_text
 
 DEFAULT_GENERATOR_CAP = 10 ** 7
 
@@ -492,10 +491,10 @@ def _grading_drops(diagram, cap=DEFAULT_GENERATOR_CAP):
                 heads.append("spin changes")
             if maslov_drop != (1 - 2 * n_o) * dm:
                 heads.append("maslov drop %s != 1 - 2*%d for"
-                             % (Fraction(maslov_drop, dm), n_o))
+                             % (rational_text(maslov_drop, dm), n_o))
             if alexander_drop != (n_x - n_o) * da:
                 heads.append("alexander drop %s != %d - %d for"
-                             % (Fraction(alexander_drop, da), n_x, n_o))
+                             % (rational_text(alexander_drop, da), n_x, n_o))
             if heads:
                 move = "%r -> %r" % (generator_from_code(code, n, p),
                                      generator_from_code(code + delta, n, p))

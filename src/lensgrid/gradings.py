@@ -288,6 +288,15 @@ def grading_denominators(diagram):
     return p * d_invariant(p, qn, qn - 1).denominator, 2 * p
 
 
+def rational_text(num, den):
+    """``str(Fraction(num, den))`` for a positive ``den``, from integers:
+    the text of a grading numerator over its denominator."""
+    g = math.gcd(num, den)
+    if g == den:
+        return str(num // g)
+    return "%d/%d" % (num // g, den // g)
+
+
 def _grading_tables(diagram):
     """The per-diagram integer tables of ``permutation_gradings``: ``(p, n,
     spin_base, maslov_base, alexander_base, maslov_rows, alexander_rows,

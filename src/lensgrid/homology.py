@@ -22,11 +22,10 @@ reported as data, never rounded away.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from math import comb, gcd, lcm
+from math import comb
 
 # unused here: perfbench/tracing.py wraps the homology.build_boundary binding
 from .complexes import (DEFAULT_GENERATOR_CAP, build_boundary,  # noqa: F401
@@ -36,7 +35,7 @@ from .errors import InternalInvariantError, LensGridError, SizeCapError
 # gradings_table is unused here: perfbench/tracing.py wraps the
 # homology.gradings_table binding
 from .gradings import (grading_denominators, gradings_table,  # noqa: F401
-                       permutation_gradings)
+                       permutation_gradings, rational_text)
 from .grid import require_knot, require_valid
 
 DEFAULT_PIECE_CAP = 10 ** 5
@@ -46,14 +45,19 @@ DEFAULT_PIECE_CAP = 10 ** 5
 class HomologyTable:
     """Bigraded ranks per Spin^c class, plus the extracted knot groups.
 
-    ``classes[s]`` maps (Maslov, Alexander) pairs to ranks.  ``hfk_hat``
+    ``classes[s]`` maps (Maslov, Alexander) pairs to ranks, each grading
+    an integer numerator over ``denominators = (D_M, D_A)``: the key
+    ``(m, a)`` is ``(Fraction(m, D_M), Fraction(a, D_A))``.  ``hfk_hat``
     has the same shape after the tensor factor has been divided out;
     ``extraction_exact`` records whether that division was exact.
+    ``denominators`` is keyword-only, so the other fields keep their
+    positions.
     """
 
     spin_count: int
     tensor_exponent: int
     classes: dict
+    denominators: tuple = field(kw_only=True)
     hfk_hat: dict | None = None
     extraction_exact: bool = False
     note: str = ""
@@ -141,7 +145,7 @@ def _graded_pieces(graded, piece_cap, da):
         size = sum(map(len, pieces[s, a].values()))
         if piece_cap is not None and size > piece_cap:
             raise SizeCapError("graded piece (S=%s, A=%s) has dimension %d "
-                               "(cap %d)" % (s, Fraction(a, da), size,
+                               "(cap %d)" % (s, rational_text(a, da), size,
                                              piece_cap))
     return pieces
 
@@ -159,13 +163,6 @@ def _eliminate(pieces, keys, entries_of, pivot, dm, out):
         out.setdefault(s, {}).update(((m, a), h) for m, h in ranks.items())
 
 
-def _fractions(classes, denominators):
-    dm, da = denominators
-    return {s: {(Fraction(m, dm), Fraction(a, da)): h
-                for (m, a), h in by.items()}
-            for s, by in classes.items()}
-
-
 def graded_homology(graded, torus, denominators, piece_cap=None,
                     pivot="high"):
     """Ranks ``{S: {(M, A): rank}}`` of the tilde complex of ``torus``.
@@ -176,13 +173,13 @@ def graded_homology(graded, torus, denominators, piece_cap=None,
     checked against ``piece_cap`` before the parallelogram table is
     built, and then each piece is eliminated and dropped in turn, its
     boundary read one Maslov level at a time (the tilde differential
-    preserves S and A).  The result has ``Fraction`` gradings.
+    preserves S and A).  The result is keyed on the same numerators.
     """
     pieces = _graded_pieces(graded, piece_cap, denominators[1])
     out = {}
     _eliminate(pieces, sorted(pieces), _tilde_reader(torus), pivot,
                denominators[0], out)
-    return _fractions(out, denominators)
+    return out
 
 
 def _mirror_class(p, q, k):
@@ -282,15 +279,15 @@ def tilde_homology(diagram, cap=DEFAULT_GENERATOR_CAP,
     # every piece when n = 1, the A < 0 ones when a check failed
     _eliminate(pieces, sorted(pieces), entries_of, pivot, denominators[0],
                ranks)
-    classes = _fractions(ranks, denominators)
 
     floor = 2 ** (n - 1)
     for s in range(p):
-        if sum(classes[s].values()) < floor:
+        if sum(ranks[s].values()) < floor:
             raise InternalInvariantError(
                 "Spin^c class %d has rank %d < 2^(n-1) = %d"
-                % (s, sum(classes[s].values()), floor))
-    return HomologyTable(spin_count=p, tensor_exponent=n - 1, classes=classes)
+                % (s, sum(ranks[s].values()), floor))
+    return HomologyTable(spin_count=p, tensor_exponent=n - 1, classes=ranks,
+                         denominators=denominators)
 
 
 def _divide_once(poly, step, floor=None):
@@ -328,30 +325,21 @@ def extract_hfk_hat(table):
     Returns a new table with ``hfk_hat`` filled in when the division by
     (1 + u^-1 v^-1)^(n-1) is exact in every Spin^c class; otherwise the
     undivided ranks are kept, ``extraction_exact`` is False and ``note``
-    carries a diagnostic.  Each class is divided on the integer numerators
-    of its gradings over their common denominators, so only the
-    quotient's keys are made ``Fraction``s.
+    carries a diagnostic.  The keys are the table's integer numerators,
+    on which (1, 1) in the gradings is the step ``table.denominators``.
     """
     exponent = table.tensor_exponent
     hat = {}
     for s, poly in table.classes.items():
-        if not exponent:
-            hat[s] = dict(poly)
-            continue
-        dm = lcm(*(m.denominator for m, _ in poly))
-        da = lcm(*(a.denominator for _, a in poly))
-        q = {(m.numerator * (dm // m.denominator),
-              a.numerator * (da // a.denominator)): r
-             for (m, a), r in poly.items()}
+        q = dict(poly)
         for _ in range(exponent):
-            q = _divide_once(q, (dm, da))
+            q = _divide_once(q, table.denominators)
             if q is None:
                 return replace(
                     table, hfk_hat=dict(table.classes), extraction_exact=False,
                     note="rank polynomial of Spin^c class %s is not divisible "
                          "by (1 + u^-1 v^-1)^%d" % (s, exponent))
-        hat[s] = {(Fraction(m, dm), Fraction(a, da)): r
-                  for (m, a), r in q.items()}
+        hat[s] = q
     return replace(table, hfk_hat=hat, extraction_exact=True, note="")
 
 
@@ -373,54 +361,40 @@ def simplicity_report(table):
     return "other"
 
 
-def rational_text(num, den):
-    """``str(Fraction(num, den))`` for a positive ``den``, from integers."""
-    g = gcd(num, den)
-    if g == den:
-        return str(num // g)
-    return "%d/%d" % (num // g, den // g)
-
-
-def _rank_terms(by_bigrading):
-    """``(M, A, rank)`` per bigrading in grading order, M and A as text."""
-    return [(rational_text(m.numerator, m.denominator),
-             rational_text(a.numerator, a.denominator), r)
+def _rank_rows(by_bigrading, denominators):
+    """A document's rows, one per bigrading in grading order with M and A
+    as text; the keys are numerators over ``denominators``."""
+    dm, da = denominators
+    return [{"M": rational_text(m, dm), "A": rational_text(a, da), "rank": r}
             for (m, a), r in sorted(by_bigrading.items())]
 
 
-def _polynomial(terms):
-    if not terms:
+def _polynomial(rows):
+    """Deterministic string form of a document's rank rows."""
+    if not rows:
         return "0"
-    return " + ".join("%d*u^(%s)*v^(%s)" % (r, m, a) for m, a, r in terms)
-
-
-def poincare_polynomial(by_bigrading):
-    """Deterministic string form of a bigraded rank polynomial."""
-    return _polynomial(_rank_terms(by_bigrading))
-
-
-def _rank_rows(terms):
-    return [{"M": m, "A": a, "rank": r} for m, a, r in terms]
+    return " + ".join("%d*u^(%s)*v^(%s)" % (row["rank"], row["M"], row["A"])
+                      for row in rows)
 
 
 def homology_document(table, extra=None):
     """Machine-readable result document (JSON-serialisable, deterministic)."""
-    terms = {str(s): _rank_terms(by)
-             for s, by in sorted(table.classes.items())}
+    classes = {str(s): _rank_rows(by, table.denominators)
+               for s, by in sorted(table.classes.items())}
     doc = {
         "spin_count": table.spin_count,
         "tensor_exponent": table.tensor_exponent,
         "extraction_exact": table.extraction_exact,
         "total_rank": table.total_rank(),
-        "classes": {s: _rank_rows(t) for s, t in terms.items()},
-        "poincare": {s: _polynomial(t) for s, t in terms.items()},
+        "classes": classes,
+        "poincare": {s: _polynomial(rows) for s, rows in classes.items()},
     }
     if table.hfk_hat is not None:
         # a class whose extracted ranks are its tilde ranks (every class
         # when the tensor exponent is 0) reuses its formatted rows
         doc["hfk_hat"] = {
             str(s): (doc["classes"][str(s)] if by == table.classes.get(s)
-                     else _rank_rows(_rank_terms(by)))
+                     else _rank_rows(by, table.denominators))
             for s, by in sorted(table.hfk_hat.items())}
         doc["hat_total_rank"] = table.hat_total_rank()
     if table.note:

@@ -32,9 +32,9 @@ from .cover import (lift_diagram, lift_generator,  # noqa: F401
 from .errors import InternalInvariantError
 from .gradings import (d_invariant, dominance_count, doubled_centres,
                        doubled_points, grading_denominators, gradings_table,
-                       s3_maslov)  # noqa: F401
+                       rational_text, s3_maslov)  # noqa: F401
 from .grid import canonical_generator, require_knot, require_valid
-from .homology import HomologyTable, graded_homology, rational_text
+from .homology import HomologyTable, graded_homology
 
 
 def _cover_gradings(n, q, lifted, components, columns):
@@ -130,7 +130,7 @@ def s3_tilde_homology(diagram, cap=DEFAULT_GENERATOR_CAP):
               for (code, _), (m, a) in zip(generators, grades))
     classes = graded_homology(graded, (N, 1, 0, diagram.O, diagram.X), (1, 4))
     return HomologyTable(spin_count=1, tensor_exponent=N - ell,
-                         classes=classes)
+                         classes=classes, denominators=(1, 4))
 
 
 @dataclass

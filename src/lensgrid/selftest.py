@@ -169,7 +169,7 @@ def criterion_08(gn1, rnd):
     unknot = S3GridDiagram(2, ((0, 0), (1, 1)), ((1, 0), (0, 1)))
     baseline = extract_hfk_hat(s3_tilde_homology(unknot))
     if not (baseline.extraction_exact
-            and baseline.hfk_hat[0] == {(0, Fraction(0)): 1}):
+            and baseline.hfk_hat[0] == {(0, 0): 1}):
         return CheckResult("C08", CRITERIA[7][1], False,
                            "square-grid unknot baseline: %r" % baseline.hfk_hat)
     return CheckResult("C08", CRITERIA[7][1], True,

@@ -8,6 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from lensgrid import cli, complexes, grid, homology, s3
 from lensgrid.cli import main
+from lensgrid.corpus import (KNOT_HOMOLOGY_SHAPES, gn1_corpus,
+                             random_knot_diagrams)
+from lensgrid.grid import format_grid
 
 GN1 = "5 2 1\nO: 0\nX: 2\n"
 KNOT_N2 = "2 1 2\nO: 0 1\nX: 1 0\n"
@@ -108,6 +111,38 @@ def test_homology_json_deterministic(grid_file, capsys):
     doc = json.loads(outs.pop())
     assert doc["extraction_exact"] is True
     assert doc["classification"] in ("simple", "near-simple", "other")
+
+
+def _written(rows):
+    # a polynomial written from a document's rows, independently of the
+    # package's writer
+    return " + ".join("%d*u^(%s)*v^(%s)" % (row["rank"], row["M"], row["A"])
+                      for row in rows) or "0"
+
+
+def test_human_homology_output_matches_the_document(grid_file, capsys):
+    diagrams = gn1_corpus(range(2, 8)) + [
+        d for seed in (1, 2) for p, q, n in KNOT_HOMOLOGY_SHAPES
+        for d in random_knot_diagrams(p, q, n, 1, seed)]
+    for d in diagrams:
+        path = grid_file(format_grid(d))
+        code, out, _ = run(capsys, "homology", path, "--format", "structured")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["extraction_exact"]
+        code, out, _ = run(capsys, "homology", path)
+        assert code == 0
+        classes = sorted(doc["poincare"], key=int)
+        assert out.splitlines() == (
+            ["L(%d,%d) grid number %d, tilde homology"
+             % (d.lens.p, d.lens.q, d.n)]
+            + ["Spin^c class %s: %s" % (s, doc["poincare"][s])
+               for s in classes]
+            + ["knot Floer groups (tensor factor divided out):"]
+            + ["  class %s: %s" % (s, _written(doc["hfk_hat"][s]))
+               for s in classes]
+            + ["total rank %d, classification: %s"
+               % (doc["hat_total_rank"], doc["classification"])]), d
 
 
 def test_homology_assoc_graded_variant(grid_file, capsys, monkeypatch):

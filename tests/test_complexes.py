@@ -4,6 +4,7 @@ import json
 import random
 import sys
 from collections import Counter
+from fractions import Fraction
 from itertools import permutations, product
 from pathlib import Path
 
@@ -624,16 +625,31 @@ def test_grading_drops_catch_a_shifted_maslov_grading(monkeypatch):
     victim = max(gens, key=lambda x: (touching[x], x.sort_key()))
     code = generator_code(victim, 3)
     real = complexes.gradings_table
+    dm = grading_denominators(d)[0]
+    assert dm > 1
 
     def shifted(diagram, generators):
         # the table holds numerators: M + 1 adds the Maslov denominator
         table = real(diagram, generators)
-        table[code] = table[code]._replace(
-            maslov=table[code].maslov + grading_denominators(diagram)[0])
+        table[code] = table[code]._replace(maslov=table[code].maslov + shift)
         return table
 
     monkeypatch.setattr(complexes, "gradings_table", shifted)
-    violations = grading_drop_violations(d)
-    assert len(violations) == touching[victim] > 0
-    assert all(v.startswith("maslov drop") and repr(victim) in v
-               for v in violations)
+    # M + 1, then M + 1/dm, whose drops are not integers
+    for shift in (dm, 1):
+        violations = grading_drop_violations(d)
+        assert len(violations) == touching[victim] > 0
+        assert all(v.startswith("maslov drop") and repr(victim) in v
+                   for v in violations)
+        # the whole message: the drop as a fraction, the O count, the move
+        expected = []
+        for x in gens:
+            for P in parallelograms_from(x, d):
+                if victim in (P.source, P.target):
+                    n_o = sum(P.o_counts)
+                    drop = ((1 - 2 * n_o) * dm
+                            + (shift if P.source == victim else -shift))
+                    expected.append("maslov drop %s != 1 - 2*%d for %r -> %r"
+                                    % (str(Fraction(drop, dm)), n_o,
+                                       P.source, P.target))
+        assert sorted(violations) == sorted(expected)

@@ -1,8 +1,10 @@
+import hashlib
 import importlib.util
 import json
+from fractions import Fraction
 from pathlib import Path
 
-from lensgrid import generator_columns, gradings_table
+from lensgrid import generator_columns, gradings_table, tilde_homology
 from lensgrid.corpus import random_knot_diagrams
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "frontier.py"
@@ -30,3 +32,12 @@ def test_frontier_bench_runs_one_case_in_one_process(tmp_path, capsys):
     assert row["a_nonnegative_share"] == share
     assert all(run["a_nonnegative_share"] == share for run in row["runs"])
     assert "L(2,1) n=2" in capsys.readouterr().out
+    # the digest is of (S, M, A, rank) with the gradings as str(Fraction),
+    # as every BENCH_*.json has written it
+    homology = tilde_homology(d)
+    dm, da = homology.denominators
+    ranks = sorted((s, str(Fraction(m, dm)), str(Fraction(a, da)), r)
+                   for s, by in homology.classes.items()
+                   for (m, a), r in by.items())
+    assert row["ranks_sha256"] == hashlib.sha256(
+        json.dumps(ranks).encode()).hexdigest()

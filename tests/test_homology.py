@@ -1,3 +1,4 @@
+import fractions
 import json
 import random
 from fractions import Fraction
@@ -6,10 +7,11 @@ from itertools import groupby
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lensgrid import (Generator, GridDiagram, LensParams, build_boundary,
-                      enumerate_grid_number_one, extract_hfk_hat, format_grid,
-                      generator_columns, gf2_rank, grading_denominators,
-                      gradings_table, simplicity_report, tilde_homology)
+from lensgrid import (Generator, GridDiagram, LensParams, S3GridDiagram,
+                      build_boundary, enumerate_grid_number_one,
+                      extract_hfk_hat, format_grid, generator_columns,
+                      gf2_rank, grading_denominators, gradings_table,
+                      s3_tilde_homology, simplicity_report, tilde_homology)
 from lensgrid import complexes, gradings, homology
 from lensgrid.cli import main
 from lensgrid.corpus import coprime_qs, random_knot_diagram
@@ -73,15 +75,15 @@ def test_tilde_homology_against_brute_force_pieces():
     boundary = build_boundary(d, "tilde")
     table = gradings_table(d, list(generator_columns(d.n, 3)))
     dm, da = grading_denominators(d)
-    groups = {}
+    groups = {}   # on the integer numerators of the gradings
     for code, t in table.items():
-        groups.setdefault((t.spin, Fraction(t.alexander, da)), {}).setdefault(
-            Fraction(t.maslov, dm), []).append(code)
+        groups.setdefault((t.spin, t.alexander), {}).setdefault(
+            t.maslov, []).append(code)
     expected = {s: {} for s in range(3)}
     for (s, a), levels in groups.items():
         ranks = {}
         for m, basis in levels.items():
-            below = {y: k for k, y in enumerate(levels.get(m - 1, []))}
+            below = {y: k for k, y in enumerate(levels.get(m - dm, []))}
             rows = []
             for x in basis:
                 row = 0
@@ -91,7 +93,7 @@ def test_tilde_homology_against_brute_force_pieces():
                 rows.append(row)
             ranks[m] = brute_force_rank(rows) if rows else 0
         for m, basis in levels.items():
-            h = len(basis) - ranks.get(m, 0) - ranks.get(m + 1, 0)
+            h = len(basis) - ranks.get(m, 0) - ranks.get(m + dm, 0)
             if h:
                 expected[s][(m, a)] = h
     assert tilde_homology(d).classes == expected
@@ -206,37 +208,40 @@ def test_divide_once():
 
 
 def test_extraction_matches_division_on_fraction_keys():
-    # each class is a polynomial times (1 + u^-1 v^-1)^exponent, its terms
-    # with unlike denominators; a stray term makes class 1 inexact
+    # each class is a polynomial times (1 + u^-1 v^-1)^exponent, its keys
+    # the numerators of fractions over random denominators (so its terms
+    # reduce to unlike denominators); a stray term makes class 1 inexact
     rng = random.Random(8)
     for _ in range(60):
         exponent = rng.randrange(1, 4)
+        dm, da = rng.choice((1, 2, 3, 4, 12)), rng.choice((1, 2, 5, 10))
         classes = {}
         for s in range(3):
             poly = {}
             for _ in range(rng.randrange(1, 4)):
-                m = Fraction(rng.randrange(-9, 9), rng.choice((1, 2, 3, 4)))
-                a = Fraction(rng.randrange(-9, 9), rng.choice((1, 2, 5)))
+                m = rng.randrange(-9 * dm, 9 * dm)
+                a = rng.randrange(-9 * da, 9 * da)
                 poly[m, a] = poly.get((m, a), 0) + 1
             for _ in range(exponent):
                 times = {}
                 for (m, a), r in poly.items():
-                    for key in ((m, a), (m - 1, a - 1)):
+                    for key in ((m, a), (m - dm, a - da)):
                         times[key] = times.get(key, 0) + r
                 poly = times
             classes[s] = poly
         if rng.random() < 0.3:
-            classes[1][Fraction(99), Fraction(0)] = 1
-        table = extract_hfk_hat(HomologyTable(3, exponent, classes))
+            classes[1][99 * dm, 0] = 1
+        table = extract_hfk_hat(HomologyTable(3, exponent, classes,
+                                              denominators=(dm, da)))
         expected = {}
         for s, poly in classes.items():
             for _ in range(exponent):
-                poly = poly and _divide_once(poly, (1, 1))
+                poly = poly and _divide_once(poly, (dm, da))
             expected[s] = poly
         if all(expected.values()):
             assert table.extraction_exact and table.note == ""
             assert table.hfk_hat == expected
-            assert all(type(m) is Fraction and type(a) is Fraction
+            assert all(type(m) is int and type(a) is int
                        for by in table.hfk_hat.values() for m, a in by)
         else:
             assert not table.extraction_exact
@@ -280,7 +285,7 @@ def test_euler_characteristic_matches_chain_level():
             base = Fraction(triples[0].maslov, dm)
             chain = sum((-1) ** int(Fraction(t.maslov, dm) - base)
                         for t in triples)
-            homol = sum((-1) ** int(m - base) * r
+            homol = sum((-1) ** int(Fraction(m, dm) - base) * r
                         for (m, a), r in hom.classes[s].items())
             assert chain == homol
 
@@ -409,15 +414,15 @@ def test_tilde_homology_builds_no_grading_table(monkeypatch):
 
 def test_hat_rows_reuse_the_tilde_rows(monkeypatch):
     # with tensor exponent 0 the extracted ranks are the tilde ranks, so
-    # each class is formatted once: p calls of _rank_terms, not 2p
+    # each class is formatted once: p calls of _rank_rows, not 2p
     calls = []
-    real = homology._rank_terms
+    real = homology._rank_rows
 
-    def counting(by_bigrading):
+    def counting(by_bigrading, denominators):
         calls.append(by_bigrading)
-        return real(by_bigrading)
+        return real(by_bigrading, denominators)
 
-    monkeypatch.setattr(homology, "_rank_terms", counting)
+    monkeypatch.setattr(homology, "_rank_rows", counting)
     gn1 = GridDiagram(LensParams(7, 3), 1, ((0, 0),), ((4, 0),))
     doc = homology_document(extract_hfk_hat(tilde_homology(gn1)))
     assert len(calls) == 7
@@ -428,6 +433,37 @@ def test_hat_rows_reuse_the_tilde_rows(monkeypatch):
     doc = homology_document(extract_hfk_hat(tilde_homology(two_row)))
     assert len(calls) == 6
     assert doc["hfk_hat"] != doc["classes"]
+
+
+def test_homology_tables_hold_integer_numerators(monkeypatch):
+    # a table's keys are integer numerators over its own denominators,
+    # and no Fraction is built between the gradings and the bytes
+    knots = [GridDiagram(LensParams(7, 3), 1, ((0, 0),), ((4, 0),)),
+             random_knot_diagram(3, 1, 3, random.Random(12))]
+    unknot = S3GridDiagram(2, ((0, 0), (1, 1)), ((1, 0), (0, 1)))
+    square = s3_tilde_homology(unknot)
+    cases = [(square, (1, 4)), (extract_hfk_hat(square), (1, 4))]
+    for d in knots:
+        tilde = tilde_homology(d)
+        cases += [(tilde, grading_denominators(d)),
+                  (extract_hfk_hat(tilde), grading_denominators(d))]
+    for table, denominators in cases:
+        assert table.denominators == denominators
+        for by in (*table.classes.values(),
+                   *(table.hfk_hat or {}).values()):
+            assert all(type(m) is int and type(a) is int for m, a in by)
+    expected = [document_bytes(homology_document(extract_hfk_hat(
+        tilde_homology(d)))) for d in knots]
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built a Fraction")
+
+    # d_invariant's cache is warm, so grading builds no Fraction either
+    monkeypatch.setattr(fractions.Fraction, "__new__", unreachable)
+    with pytest.raises(AssertionError, match="built a Fraction"):
+        fractions.Fraction(1, 2)
+    assert [document_bytes(homology_document(extract_hfk_hat(
+        tilde_homology(d)))) for d in knots] == expected
 
 
 def test_document_bytes_deterministic():

@@ -17,8 +17,8 @@ from lensgrid import (GridDiagram, extract_hfk_hat, generator_columns,
                       tilde_homology)
 from lensgrid import homology
 from lensgrid.complexes import lens_torus
-from lensgrid.corpus import (coprime_qs, gn1_corpus, random_knot_diagram,
-                             random_knot_diagrams)
+from lensgrid.corpus import (KNOT_HOMOLOGY_SHAPES, coprime_qs, gn1_corpus,
+                             random_knot_diagram, random_knot_diagrams)
 from lensgrid.errors import SizeCapError
 from lensgrid.gradings import (d_invariant, grading_denominators,
                                permutation_gradings, spin_grading)
@@ -28,9 +28,6 @@ from lensgrid.homology import (HomologyTable, document_bytes,
 from lensgrid.selftest import build_corpus
 
 GOLDEN = Path(__file__).parent / "golden" / "grading_digests.json"
-# the (p, q, n) shapes of the knot-homology benchmark workload
-KNOT_HOMOLOGY_SHAPES = ((2, 1, 3), (3, 1, 3), (3, -1, 3), (4, 1, 3),
-                        (4, -1, 3), (2, 1, 4))
 
 
 def full_elimination(d):
@@ -40,11 +37,12 @@ def full_elimination(d):
     graded = chain.from_iterable(
         zip(range(first, first + size), zip(spins, alexanders, maslovs))
         for first, spins, maslovs, alexanders in permutation_gradings(d))
+    denominators = grading_denominators(d)
     classes = {s: {} for s in range(p)}
     classes.update(homology.graded_homology(graded, lens_torus(d),
-                                            grading_denominators(d)))
+                                            denominators))
     return HomologyTable(spin_count=p, tensor_exponent=n - 1,
-                         classes=classes)
+                         classes=classes, denominators=denominators)
 
 
 def golden_diagrams():
@@ -88,9 +86,11 @@ def test_hfk_hat_is_symmetric():
         table = extract_hfk_hat(full_elimination(d))
         assert table.extraction_exact
         hat = table.hfk_hat
+        dm, da = table.denominators
+        reflect = 2 * dm // da   # 2A on M's numerators, per step of A
         for s in range(p):
             for (m, a), r in hat[s].items():
-                assert hat[(c - s) % p].get((m - 2 * a, -a)) == r, (d, s)
+                assert hat[(c - s) % p].get((m - reflect * a, -a)) == r, (d, s)
     assert len(diagrams) == 519
 
 
