@@ -244,73 +244,54 @@ def cmd_selftest(args):
 
 @cache
 def build_parser():
-    """The argument parser, built on first use and shared by later calls."""
+    """The argument parser, built on first use and shared by later calls.
+
+    Each subcommand's parser carries its handler as ``run``."""
     parser = argparse.ArgumentParser(
         prog="lensgrid",
         description="Knot Floer invariants of knots in lens spaces from "
                     "twisted toroidal grid diagrams.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("path", help="grid diagram file")
+    def command(name, handler, help, path=True, cap=False, seed=False):
+        sp = sub.add_parser(name, help=help)
+        if path:
+            sp.add_argument("path", help="grid diagram file")
+        if seed:   # selftest lists --seed before --format
+            sp.add_argument("--seed", type=int, default=selftest.DEFAULT_SEED)
         sp.add_argument("--format", choices=("human", "structured"),
                         default="human")
+        if cap:
+            sp.add_argument("--cap", type=int, default=DEFAULT_GENERATOR_CAP,
+                            help="generator cap; info and lift cap the n*p "
+                                 "rows of the lift")
+        sp.set_defaults(run=handler)
         return sp
 
-    def capped(sp):
-        common(sp).add_argument(
-            "--cap", type=int, default=DEFAULT_GENERATOR_CAP,
-            help="generator cap; info and lift cap the n*p rows "
-                 "of the lift")
-        return sp
-
-    common(sub.add_parser("validate", help="check diagram invariants"))
-    capped(sub.add_parser("info", help="diagram and link summary"))
-
-    sp = capped(sub.add_parser("gradings",
-                               help="exact (S, M, A) per generator"))
+    command("validate", cmd_validate, "check diagram invariants")
+    command("info", cmd_info, "diagram and link summary", cap=True)
+    sp = command("gradings", cmd_gradings, "exact (S, M, A) per generator",
+                 cap=True)
     sp.add_argument("--swap-roles", action="store_true",
                     help="exchange the O and X marker roles")
-
-    sp = capped(sub.add_parser("homology",
-                               help="tilde homology and knot Floer groups"))
+    sp = command("homology", cmd_homology,
+                 "tilde homology and knot Floer groups", cap=True)
     sp.add_argument("--piece-cap", type=int, default=DEFAULT_PIECE_CAP,
                     help="per graded piece elimination cap")
     sp.add_argument("--pivot", choices=("low", "high"), default="high")
-
-    capped(sub.add_parser("lift", help="emit the universal-cover grid file"))
-    capped(sub.add_parser("verify-cover",
-                          help="cross-check gradings through the cover"))
-
-    sp = sub.add_parser("enumerate-gn1",
-                        help="the p grid-number-one diagrams")
+    command("lift", cmd_lift, "emit the universal-cover grid file", cap=True)
+    command("verify-cover", cmd_verify_cover,
+            "cross-check gradings through the cover", cap=True)
+    sp = command("enumerate-gn1", cmd_enumerate_gn1,
+                 "the p grid-number-one diagrams", path=False)
     sp.add_argument("p", type=int)
     sp.add_argument("q", type=int)
-    sp.add_argument("--format", choices=("human", "structured"),
-                    default="human")
-
-    sp = capped(sub.add_parser("boundary-export",
-                               help="symbolic boundary terms"))
+    sp = command("boundary-export", cmd_boundary_export,
+                 "symbolic boundary terms", cap=True)
     sp.add_argument("--variant", choices=VARIANTS, default="minus")
-
-    sp = sub.add_parser("selftest", help="run the acceptance checklist")
-    sp.add_argument("--seed", type=int, default=selftest.DEFAULT_SEED)
-    sp.add_argument("--format", choices=("human", "structured"),
-                    default="human")
+    command("selftest", cmd_selftest, "run the acceptance checklist",
+            path=False, seed=True)
     return parser
-
-
-COMMANDS = {
-    "validate": cmd_validate,
-    "info": cmd_info,
-    "gradings": cmd_gradings,
-    "homology": cmd_homology,
-    "lift": cmd_lift,
-    "verify-cover": cmd_verify_cover,
-    "enumerate-gn1": cmd_enumerate_gn1,
-    "boundary-export": cmd_boundary_export,
-    "selftest": cmd_selftest,
-}
 
 
 def main(argv=None):
@@ -320,7 +301,7 @@ def main(argv=None):
         return 1 if exc.code else 0
     try:
         _require_nonnegative_caps(args)
-        return COMMANDS[args.command](args)
+        return args.run(args)
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -163,21 +163,19 @@ def _eliminate(pieces, keys, entries_of, pivot, dm, out):
         out.setdefault(s, {}).update(((m, a), h) for m, h in ranks.items())
 
 
-def graded_homology(graded, torus, denominators, piece_cap=None,
-                    pivot="high"):
+def graded_homology(graded, torus, denominators):
     """Ranks ``{S: {(M, A): rank}}`` of the tilde complex of ``torus``.
 
     ``graded`` yields ``(code, (S, A, M))`` per generator, with A and M
     the integer numerators of the gradings over ``denominators`` (Maslov
-    first).  The codes are bucketed into (S, A) pieces, every piece is
-    checked against ``piece_cap`` before the parallelogram table is
-    built, and then each piece is eliminated and dropped in turn, its
-    boundary read one Maslov level at a time (the tilde differential
-    preserves S and A).  The result is keyed on the same numerators.
+    first).  The codes are bucketed into (S, A) pieces, and then each
+    piece is eliminated and dropped in turn, its boundary read one
+    Maslov level at a time (the tilde differential preserves S and A).
+    The result is keyed on the same numerators.
     """
-    pieces = _graded_pieces(graded, piece_cap, denominators[1])
+    pieces = _graded_pieces(graded, None, denominators[1])
     out = {}
-    _eliminate(pieces, sorted(pieces), _tilde_reader(torus), pivot,
+    _eliminate(pieces, sorted(pieces), _tilde_reader(torus), "high",
                denominators[0], out)
     return out
 
@@ -267,16 +265,15 @@ def tilde_homology(diagram, cap=DEFAULT_GENERATOR_CAP,
     pieces = _graded_pieces(graded, piece_cap, denominators[1])
     entries_of = _tilde_reader(lens_torus(diagram))
     ranks = {s: {} for s in range(p)}
-    if n > 1:   # with n = 1 each piece is one generator: nothing to save
-        _eliminate(pieces, sorted(key for key in pieces if key[1] >= 0),
-                   entries_of, pivot, denominators[0], ranks)
-        derived = _derived_ranks(ranks, pieces, _mirror_class(p, q, k),
-                                 n - 1, denominators)
-        if derived is not None:
-            pieces.clear()
-            for (s, a), by in derived.items():
-                ranks[s].update(((m, a), r) for m, r in by.items())
-    # every piece when n = 1, the A < 0 ones when a check failed
+    _eliminate(pieces, sorted(key for key in pieces if key[1] >= 0),
+               entries_of, pivot, denominators[0], ranks)
+    derived = _derived_ranks(ranks, pieces, _mirror_class(p, q, k), n - 1,
+                             denominators)
+    if derived is not None:
+        pieces.clear()
+        for (s, a), by in derived.items():
+            ranks[s].update(((m, a), r) for m, r in by.items())
+    # the A < 0 pieces, when a check failed
     _eliminate(pieces, sorted(pieces), entries_of, pivot, denominators[0],
                ranks)
 

@@ -1,7 +1,8 @@
 """The acceptance checklist, runnable from the CLI and from the test suite.
 
-Each criterion is a function returning a CheckResult; ``run_all`` executes
-the whole list over a deterministic corpus.  Checks CR9b and CR9c encode
+Each criterion is a function returning ``(ok, detail)``; ``run_all``
+executes the whole list over a deterministic corpus and labels each
+result with its id and name from ``CRITERIA``.  Checks CR9b and CR9c encode
 width/count identities that hold only on the untwisted (square) torus;
 they are kept as stated, fail on twisted diagrams, and document that
 divergence (see tests/test_complexes.py for the identities the twisted
@@ -68,8 +69,7 @@ def criterion_01(gn1, rnd):
                 ((2, 1, 1), Fraction(1, 4)), ((5, 2, 1), Fraction(-2, 5))]
     bad = [(args, d_invariant(*args), want)
            for args, want in expected if d_invariant(*args) != want]
-    return CheckResult("C01", CRITERIA[0][1], not bad,
-                       "4 anchor values exact" if not bad else repr(bad))
+    return not bad, "4 anchor values exact" if not bad else repr(bad)
 
 
 def criterion_02(gn1, rnd):
@@ -83,27 +83,21 @@ def criterion_02(gn1, rnd):
         maslov = Fraction(grading.maslov, grading_denominators(d)[0])
         lifted = lift_diagram(d)
         if grading.spin != (q - 1) % p:
-            return CheckResult("C02", CRITERIA[1][1], False,
-                               "Spin^c anchor fails on %r" % (d,))
+            return False, "Spin^c anchor fails on %r" % (d,)
         if maslov != d_invariant(p, qn, qn - 1) - (n - 1):
-            return CheckResult("C02", CRITERIA[1][1], False,
-                               "Maslov anchor fails on %r" % (d,))
+            return False, "Maslov anchor fails on %r" % (d,)
         if s3_maslov(lift_generator(canon, d), lifted.O) != -(p * n - 1):
-            return CheckResult("C02", CRITERIA[1][1], False,
-                               "lifted Maslov anchor fails on %r" % (d,))
+            return False, "lifted Maslov anchor fails on %r" % (d,)
         checked += 1
-    return CheckResult("C02", CRITERIA[1][1], True,
-                       "3 anchors exact on %d diagrams" % checked)
+    return True, "3 anchors exact on %d diagrams" % checked
 
 
 def criterion_03(gn1, rnd):
     for d in gn1 + rnd:
         rep = verify_cover_relations(d)
         if not rep.ok:
-            return CheckResult("C03", CRITERIA[2][1], False,
-                               "%r: %s" % (d, rep.violations[:2]))
-    return CheckResult("C03", CRITERIA[2][1], True,
-                       "zero violations on %d diagrams" % len(gn1 + rnd))
+            return False, "%r: %s" % (d, rep.violations[:2])
+    return True, "zero violations on %d diagrams" % len(gn1 + rnd)
 
 
 def criterion_04(gn1, rnd):
@@ -111,11 +105,9 @@ def criterion_04(gn1, rnd):
     for d in gn1 + rnd:
         for variant in ("tilde", "assoc-graded", "hat", "minus"):
             if not square_is_zero(build_boundary(d, variant)):
-                return CheckResult("C04", CRITERIA[3][1], False,
-                                   "d^2 != 0 for %s on %r" % (variant, d))
+                return False, "d^2 != 0 for %s on %r" % (variant, d)
             count += 1
-    return CheckResult("C04", CRITERIA[3][1], True,
-                       "%d boundary maps square to zero" % count)
+    return True, "%d boundary maps square to zero" % count
 
 
 def criterion_05(gn1, rnd):
@@ -123,10 +115,9 @@ def criterion_05(gn1, rnd):
     for d in gn1 + rnd:
         bad, checked = _grading_drops(d)
         if bad:
-            return CheckResult("C05", CRITERIA[4][1], False, bad[0])
+            return False, bad[0]
         terms += checked
-    return CheckResult("C05", CRITERIA[4][1], True,
-                       "identities exact on %d parallelograms" % terms)
+    return True, "identities exact on %d parallelograms" % terms
 
 
 def criterion_06(gn1, rnd):
@@ -138,10 +129,8 @@ def criterion_06(gn1, rnd):
             x = generator_from_code(code, d.n, d.lens.p)
             if (alexander_grading(x, swapped)
                     != -Fraction(t.alexander, da) - (d.n - 1)):
-                return CheckResult("C06", CRITERIA[5][1], False,
-                                   "symmetry fails for %r on %r" % (x, d))
-    return CheckResult("C06", CRITERIA[5][1], True,
-                       "exact on every generator of %d diagrams" % len(gn1 + rnd))
+                return False, "symmetry fails for %r on %r" % (x, d)
+    return True, "exact on every generator of %d diagrams" % len(gn1 + rnd)
 
 
 def criterion_07(gn1, rnd):
@@ -155,26 +144,22 @@ def criterion_07(gn1, rnd):
                       and all(sum(by.values()) == 1
                               for by in table.hfk_hat.values()))
                 if not ok:
-                    return CheckResult("C07", CRITERIA[6][1], False, repr(d))
+                    return False, repr(d)
                 count += 1
-    return CheckResult("C07", CRITERIA[6][1], True,
-                       "%d grid-number-one knots all simple" % count)
+    return True, "%d grid-number-one knots all simple" % count
 
 
 def criterion_08(gn1, rnd):
     for d in gn1 + rnd:
         if not extract_hfk_hat(tilde_homology(d)).extraction_exact:
-            return CheckResult("C08", CRITERIA[7][1], False,
-                               "extraction inexact on %r" % (d,))
+            return False, "extraction inexact on %r" % (d,)
     unknot = S3GridDiagram(2, ((0, 0), (1, 1)), ((1, 0), (0, 1)))
     baseline = extract_hfk_hat(s3_tilde_homology(unknot))
     if not (baseline.extraction_exact
             and baseline.hfk_hat[0] == {(0, 0): 1}):
-        return CheckResult("C08", CRITERIA[7][1], False,
-                           "square-grid unknot baseline: %r" % baseline.hfk_hat)
-    return CheckResult("C08", CRITERIA[7][1], True,
-                       "exact on %d diagrams + square-grid baseline"
-                       % len(gn1 + rnd))
+        return False, "square-grid unknot baseline: %r" % baseline.hfk_hat
+    return True, ("exact on %d diagrams + square-grid baseline"
+                  % len(gn1 + rnd))
 
 
 def _census_diagrams(seed):
@@ -203,8 +188,7 @@ def criterion_09(gn1, rnd, seed=DEFAULT_SEED):
         n, p = d.n, d.lens.p
         gens = list(enumerate_generators(d))
         if len(gens) != generator_count(n, p):
-            return CheckResult("C09", CRITERIA[8][1], False,
-                               "generator count wrong on %r" % (d,))
+            return False, "generator count wrong on %r" % (d,)
         # the embedded candidates at a generator's corner columns, before
         # the other components are tested
         table = parallelogram_table(lens_torus(d))
@@ -215,8 +199,7 @@ def criterion_09(gn1, rnd, seed=DEFAULT_SEED):
                      for (_, _, _, _, w, h, _, _, _)
                      in cells[cols[i] * d.width + cols[j]]]
             if len(cands) != n * (n - 1):
-                return CheckResult(
-                    "C09", CRITERIA[8][1], False,
+                return False, (
                     "candidate count %d != n(n-1) = %d for %r on L(%d,%d) "
                     "(twisted-torus height bands add embedded candidates; "
                     "the identity holds only for q = 0 mod p)"
@@ -226,19 +209,17 @@ def criterion_09(gn1, rnd, seed=DEFAULT_SEED):
                 by_pair.setdefault(frozenset((i, j)), []).append((w, h))
             for pair, recs in by_pair.items():
                 if len(recs) != 2:
-                    return CheckResult(
-                        "C09", CRITERIA[8][1], False,
+                    return False, (
                         "%d candidates on row pair %s of %r, expected 2"
                         % (len(recs), sorted(pair), x))
                 (w1, h1), (w2, h2) = recs
                 if w1 + w2 != n * p or h1 + h2 != n:
-                    return CheckResult(
-                        "C09", CRITERIA[8][1], False,
+                    return False, (
                         "complement duality w1+w2=%d (want %d), h1+h2=%d "
                         "(want %d) for rows %s of %r on L(%d,%d)"
                         % (w1 + w2, n * p, h1 + h2, n, sorted(pair), x, p,
                            d.lens.q))
-    return CheckResult("C09", CRITERIA[8][1], True, "all counts exact")
+    return True, "all counts exact"
 
 
 def criterion_10(gn1, rnd):
@@ -248,10 +229,8 @@ def criterion_10(gn1, rnd):
         table = extract_hfk_hat(tilde_homology(d, pivot=pivot))
         docs.append(document_bytes(homology_document(table)))
     if not (docs[0] == docs[1] == docs[2]):
-        return CheckResult("C10", CRITERIA[9][1], False,
-                           "structured output differs across runs/pivots")
-    return CheckResult("C10", CRITERIA[9][1], True,
-                       "byte-identical output, both pivot strategies")
+        return False, "structured output differs across runs/pivots"
+    return True, "byte-identical output, both pivot strategies"
 
 
 def run_all(seed=DEFAULT_SEED):
@@ -262,8 +241,8 @@ def run_all(seed=DEFAULT_SEED):
     out = []
     for (ident, name), fn in zip(CRITERIA, checks):
         try:
-            out.append(fn(gn1, rnd))
+            ok, detail = fn(gn1, rnd)
         except Exception:
-            out.append(CheckResult(ident, name, False,
-                                   traceback.format_exc().splitlines()[-1]))
+            ok, detail = False, traceback.format_exc().splitlines()[-1]
+        out.append(CheckResult(ident, name, ok, detail))
     return out

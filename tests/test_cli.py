@@ -1,7 +1,10 @@
+import argparse
 import contextlib
 import io
 import json
+import re
 import signal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +20,7 @@ KNOT_N2 = "2 1 2\nO: 0 1\nX: 1 0\n"
 LINK = "3 1 2\nO: 0 1\nX: 0 1\n"
 BAD_GCD = "4 2 1\nO: 0\nX: 1\n"
 HUGE_P = "99999999989 2 1\nO: 0\nX: 1\n"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture
@@ -259,6 +263,26 @@ def test_usage_errors_exit_one(grid_file, capsys):
     assert code == 0 and out.startswith("usage: lensgrid")
     code, out, _ = run(capsys, "homology", "--help")
     assert code == 0 and "--piece-cap" in out and "--variant" not in out
+
+
+def test_readme_option_table_matches_the_parser():
+    # the table in README's CLI section: one row per subcommand or group of
+    # subcommands, the options in backticks (`--pivot low\|high` is --pivot)
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    listed = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            _, names, options, _ = re.split(r"(?<!\\)\|", line)
+            for name in re.findall(r"`([a-z0-9-]+)`", names):
+                listed[name] = set(re.findall(r"`(--[a-z-]+)", options))
+    (commands,) = [action.choices for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    declared = {name: {flag for action in sp._actions
+                       for flag in action.option_strings
+                       if flag.startswith("--") and flag != "--help"}
+                for name, sp in commands.items()}
+    assert listed == declared
 
 
 @pytest.mark.parametrize("command", ["info", "lift"])

@@ -589,9 +589,9 @@ def test_checks_build_no_parallelogram_objects(monkeypatch):
         for x in enumerate_generators(d):
             parallelograms_from(x, d)
     assert grading_drop_violations(d) == []
-    result = criterion_05(*build_corpus())
-    assert result.ok
-    assert result.detail == "identities exact on 17200 parallelograms"
+    ok, detail = criterion_05(*build_corpus())
+    assert ok
+    assert detail == "identities exact on 17200 parallelograms"
 
 
 def test_generator_codes_round_trip_and_sort_like_sort_key():

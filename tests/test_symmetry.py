@@ -83,7 +83,8 @@ def test_hfk_hat_is_symmetric():
                    for s in range(p))
         x_gen = canonical_generator(GridDiagram(d.lens, d.n, d.X, d.O))
         assert spin_grading(x_gen, d) == c == homology._mirror_class(p, q, k)
-        table = extract_hfk_hat(full_elimination(d))
+        full = full_elimination(d)
+        table = extract_hfk_hat(full)
         assert table.extraction_exact
         hat = table.hfk_hat
         dm, da = table.denominators
@@ -91,6 +92,15 @@ def test_hfk_hat_is_symmetric():
         for s in range(p):
             for (m, a), r in hat[s].items():
                 assert hat[(c - s) % p].get((m - reflect * a, -a)) == r, (d, s)
+        # the tilde ranks themselves, with no division:
+        # tilde[s][(M, A)] == tilde[c - s][(M - 2A - (n-1), -A - (n-1))]
+        shift = d.n - 1
+        tilde = full.classes
+        for s in range(p):
+            for (m, a), r in tilde[s].items():
+                assert tilde[(c - s) % p].get(
+                    (m - reflect * a - shift * dm, -a - shift * da)) == r, (
+                        d, s)
     assert len(diagrams) == 519
 
 
@@ -124,8 +134,8 @@ def test_derived_documents_equal_full_elimination(name, monkeypatch):
         full = document_bytes(homology_document(extract_hfk_hat(
             full_elimination(d))))
         assert derived == full, d
-    # every knot with n >= 2 took the derivation, none the fallback
-    assert len(outcomes) == sum(d.n > 1 for d in diagrams)
+    # every knot took the derivation, none the fallback
+    assert len(outcomes) == len(diagrams)
     assert None not in outcomes
 
 
@@ -164,13 +174,18 @@ def test_a_wrong_mirror_class_falls_back_to_full_elimination(
         assert sorted(asked) == everything
 
 
-def test_grid_number_one_knots_eliminate_every_piece(monkeypatch):
-    # with n = 1 every piece is one generator, so deriving saves nothing
+def test_grid_number_one_knots_read_only_the_nonnegative_pieces(
+        monkeypatch):
+    # with n = 1 the derivation is the bare reflection: only the codes
+    # with A >= 0 are read, and the table is full elimination's
     d = gn1_corpus((7,))[3]
     expected = full_elimination(d)
+    table = gradings_table(d, generator_columns(1, 7))
     asked = reading(monkeypatch)
     assert tilde_homology(d) == expected
-    assert sorted(asked) == list(range(7))
+    assert sorted(asked) == sorted(code for code, t in table.items()
+                                   if t.alexander >= 0)
+    assert 0 < len(asked) < 7
 
 
 # A trefoil-shaped class on integer gradings (denominators (1, 1)): HFK-hat

@@ -13,8 +13,9 @@ and times the ``tilde_homology`` call alone, made without the generator
 and piece caps, since every case is chosen to finish; it reports those
 seconds, its own peak RSS (``ru_maxrss``) and a digest of the rows of
 the homology document, so that two checkouts can be seen to agree.
-After the timed call it counts the share of generators with Alexander
-grading A >= 0, the ones whose pieces ``tilde_homology`` eliminates.
+After the timed call, in the first run of a case only, it counts the
+share of generators with Alexander grading A >= 0, the ones whose pieces
+``tilde_homology`` eliminates.
 Runs go one at a time.  A case reports the best (least) time of its
 ``--repeat`` runs and the largest peak RSS among them.  The rows are
 stored in ``--out`` under ``--label``; labels already in the file are
@@ -40,7 +41,7 @@ sys.path.insert(0, sys.argv[1])
 from lensgrid.corpus import random_knot_diagrams
 from lensgrid.gradings import permutation_gradings
 from lensgrid.homology import homology_document, tilde_homology
-p, q, n = map(int, sys.argv[2:5])
+p, q, n, count_share = map(int, sys.argv[2:6])
 diagram = random_knot_diagrams(p, q, n, 1, seed=1)[0]
 start = time.perf_counter()
 table = tilde_homology(diagram, cap=None, piece_cap=None)
@@ -51,29 +52,34 @@ peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 ranks = sorted((int(s), row["M"], row["A"], row["rank"])
                for s, rows in homology_document(table)["classes"].items()
                for row in rows)
-total = nonnegative = 0
-for *_, alexanders in permutation_gradings(diagram):
-    total += len(alexanders)
-    nonnegative += sum(a >= 0 for a in alexanders)
-print(json.dumps({
+report = {
     "seconds": seconds,
     "peak_rss_mb": peak_rss_mb,
-    "a_nonnegative_share": nonnegative / total,
     "total_rank": table.total_rank(),
-    "ranks_sha256": hashlib.sha256(json.dumps(ranks).encode()).hexdigest()}))
+    "ranks_sha256": hashlib.sha256(json.dumps(ranks).encode()).hexdigest()}
+if count_share:
+    total = nonnegative = 0
+    for *_, alexanders in permutation_gradings(diagram):
+        total += len(alexanders)
+        nonnegative += sum(a >= 0 for a in alexanders)
+    report["a_nonnegative_share"] = nonnegative / total
+print(json.dumps(report))
 """
 
 
-def run_once(src, case):
-    """One child process on one case: its JSON report."""
+def run_once(src, case, count_share):
+    """One child process on one case: its JSON report, with the A >= 0
+    share when ``count_share``."""
     done = subprocess.run(
-        [sys.executable, "-c", CHILD, str(src), *map(str, case)],
+        [sys.executable, "-c", CHILD, str(src), *map(str, case),
+         str(int(count_share))],
         capture_output=True, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
 
 def measure(src, case, repeat):
-    runs = [run_once(src, case) for _ in range(repeat)]
+    # the share depends only on the diagram, so only the first run counts it
+    runs = [run_once(src, case, k == 0) for k in range(repeat)]
     if len({r["ranks_sha256"] for r in runs}) != 1:
         raise RuntimeError("runs of %s disagree on the homology" % (case,))
     p, q, n = case
