@@ -239,9 +239,12 @@ def parallelogram_table(torus, drop=0, columns=None):
     admissible when none of the generator's own bits is in ``block``.
     Parallelograms containing a marker of ``drop`` (see ``drop_mask``)
     are left out.  With ``columns``, only SW corners in column
-    ``columns[i]`` are filled in.
+    ``columns[i]`` are filled in.  With one row there is no pair of rows,
+    and the table is empty.
     """
     n, p, q, o_cells, x_cells = torus
+    if n == 1:
+        return {}
     width, shear = n * p, n * q
     winding = torus_winding(width, shear)
     size, code_shift = p ** n, EXPONENT_BITS * n
@@ -332,7 +335,10 @@ def admissible_entries(table, n, p):
     """``entries_of(codes)``: per code of the batch, the list of entries of
     ``table`` (see ``parallelogram_table``) at the generator's corner
     columns that it does not block, in table order, one per admissible
-    parallelogram leaving it.  The one place that applies the block mask."""
+    parallelogram leaving it.  The one place that applies the block mask.
+    An empty table (n = 1) gives ``[]`` per code."""
+    if not table:
+        return lambda codes: [[] for _ in codes]
     width, size = n * p, p ** n
     # column sigma_t + n*a_t: per sigma, pair cell bases and row bits; per
     # a, pair offsets (shared ints: a pointer each) and row shifts n*a_t
@@ -340,12 +346,10 @@ def admissible_entries(table, n, p):
     by_sigma = {top: ([sigma[i] * width + sigma[j] for i, j in table],
                       [1 << t * width + s for t, s in enumerate(sigma)])
                 for top, sigma in _sigma_codes(n)}
-    offset = [[n * (x * width + y) for y in range(p)]
-              for x in range(p)] if table else []   # n = 1: no pairs
+    offset = [[n * (x * width + y) for y in range(p)] for x in range(p)]
     index = [[offset[a[i]][a[j]] for a in product(range(p), repeat=n)]
              for i, j in table]
-    by_digits = list(zip(list(zip(*index)) or [()] * size,
-                         product(range(0, width, n), repeat=n)))
+    by_digits = list(zip(zip(*index), product(range(0, width, n), repeat=n)))
 
     def entries_of(codes):
         out = []

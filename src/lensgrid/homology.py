@@ -404,8 +404,12 @@ def homology_document(table, extra=None):
 _LITERALS = {None: "null", True: "true", False: "false"}
 
 
-def _json_text(value, newline):
-    """JSON text of a document value whose inner lines start ``newline``."""
+def _json_text(value, newline, seen):
+    """JSON text of a document value whose inner lines start ``newline``.
+
+    ``seen`` is the document's cache: by id, the ``newline`` and text of
+    the last list or tuple written, and ``_list_text``'s row templates.
+    """
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -415,24 +419,73 @@ def _json_text(value, newline):
         if not value:
             return "{}"
         inner = newline + "  "
-        items = []
+        sep = "," + inner
+        parts = []
         for key, item in sorted(value.items()):
             if type(key) is not str:
                 raise TypeError("document keys are str, not %s"
                                 % type(key).__name__)
-            items.append(encode_basestring_ascii(key) + ": "
-                         + _json_text(item, inner))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+            parts += sep, encode_basestring_ascii(key), ": ", _json_text(
+                item, inner, seen)
+        # one join copies each item's text once, even a list's that
+        # seen keeps
+        parts[0] = "{" + inner
+        parts += newline, "}"
+        return "".join(parts)
     if kind is list or kind is tuple:
         if not value:
             return "[]"
-        inner = newline + "  "
-        return ("[" + inner
-                + ("," + inner).join([_json_text(v, inner) for v in value])
-                + newline + "]")
+        done = seen.get(id(value))
+        if done is None or done[0] != newline:
+            done = seen[id(value)] = newline, _list_text(value, newline, seen)
+        return done[1]
     if value is None or kind is bool:
         return _LITERALS[value]
     raise TypeError("%s is not a document type" % kind.__name__)
+
+
+def _list_text(items, newline, seen):
+    """``_json_text`` of a nonempty list or tuple.
+
+    Two or more dicts with one set of str keys are written by one ``%``
+    per 256 rows: the template of their sorted keys, built once per key
+    set and ``newline`` in ``seen``, repeated per row, with str and int
+    values inline and any other value through ``_json_text``.  A list of
+    str is one join.
+    """
+    inner = newline + "  "
+    first = items[0]
+    if len(items) == 1:
+        return "[" + inner + _json_text(first, inner, seen) + newline + "]"
+    if type(first) is str and all([type(v) is str for v in items]):
+        texts = map(encode_basestring_ascii, items)
+    elif type(first) is dict and first and all([
+            type(row) is dict and row.keys() == first.keys()
+            for row in items]):
+        names, deeper = tuple(first), inner + "  "
+        cached = seen.get((names, inner))
+        if cached is None:
+            order = sorted(names)
+            for name in order:
+                if type(name) is not str:
+                    raise TypeError("document keys are str, not %s"
+                                    % type(name).__name__)
+            template = "{" + deeper + ("," + deeper).join(
+                encode_basestring_ascii(name).replace("%", "%%") + ": %s"
+                for name in order) + inner + "}"
+            cached = seen[names, inner] = order, template
+        order, template = cached
+        texts = []
+        for k in range(0, len(items), 256):   # 256 rows' values at a time
+            rows = items[k:k + 256]
+            texts.append(("," + inner).join([template] * len(rows)) % tuple([
+                encode_basestring_ascii(v) if type(v) is str
+                else int.__repr__(v) if type(v) is int
+                else _json_text(v, deeper, seen)
+                for row in rows for v in map(row.__getitem__, order)]))
+    else:
+        texts = [_json_text(v, inner, seen) for v in items]
+    return "[" + inner + ("," + inner).join(texts) + newline + "]"
 
 
 def document_bytes(doc):
@@ -441,4 +494,7 @@ def document_bytes(doc):
     A document holds only str, int, bool, None, and dicts with str keys,
     lists and tuples of these; anything else raises TypeError.
     """
-    return (_json_text(doc, "\n") + "\n").encode()
+    seen = {}
+    text = _json_text(doc, "\n", seen)
+    seen.clear()   # frees the lists' texts before the two copies below
+    return (text + "\n").encode()

@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
@@ -63,6 +64,27 @@ def test_no_rectangles_at_grid_number_one():
     d = GridDiagram(LensParams(5, 2), 1, ((0, 0),), ((2, 0),))
     for x in enumerate_generators(d):
         assert parallelograms_from(x, d) == []
+
+
+def test_grid_number_one_tables_hold_nothing_quadratic_in_p():
+    """At n = 1 there is no pair of rows: the table is empty, and its
+    reader answers [] per code.  The 1 MB bound is far below the 27 MB
+    of width-bit row masks, or the 3 MB of per-code digit tables, that
+    either would take at this p."""
+    p = 20011
+    torus = lens_torus(GridDiagram(LensParams(p, 2), 1, ((0, 0),),
+                                   ((7, 0),)))
+    tracemalloc.start()
+    try:
+        table = parallelogram_table(torus, complexes.drop_mask("tilde", 1))
+        table_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        found = complexes.admissible_entries({}, 1, p)([0, p - 1])
+        reader_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table == {} and found == [[], []]
+    assert table_peak < 2 ** 20 and reader_peak < 2 ** 20
 
 
 def test_tall_parallelogram_frozen_example():

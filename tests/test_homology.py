@@ -505,9 +505,49 @@ def test_document_bytes_match_json_dumps(doc):
     assert document_bytes(doc) == expected.encode()
 
 
+class _Key(str):
+    """A str subclass, which documents refuse as a key."""
+
+
+# row lists: two or more dicts with one key set (in any insertion order,
+# "%" in the keys), whose values are scalars, documents or empty dicts,
+# sometimes with one other item among them
+_keys = st.text(st.sampled_from(_SPECIAL + "%sd") | st.characters(),
+                max_size=6)
+_values = st.one_of(_scalars, _documents, st.just({}))
+_rows = st.lists(_keys, min_size=1, max_size=4, unique=True).flatmap(
+    lambda keys: st.lists(st.permutations(keys).flatmap(
+        lambda order: st.fixed_dictionaries({k: _values for k in order})),
+        min_size=2, max_size=5))
+_row_lists = _rows | st.tuples(_rows, _documents, st.integers(0, 5)).map(
+    lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_row_lists)
+def test_row_lists_match_json_dumps(rows):
+    # rows * 103: more than 256 rows, written a block of rows at a time
+    for doc in (rows, {"rows": rows}, [[rows], rows], rows * 103):
+        expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert document_bytes(doc) == expected.encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_row_lists | st.lists(_documents, min_size=1, max_size=4))
+def test_shared_lists_match_json_dumps(shared):
+    """One list object under two keys, at the same indent and at two."""
+    for doc in ({"a": shared, "b": shared},
+                {"a": shared, "b": {"c": shared}, "d": [shared]}):
+        expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert document_bytes(doc) == expected.encode()
+
+
 @pytest.mark.parametrize("doc", [1.5, {"rows": [{"M": 0.25}]}, {1, 2},
                                  [frozenset()], {1: "x"}, {"a": {2: 0}},
-                                 {"a": 1, 2: "b"}, Fraction(1, 2)])
+                                 {"a": 1, 2: "b"}, Fraction(1, 2),
+                                 {"rows": [{"M": 1}, {"M": 0.25}]},
+                                 [{1: "a"}, {1: "b"}],
+                                 [{_Key("a"): 1}, {_Key("a"): 2}]])
 def test_document_bytes_refuse_other_types(doc):
     with pytest.raises(TypeError):
         document_bytes(doc)
