@@ -52,7 +52,7 @@ def validate_s3(diagram):
     """Violation messages for a square-torus grid diagram."""
     out = []
     N = diagram.N
-    if not isinstance(N, int) or N < 1:
+    if not isinstance(N, int) or isinstance(N, bool) or N < 1:
         return ["range-error: grid size must be a positive integer (got %r)" % (N,)]
     for label, cells in (("O", diagram.O), ("X", diagram.X)):
         if len(cells) != N:
@@ -68,13 +68,6 @@ def validate_s3(diagram):
             out.append("column-collision: %s does not occupy each column "
                        "exactly once" % label)
     return out
-
-
-def require_valid_s3(diagram):
-    violations = validate_s3(diagram)
-    if violations:
-        raise ValidationError(violations)
-    return diagram
 
 
 def lift_diagram(diagram):
@@ -104,7 +97,9 @@ def lift_generator(x, diagram):
 
 def s3_link_components(diagram):
     """Row cycles of the square-torus diagram, one per link component."""
-    require_valid_s3(diagram)
+    violations = validate_s3(diagram)
+    if violations:
+        raise ValidationError(violations)
     return row_cycles([c for (c, _) in diagram.O], [c for (c, _) in diagram.X])
 
 

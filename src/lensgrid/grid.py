@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (InternalInvariantError, KnotRequiredError,
                      ParseError, ValidationError)
@@ -54,6 +55,12 @@ class GridDiagram:
     def width(self):
         """Horizontal extent n*p of the fundamental domain."""
         return self.n * self.lens.p
+
+    @cached_property
+    def _violations(self):
+        """``validate(self)``, computed once: a valid diagram holds only
+        ints and tuples, so its verdict cannot go stale."""
+        return validate(self)
 
 
 @dataclass(frozen=True)
@@ -165,9 +172,8 @@ def validate(diagram):
 
 
 def require_valid(diagram):
-    violations = validate(diagram)
-    if violations:
-        raise ValidationError(violations)
+    if diagram._violations:
+        raise ValidationError(diagram._violations)
     return diagram
 
 
@@ -207,11 +213,7 @@ def reconstruct_link(diagram):
     arcs divided by n, taken mod p.  This fixes one identification of the
     first homology with Z_p; only the order of the class is canonical.
     """
-    return link_structure(require_valid(diagram))
-
-
-def link_structure(diagram):
-    """``reconstruct_link`` of a diagram the caller has already validated."""
+    require_valid(diagram)
     p, q, n = diagram.lens.p, diagram.lens.q, diagram.n
     width = n * p
     cycles = row_cycles([s % n for (s, _) in diagram.O],
@@ -234,9 +236,9 @@ def link_structure(diagram):
                          order=p // math.gcd(cls, p))
 
 
-def require_knot(diagram, validated=False):
-    """Raise unless the diagram is a knot; validate it unless ``validated``."""
-    link = (link_structure if validated else reconstruct_link)(diagram)
+def require_knot(diagram):
+    """Raise unless the diagram is a valid knot diagram."""
+    link = reconstruct_link(diagram)
     if link.component_count != 1:
         raise KnotRequiredError(link.component_count)
     return link

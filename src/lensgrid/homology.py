@@ -255,7 +255,7 @@ def tilde_homology(diagram, cap=DEFAULT_GENERATOR_CAP,
     require_valid(diagram)
     p, q, n = diagram.lens.p, diagram.lens.q, diagram.n
     require_generator_cap(n, p, cap)
-    k = require_knot(diagram, validated=True).homology_class
+    k = require_knot(diagram).homology_class
     size = p ** n
     # one permutation's gradings at a time, never a table of every generator
     graded = chain.from_iterable(
@@ -387,11 +387,11 @@ def homology_document(table, extra=None):
         "poincare": {s: _polynomial(rows) for s, rows in classes.items()},
     }
     if table.hfk_hat is not None:
-        # a class whose extracted ranks are its tilde ranks (every class
-        # when the tensor exponent is 0) reuses its formatted rows
-        doc["hfk_hat"] = {
-            str(s): (doc["classes"][str(s)] if by == table.classes.get(s)
-                     else _rank_rows(by, table.denominators))
+        # the extracted table is the tilde one when the tensor exponent is
+        # 0 or the extraction is inexact, and otherwise differs in every
+        # class; the same table reuses the formatted rows
+        doc["hfk_hat"] = classes if table.hfk_hat == table.classes else {
+            str(s): _rank_rows(by, table.denominators)
             for s, by in sorted(table.hfk_hat.items())}
         doc["hat_total_rank"] = table.hat_total_rank()
     if table.note:

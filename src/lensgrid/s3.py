@@ -162,7 +162,7 @@ def verify_cover_relations(diagram, cap=DEFAULT_GENERATOR_CAP):
     require_valid(diagram)
     p, q, n = diagram.lens.p, diagram.lens.q, diagram.n
     require_generator_cap(n, p, cap)
-    link = require_knot(diagram, validated=True)
+    link = require_knot(diagram)
     lifted = lift_diagram(diagram)
     ell = len(s3_link_components(lifted))
     violations = []

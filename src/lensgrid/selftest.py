@@ -2,9 +2,9 @@
 
 Each criterion is a function returning ``(ok, detail)``; ``run_all``
 executes the whole list over a deterministic corpus and labels each
-result with its id and name from ``CRITERIA``.  Checks CR9b and CR9c encode
+result with its id and name from ``CRITERIA``.  Check C09 encodes
 width/count identities that hold only on the untwisted (square) torus;
-they are kept as stated, fail on twisted diagrams, and document that
+it is kept as stated, fails on twisted diagrams, and documents that
 divergence (see tests/test_complexes.py for the identities the twisted
 geometry does satisfy).
 """

@@ -322,10 +322,17 @@ def test_size_cap_exit_two(grid_file, capsys):
     assert code == 2 and "cap" in err
 
 
-def test_homology_validates_its_diagram_twice(grid_file, capsys,
-                                              monkeypatch):
-    # once when the file is loaded and once in tilde_homology; the knot
-    # check reuses that validation
+@pytest.mark.parametrize("argv, validations", [
+    (("info",), 1), (("gradings",), 1), (("gradings", "--swap-roles"), 2),
+    (("homology",), 1), (("lift",), 1), (("verify-cover",), 1),
+    (("boundary-export",), 1)],
+    ids=["info", "gradings", "gradings-swap-roles", "homology", "lift",
+         "verify-cover", "boundary-export"])
+def test_each_command_validates_its_diagram_once(grid_file, capsys,
+                                                 monkeypatch, argv,
+                                                 validations):
+    # a diagram keeps its verdict, so the later checks of the same object
+    # read it; --swap-roles builds and checks a second diagram
     calls = []
     real = grid.validate
 
@@ -334,10 +341,9 @@ def test_homology_validates_its_diagram_twice(grid_file, capsys,
         return real(diagram)
 
     monkeypatch.setattr(grid, "validate", counting)
-    code, out, _ = run(capsys, "homology", grid_file(KNOT_N2),
-                       "--format", "structured")
-    assert code == 0 and json.loads(out)["total_rank"] > 0
-    assert len(calls) == 2
+    code, out, _ = run(capsys, argv[0], grid_file(KNOT_N2), *argv[1:])
+    assert code == 0 and out
+    assert len(calls) == validations
     # the refusals keep their order: validation, generator cap, knot
     code, _, err = run(capsys, "homology", grid_file(BAD_GCD), "--cap", "0")
     assert code == 1 and "cap" not in err

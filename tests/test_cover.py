@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from lensgrid import (GridDiagram, LensParams, ValidationError, format_s3_grid,
-                      lift_diagram, lift_generator, lift_points, parse_s3_grid,
-                      reconstruct_link, validate_s3)
+from lensgrid import (GridDiagram, LensParams, S3GridDiagram, ValidationError,
+                      format_s3_grid, lift_diagram, lift_generator,
+                      lift_points, parse_s3_grid, reconstruct_link,
+                      s3_tilde_homology, validate_s3)
 from lensgrid.corpus import coprime_qs, random_diagram, random_knot_diagram
 from lensgrid.cover import s3_link_components
 from lensgrid.grid import Generator, canonical_generator
@@ -103,3 +104,29 @@ def test_s3_parse_format_roundtrip():
     assert parse_s3_grid(format_s3_grid(d)) == d
     text = "2\nO: 0 1\nX: 1 0\n"
     assert format_s3_grid(parse_s3_grid(text)) == text
+
+
+SQUARE_O = ((0, 0), (1, 1), (2, 2))
+SQUARE_X = ((1, 0), (2, 1), (0, 2))
+
+
+@pytest.mark.parametrize("diagram, prefix", [
+    (S3GridDiagram(0, (), ()), "range-error: grid size"),
+    (S3GridDiagram("3", SQUARE_O, SQUARE_X), "range-error: grid size"),
+    (S3GridDiagram(True, ((0, 0),), ((0, 0),)), "range-error: grid size"),
+    (S3GridDiagram(3, SQUARE_O[:2], SQUARE_X), "range-error: O must list"),
+    (S3GridDiagram(3, ((0, 0), (1, 1), (3, 2)), SQUARE_X),
+     "range-error: O has a cell outside"),
+    (S3GridDiagram(3, ((1, 1), (0, 0), (2, 2)), SQUARE_X), "row-collision: O"),
+    (S3GridDiagram(3, ((0, 0), (0, 1), (2, 2)), SQUARE_X),
+     "column-collision: O")],
+    ids=["N-0", "N-str", "N-bool", "O-short", "O-outside", "rows-unordered",
+         "O-column-twice"])
+def test_square_grid_refusals(diagram, prefix):
+    assert validate_s3(S3GridDiagram(3, SQUARE_O, SQUARE_X)) == []
+    violations = validate_s3(diagram)
+    assert len(violations) == 1 and violations[0].startswith(prefix)
+    for entry in (s3_link_components, s3_tilde_homology):
+        with pytest.raises(ValidationError) as e:
+            entry(diagram)
+        assert e.value.violations == violations

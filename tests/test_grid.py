@@ -1,4 +1,7 @@
+import json
 import random
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,10 @@ from lensgrid import (Generator, GridDiagram, LensParams, ParseError,
                       parse_s3_grid, reconstruct_link, require_knot, validate)
 from lensgrid.corpus import coprime_qs, gn1_corpus, random_diagram
 from lensgrid.errors import KnotRequiredError
+from lensgrid.grid import require_valid
+from lensgrid.selftest import build_corpus
+
+GOLDEN = Path(__file__).parent / "golden" / "grading_digests.json"
 
 
 def diagram(p, q, n, o, x):
@@ -129,6 +136,32 @@ def test_require_knot_rejects_links():
     d = diagram(3, 1, 2, [(0, 0), (1, 1)], [(0, 0), (1, 1)])
     with pytest.raises(KnotRequiredError):
         require_knot(d)
+
+
+def test_a_valid_diagram_holds_no_list():
+    # a diagram keeps its validate() verdict, which cannot go stale only
+    # while a valid diagram is immutable all the way down
+    gn1, rnd = build_corpus()
+    golden = [parse_grid(row["grid"])
+              for rows in json.loads(GOLDEN.read_text()).values()
+              for row in rows]
+    for d in gn1 + rnd + golden:
+        assert validate(d) == []
+        hash(d)
+    base = diagram(5, 2, 2, [(3, 0), (6, 1)], [(0, 0), (1, 1)])
+    assert validate(base) == []
+    for bad in (replace(base, O=list(base.O)), replace(base, X=list(base.X)),
+                replace(base, O=([3, 0], (6, 1))),
+                replace(base, X=((0, 0), [1, 1])),
+                replace(base, lens=LensParams(True, 1)),
+                replace(base, n=True)):
+        assert validate(bad)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValidationError) as e:
+                require_valid(bad)
+            messages.append(str(e.value))
+        assert messages[0] == messages[1] == "; ".join(validate(bad))
 
 
 def test_enumerate_gn1():
