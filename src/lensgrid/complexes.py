@@ -223,7 +223,7 @@ def drop_mask(variant, n):
             "hat": 1, "minus": 0}[variant]
 
 
-def parallelogram_table(torus, drop=0, columns=None):
+def parallelogram_table(torus, drop=0):
     """Every embedded parallelogram of the torus, keyed by its corners.
 
     ``table[i, j][c_i * width + c_j]`` lists, lowest height band first,
@@ -238,9 +238,8 @@ def parallelogram_table(torus, drop=0, columns=None):
     the generator with that code.  A generator's parallelogram is
     admissible when none of the generator's own bits is in ``block``.
     Parallelograms containing a marker of ``drop`` (see ``drop_mask``)
-    are left out.  With ``columns``, only SW corners in column
-    ``columns[i]`` are filled in.  With one row there is no pair of rows,
-    and the table is empty.
+    are left out.  With one row there is no pair of rows, and the table
+    is empty.
     """
     n, p, q, o_cells, x_cells = torus
     if n == 1:
@@ -262,7 +261,6 @@ def parallelogram_table(torus, drop=0, columns=None):
     counts = {}
     table = {}
     for i in range(n):
-        sw_cols = range(width) if columns is None else (columns[i],)
         for j in range(n):
             if i == j:
                 continue
@@ -286,7 +284,7 @@ def parallelogram_table(torus, drop=0, columns=None):
                         comps = list(map(or_, comps, bits[cut:] + bits[:cut]))
                 at += at
                 comps += comps
-                for ci in sw_cols:
+                for ci in range(width):
                     inside = at[ci:ci + limit]   # markers at each offset
                     new_j = (ci - drift) % width
                     fixed = w_j[new_j] - w_i[ci]
@@ -401,9 +399,9 @@ def collect_terms(torus, variant):
 def parallelograms_from(x, diagram):
     """All admissible parallelograms leaving x, with marker counts, as
     ``Parallelogram`` objects: the object view of ``admissible_entries``
-    on the table's slice at x's corner columns."""
+    on the whole table, read at x's corner columns."""
     n, p, cols = diagram.n, diagram.lens.p, x.columns
-    table = parallelogram_table(lens_torus(diagram), columns=cols)
+    table = parallelogram_table(lens_torus(diagram))
     # rows i and j swap beta curves: new_i lies on row j's, new_j on row i's
     row_of = {s: t for t, s in enumerate(x.sigma)}
     out = []

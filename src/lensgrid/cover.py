@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError, ValidationError
-from .grid import Tokens, require_valid, row_cycles
+from .grid import Tokens, marker_violations, require_valid, row_cycles
 
 
 @dataclass(frozen=True)
@@ -49,25 +49,13 @@ def lift_points(points, p, q, n):
 
 
 def validate_s3(diagram):
-    """Violation messages for a square-torus grid diagram."""
-    out = []
+    """Violation messages for a square-torus grid diagram: the lens
+    diagram's marker rules with n = width = N."""
     N = diagram.N
     if not isinstance(N, int) or isinstance(N, bool) or N < 1:
         return ["range-error: grid size must be a positive integer (got %r)" % (N,)]
-    for label, cells in (("O", diagram.O), ("X", diagram.X)):
-        if len(cells) != N:
-            out.append("range-error: %s must list exactly %d cells" % (label, N))
-            continue
-        if any(not (0 <= c < N and 0 <= r < N) for (c, r) in cells):
-            out.append("range-error: %s has a cell outside [0, %d)^2" % (label, N))
-            continue
-        if [r for (_, r) in cells] != list(range(N)):
-            out.append("row-collision: %s does not occupy each row exactly once "
-                       "in row-major order" % label)
-        if sorted(c for (c, _) in cells) != list(range(N)):
-            out.append("column-collision: %s does not occupy each column "
-                       "exactly once" % label)
-    return out
+    return (marker_violations("O", diagram.O, N, N)
+            + marker_violations("X", diagram.X, N, N))
 
 
 def lift_diagram(diagram):

@@ -58,8 +58,8 @@ class GridDiagram:
 
     @cached_property
     def _violations(self):
-        """``validate(self)``, computed once: a valid diagram holds only
-        ints and tuples, so its verdict cannot go stale."""
+        """``validate(self)``, computed once: a valid diagram holds only a
+        ``LensParams``, ints and tuples, so its verdict cannot go stale."""
         return validate(self)
 
 
@@ -99,6 +99,8 @@ class LinkStructure:
 
 def validate_lens(lens):
     """Violation messages for the surgery coefficients, empty if valid."""
+    if not isinstance(lens, LensParams):
+        return ["range-error: lens must be a LensParams (got %r)" % (lens,)]
     out = []
     p, q = lens.p, lens.q
     if not isinstance(p, int) or isinstance(p, bool) or p < 2:
@@ -123,26 +125,34 @@ def _collisions(values):
     return sorted((v, hits) for v, hits in where.items() if len(hits) > 1)
 
 
-def _marker_violations(label, cells, n, width):
-    out = []
+def marker_violations(label, cells, n, width):
+    """Violation messages for one marker family of an n-row grid of the
+    given width, empty if valid.  A square N x N grid is the case
+    n = width = N."""
     if not isinstance(cells, tuple) or len(cells) != n:
-        out.append("range-error: %s must be a tuple of exactly %d cells "
-                   "(got %r)" % (label, n, cells))
-        return out
-    for i, cell in enumerate(cells):
-        shape_ok = (isinstance(cell, tuple) and len(cell) == 2
-                    and all(isinstance(v, int) and not isinstance(v, bool)
-                            for v in cell))
-        if not shape_ok or not (0 <= cell[0] < width and 0 <= cell[1] < n):
-            out.append("range-error: %s[%d] = %r outside [0, %d) x [0, %d)"
-                       % (label, i, cell, width, n))
+        return ["range-error: %s must be a tuple of exactly %d cells "
+                "(got %r)" % (label, n, cells)]
+    # each cell's row if it is a tuple of two ints (no bools) inside
+    # [0, width) x [0, n), else None
+    rows = [c[1] if isinstance(c, tuple) and len(c) == 2
+            and (type(c[0]) is int
+                 or isinstance(c[0], int) and type(c[0]) is not bool)
+            and (type(c[1]) is int
+                 or isinstance(c[1], int) and type(c[1]) is not bool)
+            and 0 <= c[0] < width and 0 <= c[1] < n else None
+            for c in cells]
+    in_order = rows == list(range(n))
+    if in_order and len({s % n for (s, _) in cells}) == n:
+        return []
+    out = ["range-error: %s[%d] = %r outside [0, %d) x [0, %d)"
+           % (label, i, cell, width, n)
+           for i, (cell, t) in enumerate(zip(cells, rows)) if t is None]
     if out:
         return out
-    rows = [t for (_, t) in cells]
     for t, hits in _collisions(rows):
         out.append("row-collision: %s cells at indices %s all sit in row %d"
                    % (label, hits, t))
-    if not out and rows != list(range(n)):
+    if not out and not in_order:
         out.append("storage-order: %s must be stored row-major (%s[t] in "
                    "row t); got rows %s" % (label, label, rows))
     for c, hits in _collisions([s % n for (s, _) in cells]):
@@ -166,9 +176,8 @@ def validate(diagram):
     if out:
         return out
     width = diagram.width
-    out += _marker_violations("O", diagram.O, n, width)
-    out += _marker_violations("X", diagram.X, n, width)
-    return out
+    return (marker_violations("O", diagram.O, n, width)
+            + marker_violations("X", diagram.X, n, width))
 
 
 def require_valid(diagram):

@@ -9,11 +9,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lensgrid import cli, complexes, grid, homology, s3
+from lensgrid import cli, complexes, grid, homology, s3, selftest
 from lensgrid.cli import main
 from lensgrid.corpus import (KNOT_HOMOLOGY_SHAPES, gn1_corpus,
                              random_knot_diagrams)
-from lensgrid.grid import format_grid
+from lensgrid.gradings import grading_denominators
+from lensgrid.grid import format_grid, parse_grid
 
 GN1 = "5 2 1\nO: 0\nX: 2\n"
 KNOT_N2 = "2 1 2\nO: 0 1\nX: 1 0\n"
@@ -370,6 +371,80 @@ def test_enumerate_gn1_refuses_more_diagrams_than_the_cap(capsys):
     code, out, err = run(capsys, "enumerate-gn1", str(10**7 + 1), "2")
     assert code == 2 and out == ""
     assert err.startswith("refused:") and "10000001" in err
+
+
+def test_enumerate_gn1_human_blocks_match_the_document(capsys):
+    code, out, _ = run(capsys, "enumerate-gn1", "5", "-2",
+                       "--format", "structured")
+    texts = json.loads(out)["diagrams"]
+    assert code == 0 and len(texts) == 5
+    code, out, _ = run(capsys, "enumerate-gn1", "5", "-2")
+    blocks = re.split(r"^# j = (\d+)\n", out, flags=re.M)
+    assert code == 0 and blocks[0] == ""
+    assert [int(j) for j in blocks[1::2]] == list(range(5))
+    assert [parse_grid(b) for b in blocks[2::2]] == [parse_grid(t)
+                                                     for t in texts]
+
+
+@pytest.mark.parametrize("failing", [False, True], ids=["pass", "fail"])
+def test_selftest_reports_each_check(capsys, monkeypatch, failing):
+    seeds = []
+    results = [selftest.CheckResult("C01", "first check", True, "fine"),
+               selftest.CheckResult("C02", "second check", not failing,
+                                    "two of two")]
+
+    def run_all(seed):
+        seeds.append(seed)
+        return results
+
+    monkeypatch.setattr(cli.selftest, "run_all", run_all)
+    verdict = "FAIL" if failing else "PASS"
+    code, out, _ = run(capsys, "selftest", "--seed", "7")
+    assert code == int(failing)
+    assert out.splitlines() == [
+        "C01 %-48s PASS  (fine)" % "first check",
+        "C02 %-48s %s  (two of two)" % ("second check", verdict)]
+    code, out, _ = run(capsys, "selftest", "--seed", "7",
+                       "--format", "structured")
+    assert code == int(failing)
+    assert json.loads(out) == {"seed": 7, "results": [
+        {"id": "C01", "name": "first check", "ok": True, "detail": "fine"},
+        {"id": "C02", "name": "second check", "ok": not failing,
+         "detail": "two of two"}]}
+    run(capsys, "selftest")
+    assert seeds == [7, 7, selftest.DEFAULT_SEED]
+
+
+@pytest.mark.parametrize("fmt", ["human", "structured"])
+def test_verify_cover_exits_three_on_violated_relations(grid_file, capsys,
+                                                        monkeypatch, fmt):
+    # a Maslov grading shifted by 1/p on one generator breaks the cover
+    # relations, which the command reports and then treats as a bug
+    d = random_knot_diagrams(5, 2, 2, 1, seed=3)[0]
+    real = s3.gradings_table
+
+    def shifted(diagram, generators):
+        table = real(diagram, generators)
+        code = sorted(table)[len(table) // 2]
+        table[code] = table[code]._replace(
+            maslov=table[code].maslov
+            + grading_denominators(diagram)[0] // diagram.lens.p)
+        return table
+
+    monkeypatch.setattr(s3, "gradings_table", shifted)
+    violations = s3.verify_cover_relations(d).violations
+    assert len(violations) == 2
+    code, out, err = run(capsys, "verify-cover", grid_file(format_grid(d)),
+                         "--format", fmt)
+    assert code == 3
+    if fmt == "structured":
+        doc = json.loads(out)
+        assert doc["ok"] is False and doc["violations"] == violations
+    else:
+        assert out.endswith("violations: 2\n"
+                            + "".join("  %s\n" % v for v in violations))
+    assert err == ("internal invariant violated: cover relations violated: "
+                   "%s\n" % violations)
 
 
 class Overtime(Exception):

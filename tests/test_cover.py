@@ -1,15 +1,17 @@
 import random
+import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lensgrid import (GridDiagram, LensParams, S3GridDiagram, ValidationError,
                       format_s3_grid, lift_diagram, lift_generator,
                       lift_points, parse_s3_grid, reconstruct_link,
-                      s3_tilde_homology, validate_s3)
+                      s3_tilde_homology, validate, validate_s3)
 from lensgrid.corpus import coprime_qs, random_diagram, random_knot_diagram
 from lensgrid.cover import s3_link_components
-from lensgrid.grid import Generator, canonical_generator
+from lensgrid.grid import Generator, canonical_generator, require_valid
 
 HALF = Fraction(1, 2)
 
@@ -114,14 +116,23 @@ SQUARE_X = ((1, 0), (2, 1), (0, 2))
     (S3GridDiagram(0, (), ()), "range-error: grid size"),
     (S3GridDiagram("3", SQUARE_O, SQUARE_X), "range-error: grid size"),
     (S3GridDiagram(True, ((0, 0),), ((0, 0),)), "range-error: grid size"),
-    (S3GridDiagram(3, SQUARE_O[:2], SQUARE_X), "range-error: O must list"),
+    (S3GridDiagram(3, SQUARE_O[:2], SQUARE_X),
+     "range-error: O must be a tuple of exactly 3 cells"),
     (S3GridDiagram(3, ((0, 0), (1, 1), (3, 2)), SQUARE_X),
-     "range-error: O has a cell outside"),
-    (S3GridDiagram(3, ((1, 1), (0, 0), (2, 2)), SQUARE_X), "row-collision: O"),
+     "range-error: O[2] = (3, 2) outside [0, 3) x [0, 3)"),
+    (S3GridDiagram(3, ((1, 1), (0, 0), (2, 2)), SQUARE_X),
+     "storage-order: O must be stored row-major"),
     (S3GridDiagram(3, ((0, 0), (0, 1), (2, 2)), SQUARE_X),
-     "column-collision: O")],
+     "column-collision: O cells in rows [0, 1] share column 0"),
+    (S3GridDiagram(3, list(SQUARE_O), SQUARE_X),
+     "range-error: O must be a tuple"),
+    (S3GridDiagram(3, ([0, 0], (1, 1), (2, 2)), SQUARE_X),
+     "range-error: O[0] = [0, 0] outside"),
+    (S3GridDiagram(3, None, SQUARE_X), "range-error: O must be a tuple"),
+    (S3GridDiagram(3, ((0, 0, 0), (1, 1), (2, 2)), SQUARE_X),
+     "range-error: O[0] = (0, 0, 0) outside")],
     ids=["N-0", "N-str", "N-bool", "O-short", "O-outside", "rows-unordered",
-         "O-column-twice"])
+         "O-column-twice", "O-list", "list-cell", "O-None", "three-int-cell"])
 def test_square_grid_refusals(diagram, prefix):
     assert validate_s3(S3GridDiagram(3, SQUARE_O, SQUARE_X)) == []
     violations = validate_s3(diagram)
@@ -130,3 +141,81 @@ def test_square_grid_refusals(diagram, prefix):
         with pytest.raises(ValidationError) as e:
             entry(diagram)
         assert e.value.violations == violations
+
+
+def test_int_cells_are_range_errors():
+    # O = (0, 1, 2) once escaped as a TypeError from the unpacking
+    diagram = S3GridDiagram(3, (0, 1, 2), SQUARE_X)
+    violations = validate_s3(diagram)
+    assert violations == ["range-error: O[%d] = %d outside [0, 3) x [0, 3)"
+                          % (i, i) for i in range(3)]
+    for entry in (s3_link_components, s3_tilde_homology):
+        with pytest.raises(ValidationError) as e:
+            entry(diagram)
+        assert e.value.violations == violations
+
+
+# square grids of size up to 5 whose size, cells or marker families are
+# sometimes replaced by arbitrary values
+JUNK = st.one_of(st.none(), st.integers(-2, 6), st.booleans(),
+                 st.text(max_size=2), st.lists(st.integers(0, 5), max_size=3),
+                 st.tuples(), st.tuples(st.integers(0, 5)),
+                 st.tuples(st.integers(0, 5), st.integers(0, 5),
+                           st.integers(0, 5)))
+CELLS = st.one_of(JUNK, st.tuples(JUNK, JUNK))
+
+
+@st.composite
+def square_grids(draw):
+    size = draw(st.integers(1, 5))
+    N = [size, size, draw(st.integers(-1, 6)), draw(JUNK)][
+        draw(st.integers(0, 3))]
+
+    def family():
+        cells = [(c, r) for r, c in enumerate(draw(st.permutations(
+            range(size))))]
+        how = draw(st.integers(0, 5))
+        if how == 3:
+            for _ in range(draw(st.integers(1, 2))):
+                cells[draw(st.integers(0, size - 1))] = draw(
+                    st.tuples(st.integers(0, size), st.integers(0, size))
+                    if draw(st.booleans()) else CELLS)
+        elif how == 4:
+            return cells[:draw(st.integers(0, size))]   # a list
+        elif how == 5:
+            return draw(JUNK)
+        return tuple(cells)
+
+    return S3GridDiagram(N, family(), family())
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(diagram=square_grids())
+def test_square_grid_checks_refuse_rather_than_raise(diagram):
+    violations = validate_s3(diagram)
+    assert isinstance(violations, list)
+    for entry in (s3_link_components, s3_tilde_homology):
+        try:
+            entry(diagram)
+        except ValidationError as e:
+            assert violations and e.violations == violations
+        else:
+            assert violations == []
+
+
+def test_a_lens_must_be_lens_params():
+    # a mutable lens with valid ints once passed, and the diagram's cached
+    # verdict then outlived a change to the lens
+    lens = types.SimpleNamespace(p=5, q=2)
+    d = GridDiagram(lens, 1, ((0, 0),), ((2, 0),))
+    violations = ["range-error: lens must be a LensParams "
+                  "(got namespace(p=5, q=2))"]
+    assert validate(d) == violations
+    for entry in (require_valid, reconstruct_link, lift_diagram):
+        with pytest.raises(ValidationError) as e:
+            entry(d)
+        assert e.value.violations == violations
+    lens.p = 4
+    assert validate(d) == [violations[0].replace("p=5", "p=4")]
+    with pytest.raises(ValidationError):
+        require_valid(d)
