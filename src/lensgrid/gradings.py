@@ -16,7 +16,7 @@ from bisect import bisect_left, insort
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, permutations
-from operator import add
+from operator import add, getitem
 from typing import NamedTuple
 
 from .cover import lift_points
@@ -98,7 +98,7 @@ def d_invariant(p, q, i):
     q.  The top-level q is first reduced mod p (so negative q is fine,
     the lens space being unchanged by q -> q + p) and i is reduced mod p.
     """
-    if not isinstance(p, int) or p < 1:
+    if not isinstance(p, int) or isinstance(p, bool) or p < 1:
         raise ValidationError("range-error: d-invariant needs integer p >= 1, got %r" % (p,))
     q = q % p if p > 1 else 0
     i = i % p if p > 1 else 0
@@ -202,19 +202,19 @@ def _shifted_counts(p, q_inv, ni, b):
 
 
 def _marker_cross_table(cells, p, q, n, ni):
-    """Per-cell cross terms and the self term of one marker family.
+    """Cross terms and the self term of one marker family.
 
-    Returns ``(cross, self_count)``.  ``cross[r][c]`` is, summed over the
-    p lifts of the generator point (c, r), the number of lifted markers
-    weakly above-right of the lift plus the number strictly below-left of
-    it: the lift's share of ``I(g, B) + I(B, g)``.  ``self_count`` is
-    ``I(B, B)``.
+    Returns ``(cross, self_count)``.  ``cross[r][s][a]`` is, summed over
+    the p lifts of the generator point (s + n*a, r), the number of lifted
+    markers weakly above-right of the lift plus the number strictly
+    below-left of it: the lift's share of ``I(g, B) + I(B, g)``.
+    ``self_count`` is ``I(B, B)``.
 
     The lifted markers meet every row and column of the cover once, so
     the markers weakly above-right of a lift (C, R) number ``n*p - R - C``
-    plus those strictly below-left of it.  Over the p lifts of ``c = s +
-    n*a`` the first part sums to ``p*n*p - p*(r + s) - n*p*(p-1)``, and
-    marker ``(s_t + n*b, t)`` adds ``T_b(a - b; [t < r], [s_t < s])``
+    plus those strictly below-left of it.  Over the p lifts of ``s + n*a``
+    the first part sums to ``p*n*p - p*(r + s) - n*p*(p-1)``, and marker
+    ``(s_t + n*b, t)`` adds ``T_b(a - b; [t < r], [s_t < s])``
     (``_shifted_counts``): a vector over a, plus the f parts of the
     markers in residues below s, the e parts of those in rows below r,
     and p at ``a = b`` when both hold.  A generator's lift also meets
@@ -236,47 +236,39 @@ def _marker_cross_table(cells, p, q, n, ni):
     for _, b in sorted((s % n, s // n) for (s, _) in cells)[:-1]:
         left.append([v + q_inv * (a - b) % p for a, v in enumerate(left[-1])])
     base = p * width - n * p * (p - 1)
-    cross = []
-    for r in range(n):
-        out = [0] * width
-        for s in range(n):
-            k = base - p * (r + s)
-            out[s::n] = [k + 2 * (u + v + w)
-                         for u, v, w in zip(counts, left[s], lower[r])]
-        cross.append(out)
+    cross = [[[k + 2 * (u + v + w)
+               for u, v, w in zip(counts, left[s], lower[r])]
+              for s in range(n) for k in [base - p * (r + s)]]
+             for r in range(n)]
     for t, s_t, b in by_row:
         for r in range(t + 1, n):
             for s in range(s_t + 1, n):
-                cross[r][s + n * b] += 2 * p
-    return cross, (sum(cross[t][s] for (s, t) in cells) - width) // 2
+                cross[r][s][b] += 2 * p
+    return cross, (sum(cross[t][s][b] for t, s, b in by_row) - width) // 2
 
 
 def _pair_table(p, q, n, ni):
-    """``{(c1, c2): pair term}`` for every pair of columns in different
-    residues mod n (empty when n = 1).
+    """``{(s1, s2): terms}`` for every pair of distinct residues mod n
+    (empty when n = 1): ``terms[a1][a2]`` is the pair term of components
+    in columns ``s1 + n*a1`` and ``s2 + n*a2`` of rows t1 < t2.
 
-    The pair term of components in columns ``c1 = s1 + n*a1`` and ``c2 =
-    s2 + n*a2`` of rows t1 < t2 counts the dominance pairs between their
+    The pair term counts the dominance pairs between the two components'
     lifts: ``T_a1(d; 1, [s1 < s2]) + T_a2(-d; 0, [s2 < s1])`` with ``d =
-    a2 - a1 mod p`` (``_shifted_counts``).  O(n*n*p*p) steps.
+    a2 - a1 mod p`` (``_shifted_counts``).  It depends on s1 and s2 only
+    through ``[s1 < s2]``, so the keys share two matrices.  O(p*p) steps.
     """
     if n == 1:
         return {}
     q_inv = pow(q, -1, p)
     rows = [_shifted_counts(p, q_inv, ni, a) for a in range(p)]
-    table = {}
-    for s1 in range(n):
-        for s2 in range(n):
-            if s1 == s2:
-                continue
-            f = s1 < s2
-            for a1, row1 in enumerate(rows):
-                for a2, row2 in enumerate(rows):
-                    d = (a2 - a1) % p
-                    table[s1 + n * a1, s2 + n * a2] = (
-                        row1[d] + row2[-d % p] + q_inv * (d if f else -d) % p
-                        + (-d % p if d else f * p))
-    return table
+    by_order = [[[rows[a1][(a2 - a1) % p] + rows[a2][(a1 - a2) % p]
+                  + q_inv * (a2 - a1 if f else a1 - a2) % p
+                  + ((a1 - a2) % p if a1 != a2 else f * p)
+                  for a2 in range(p)]
+                 for a1 in range(p)]
+                for f in (False, True)]
+    return {(s1, s2): by_order[s1 < s2]
+            for s1 in range(n) for s2 in range(n) if s1 != s2}
 
 
 def grading_denominators(diagram):
@@ -308,16 +300,17 @@ def _grading_tables(diagram):
     generator-against-marker terms are sums of per-cell table entries
     (``_marker_cross_table``), and the generator-against-itself term is a
     sum over pairs of components: ``NI[a]`` for a component with itself,
-    a per-column-pair entry (``_pair_table``) for two components in
+    a per-residue-pair entry (``_pair_table``) for two components in
     different rows.  ``NI`` is built once and serves all three.  No table
     walks the cover: they take O(n*n*p) steps, O(n*n*p*p) when n > 1 for
     the pair table.
 
-    A generator with columns ``cols = sigma + n*a`` has Spin^c class
-    ``(spin_base + sum(a)) mod p``, Maslov numerator ``maslov_base`` plus
-    ``maslov_rows[t][cols[t]]`` over t and ``pair[cols[t], cols[u]]`` over
-    t < u, and Alexander numerator ``alexander_base`` plus
-    ``alexander_rows[t][cols[t]]`` over t.
+    A generator (sigma, a) has Spin^c class ``(spin_base + sum(a)) mod
+    p``, Maslov numerator ``maslov_base`` plus
+    ``maslov_rows[t][sigma_t][a_t]`` over t and
+    ``pair[sigma_t, sigma_u][a_t][a_u]`` over t < u, and Alexander
+    numerator ``alexander_base`` plus ``alexander_rows[t][sigma_t][a_t]``
+    over t.
     """
     p, q, n = diagram.lens.p, diagram.lens.q, diagram.n
     qn = q % p
@@ -328,9 +321,11 @@ def _grading_tables(diagram):
     # per row, a component's share of raw_o (NI[a] minus its O cross term)
     # and of raw_o - raw_x; the Maslov terms scaled by M's denominator
     dm = d.denominator
-    maslov_rows = [[dm * (ni[c // n] - o) for c, o in enumerate(row)]
+    maslov_rows = [[[dm * (v - o) for v, o in zip(ni, terms)]
+                    for terms in row]
                    for row in cross_o]
-    alexander_rows = [[x - o for o, x in zip(row_o, row_x)]
+    alexander_rows = [[[x - o for o, x in zip(terms_o, terms_x)]
+                       for terms_o, terms_x in zip(row_o, row_x)]
                       for row_o, row_x in zip(cross_o, cross_x)]
     # sum(canonical_generator(diagram).a), without building the generator
     spin_base = (q - 1) - sum(s // n for (s, _) in diagram.O)
@@ -339,7 +334,8 @@ def _grading_tables(diagram):
     # generator's self count
     return (p, n, spin_base, dm * (self_o + p) + p * d.numerator,
             self_o - self_x - (n - 1) * p, maslov_rows, alexander_rows,
-            {k: dm * v for k, v in _pair_table(p, qn, n, ni).items()})
+            {k: [[dm * v for v in line] for line in terms]
+             for k, terms in _pair_table(p, qn, n, ni).items()})
 
 
 def gradings_table(diagram, generators):
@@ -376,11 +372,6 @@ def permutation_gradings(diagram):
     (p, n, spin_base, maslov_base, alexander_base, maslov_rows,
      alexander_rows, pair) = _grading_tables(diagram)
     size = p ** n
-    # carry[s, r][a][b]: the pair term of column s + n*a in an earlier row
-    # and column r + n*b in a later one
-    carry = {(s, r): [[pair[s + n * a, r + n * b] for b in range(p)]
-                      for a in range(p)]
-             for s in range(n) for r in range(n) if s != r}
     spins = [spin_base % p]
     for _ in range(n):
         spins = [(s + a) % p for s in spins for a in range(p)]
@@ -390,15 +381,14 @@ def permutation_gradings(diagram):
         for s in sigma:
             first = first * n + s
         alexanders = [alexander_base]
-        for row, s in zip(alexander_rows, sigma):
-            values = row[s::n]
+        for values in map(getitem, alexander_rows, sigma):
             alexanders = [v + w for v in alexanders for w in values]
         maslovs = [maslov_base]
         for u, r in enumerate(sigma):
-            pending = [maslov_rows[u][r::n]]
+            pending = [maslov_rows[u][r]]
             for s in sigma[:u]:
                 pending = [list(map(add, vec, terms)) for vec in pending
-                           for terms in carry[s, r]]
+                           for terms in pair[s, r]]
             maslovs = [m + v for m, vec in zip(maslovs, pending) for v in vec]
         return first * size, spins, maslovs, alexanders
     return map(graded, permutations(range(n)))

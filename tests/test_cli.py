@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import re
@@ -11,10 +12,14 @@ from hypothesis import given, settings, strategies as st
 
 from lensgrid import cli, complexes, grid, homology, s3, selftest
 from lensgrid.cli import main
+from lensgrid.complexes import generator_code
 from lensgrid.corpus import (KNOT_HOMOLOGY_SHAPES, gn1_corpus,
                              random_knot_diagrams)
-from lensgrid.gradings import grading_denominators
-from lensgrid.grid import format_grid, parse_grid
+from lensgrid.cover import lift_diagram
+from lensgrid.errors import LensGridError
+from lensgrid.gradings import d_invariant, grading_denominators
+from lensgrid.grid import (canonical_generator, format_grid, parse_grid,
+                           reconstruct_link)
 
 GN1 = "5 2 1\nO: 0\nX: 2\n"
 KNOT_N2 = "2 1 2\nO: 0 1\nX: 1 0\n"
@@ -445,6 +450,115 @@ def test_verify_cover_exits_three_on_violated_relations(grid_file, capsys,
                             + "".join("  %s\n" % v for v in violations))
     assert err == ("internal invariant violated: cover relations violated: "
                    "%s\n" % violations)
+
+
+@pytest.mark.parametrize("fmt", ["human", "structured"])
+@pytest.mark.parametrize("broken", ["components", "canonical lift",
+                                    "canonical grading"])
+def test_verify_cover_exits_three_on_each_structural_violation(
+        grid_file, capsys, monkeypatch, broken, fmt):
+    # checks no honest diagram trips: the lifted link with one component
+    # too many, the canonical generator's lift graded one too high, and
+    # the canonical generator's own Maslov grading one too high
+    d = random_knot_diagrams(5, 2, 2, 1, seed=3)[0]
+    p, q, n = d.lens.p, d.lens.q, d.n
+    canon = canonical_generator(d)
+    if broken == "components":
+        real_components = s3.s3_link_components
+        ell = len(real_components(lift_diagram(d)))
+        monkeypatch.setattr(s3, "s3_link_components",
+                            lambda lifted: real_components(lifted) + [()])
+        expected = ("lifted diagram has %d components, expected p/order = "
+                    "%d/%d" % (ell + 1, p, reconstruct_link(d).order))
+    elif broken == "canonical lift":
+        real_cover = s3._cover_gradings
+
+        def raised_lift(*args):
+            columns = args[-1]
+            return ((m + (cols == canon.columns), a)
+                    for cols, (m, a) in zip(columns, real_cover(*args)))
+
+        monkeypatch.setattr(s3, "_cover_gradings", raised_lift)
+        expected = ("canonical generator's lift has square-grid Maslov %d, "
+                    "expected %d" % (2 - p * n, 1 - p * n))
+    else:
+        real_table = s3.gradings_table
+
+        def raised_grading(diagram, generators):
+            table = real_table(diagram, generators)
+            code = generator_code(canon, p)
+            table[code] = table[code]._replace(
+                maslov=table[code].maslov + grading_denominators(diagram)[0])
+            return table
+
+        monkeypatch.setattr(s3, "gradings_table", raised_grading)
+        expected = ("canonical generator Maslov %s != d(p,q,q-1) - (n-1)"
+                    % (d_invariant(p, q, q - 1) - (n - 1) + 1,))
+    violations = s3.verify_cover_relations(d).violations
+    assert violations[-1] == expected
+    if broken == "components":
+        assert violations == [expected]
+    code, out, err = run(capsys, "verify-cover", grid_file(format_grid(d)),
+                         "--format", fmt)
+    assert code == 3
+    if fmt == "structured":
+        doc = json.loads(out)
+        assert doc["ok"] is False and doc["violations"] == violations
+    else:
+        assert out.endswith("violations: %d\n" % len(violations)
+                            + "".join("  %s\n" % v for v in violations))
+    assert err == ("internal invariant violated: cover relations violated: "
+                   "%s\n" % violations[:2])
+
+
+def test_other_package_errors_exit_one(grid_file, capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise LensGridError("no answer for this diagram")
+
+    monkeypatch.setattr(cli, "tilde_homology", failing)
+    assert run(capsys, "homology", grid_file(GN1)) == (
+        1, "", "error: no answer for this diagram\n")
+
+
+@pytest.mark.parametrize("fmt", ["human", "structured"])
+def test_homology_reports_an_inexact_extraction(grid_file, capsys,
+                                                monkeypatch, fmt):
+    real = cli.tilde_homology
+
+    def lopsided(*args, **kwargs):
+        # a lone rank is not divisible by the tensor factor
+        table = real(*args, **kwargs)
+        return dataclasses.replace(
+            table, classes={**table.classes, 0: {(0, 0): 1}})
+
+    monkeypatch.setattr(cli, "tilde_homology", lopsided)
+    note = ("rank polynomial of Spin^c class 0 is not divisible by "
+            "(1 + u^-1 v^-1)^1")
+    code, out, err = run(capsys, "homology", grid_file(KNOT_N2),
+                         "--format", fmt)
+    assert code == 0 and err == ""
+    if fmt == "structured":
+        doc = json.loads(out)
+        assert doc["extraction_exact"] is False and doc["note"] == note
+        assert doc["hfk_hat"] == doc["classes"]
+        assert "classification" not in doc
+    else:
+        assert out.endswith("\nextraction inexact: %s\n" % note)
+        assert "knot Floer groups" not in out
+
+
+def test_homology_exits_three_when_a_class_has_no_rank(grid_file, capsys,
+                                                       monkeypatch):
+    real = cli.extract_hfk_hat
+
+    def emptied(table):
+        out = real(table)
+        return dataclasses.replace(out, hfk_hat={**out.hfk_hat, 0: {}})
+
+    monkeypatch.setattr(cli, "extract_hfk_hat", emptied)
+    assert run(capsys, "homology", grid_file(GN1)) == (
+        3, "", "internal invariant violated: total extracted rank 4 < 5; "
+               "one class per Spin^c structure must survive\n")
 
 
 class Overtime(Exception):

@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from lensgrid import (Generator, GridDiagram, LensParams, S3GridDiagram,
-                      SizeCapError, boundary_export_lines, build_boundary,
+                      SizeCapError, ValidationError, boundary_export_lines,
+                      build_boundary,
                       enumerate_generators, generator_code,
                       generator_from_code, grading_denominators,
                       grading_drop_violations, lift_diagram,
@@ -396,6 +397,33 @@ def test_grading_drops_clean_and_reversed(monkeypatch):
 
     monkeypatch.setattr(complexes, "admissible_entries", reversed_corners)
     assert grading_drop_violations(d)
+
+
+def test_grading_drops_name_a_spin_change(monkeypatch):
+    d = random_knot_diagram(3, 1, 2, random.Random(51))
+    n, p = d.n, d.lens.p
+    moved = min(code for code, out in build_boundary(d, "minus").terms.items()
+                if out)
+    real = complexes.gradings_table
+
+    def reclassed(diagram, generators):
+        table = real(diagram, generators)
+        table[moved] = table[moved]._replace(spin=(table[moved].spin + 1) % p)
+        return table
+
+    monkeypatch.setattr(complexes, "gradings_table", reclassed)
+    violations = grading_drop_violations(d)
+    assert violations
+    assert all(v.startswith("spin changes ") for v in violations)
+    assert any(v.startswith("spin changes %r -> "
+                            % (generator_from_code(moved, n, p),))
+               for v in violations)
+
+
+def test_build_boundary_refuses_an_unknown_variant():
+    with pytest.raises(ValidationError) as refused:
+        build_boundary(L21, "bogus")
+    assert refused.value.violations == ["unknown boundary variant 'bogus'"]
 
 
 def test_export_lines_deterministic():

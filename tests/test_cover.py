@@ -10,7 +10,9 @@ from lensgrid import (GridDiagram, LensParams, S3GridDiagram, ValidationError,
                       lift_points, parse_s3_grid, reconstruct_link,
                       s3_tilde_homology, validate, validate_s3)
 from lensgrid.corpus import coprime_qs, random_diagram, random_knot_diagram
+from lensgrid import cover
 from lensgrid.cover import s3_link_components
+from lensgrid.errors import InternalInvariantError
 from lensgrid.grid import Generator, canonical_generator, require_valid
 
 HALF = Fraction(1, 2)
@@ -88,6 +90,25 @@ def test_lift_generator_bijection():
         pts = lift_generator(g, d)
         assert [r for (_, r) in pts] == list(range(p * n))
         assert sorted(c for (c, _) in pts) == list(range(p * n))
+
+
+def test_broken_lifts_are_invariant_violations(monkeypatch):
+    d = GridDiagram(LensParams(2, 1), 2, ((0, 0), (1, 1)), ((1, 0), (0, 1)))
+    real = cover.lift_points
+    # every lifted marker in column 0
+    monkeypatch.setattr(cover, "lift_points", lambda points, p, q, n: tuple(
+        (0, r) for _, r in real(points, p, q, n)))
+    with pytest.raises(InternalInvariantError) as raised:
+        lift_diagram(d)
+    assert str(raised.value).startswith(
+        "lifted diagram invalid: column-collision: O cells in rows "
+        "[0, 1, 2, 3] share column 0;")
+    # one lifted point lost
+    monkeypatch.setattr(cover, "lift_points",
+                        lambda points, p, q, n: real(points, p, q, n)[1:])
+    with pytest.raises(InternalInvariantError,
+                       match=r"^lifted generator is not a bijection: "):
+        lift_generator(canonical_generator(d), d)
 
 
 def test_lifted_component_count_matches_order():

@@ -7,7 +7,6 @@ from bisect import bisect_left, insort
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from operator import getitem
 from pathlib import Path
 
 import pytest
@@ -92,6 +91,11 @@ def test_d_invariant_normalisation():
     assert d_invariant(5, 2, 6) == d_invariant(5, 2, 1)
     with pytest.raises(ValidationError):
         d_invariant(4, 2, 0)
+    for p in (0, -3, True, False, 2.0, None):
+        with pytest.raises(ValidationError) as refused:
+            d_invariant(p, 1, 0)
+        assert refused.value.violations == [
+            "range-error: d-invariant needs integer p >= 1, got %r" % (p,)]
 
 
 def test_spin_grading_gn1():
@@ -272,8 +276,10 @@ def test_marker_cross_table_matches_the_cover_sweep():
         sigma = rng.sample(range(n), n)
         cells = tuple((sigma[t] + n * rng.randrange(p), t) for t in range(n))
         ni = _lift_non_inversions(p, q % p)
+        sweep, self_count = sweep_marker_cross_table(cells, p, q, n)
         assert _marker_cross_table(cells, p, q % p, n, ni) \
-            == sweep_marker_cross_table(cells, p, q, n), (p, q, n, cells)
+            == ([[row[s::n] for s in range(n)] for row in sweep],
+                self_count), (p, q, n, cells)
 
 
 def test_pair_table_matches_the_interleaved_count():
@@ -282,10 +288,15 @@ def test_pair_table_matches_the_interleaved_count():
              for q in qs_of(p)]
     for p, q, n in rng.sample(cases, 60) + [(13, 5, 2), (11, -3, 3), (7, 2, 4)]:
         table = _pair_table(p, q % p, n, _lift_non_inversions(p, q % p))
-        assert len(table) == n * (n - 1) * p * p
-        for (c1, c2), value in table.items():
-            assert value == interleaved_pair_term(c1, c2, p, q, n), \
-                (p, q, n, c1, c2)
+        assert len(table) == n * (n - 1)
+        for (s1, s2), terms in table.items():
+            assert s1 != s2 and len(terms) == p
+            for a1, line in enumerate(terms):
+                assert len(line) == p
+                for a2, value in enumerate(line):
+                    c1, c2 = s1 + n * a1, s2 + n * a2
+                    assert value == interleaved_pair_term(c1, c2, p, q, n), \
+                        (p, q, n, c1, c2)
 
 
 @pytest.mark.parametrize("q", [2, -7919])
@@ -315,9 +326,9 @@ def bulk_gradings(d):
 
 def reference_gradings(d):
     """``{code: (S, M, A)}`` summed generator by generator over the
-    per-diagram tables: the per-column terms of each row and the pair term
-    of each pair of rows, as ``_grading_tables`` states them, with no
-    per-permutation carrying."""
+    per-diagram tables: the per-(residue, sheet) terms of each row and the
+    pair term of each pair of rows, as ``_grading_tables`` states them,
+    with no per-permutation carrying."""
     (p, n, spin_base, maslov_base, alexander_base, maslov_rows,
      alexander_rows, pair) = _grading_tables(d)
     sigma_sum = n * (n - 1) // 2
@@ -326,9 +337,11 @@ def reference_gradings(d):
         # the columns are sigma + n*a with sigma a permutation
         out[code] = (
             (spin_base + (sum(cols) - sigma_sum) // n) % p,
-            sum(map(getitem, maslov_rows, cols))
-            + sum(map(pair.__getitem__, combinations(cols, 2))) + maslov_base,
-            sum(map(getitem, alexander_rows, cols)) + alexander_base)
+            sum(row[c % n][c // n] for row, c in zip(maslov_rows, cols))
+            + sum(pair[c1 % n, c2 % n][c1 // n][c2 // n]
+                  for c1, c2 in combinations(cols, 2)) + maslov_base,
+            sum(row[c % n][c // n] for row, c in zip(alexander_rows, cols))
+            + alexander_base)
     return out
 
 

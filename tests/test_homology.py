@@ -1,3 +1,4 @@
+import dataclasses
 import fractions
 import json
 import random
@@ -26,6 +27,9 @@ def test_gf2_rank_small():
     assert gf2_rank([0b101, 0b011, 0b110]) == 2
     assert gf2_rank([0b101, 0b011, 0b111]) == 3
     assert gf2_rank([0b1, 0b1, 0b1]) == 1
+    with pytest.raises(LensGridError) as refused:
+        gf2_rank([0b1], "middle")
+    assert str(refused.value) == "unknown pivot strategy 'middle'"
 
 
 def test_gf2_rank_pivot_strategies_agree():
@@ -182,6 +186,22 @@ def test_misplaced_boundary_term_is_an_invariant_violation(
     assert capsys.readouterr().err.startswith("internal invariant violated:")
 
 
+def test_rank_invariant_violations(monkeypatch):
+    d = random_knot_diagram(3, 1, 2, random.Random(4))
+    # a boundary rank above its level's size leaves a negative rank
+    monkeypatch.setattr(homology, "gf2_rank",
+                        lambda rows, pivot="high": len(rows) + 1)
+    with pytest.raises(InternalInvariantError,
+                       match=r"^negative homology rank at M=-?\d+$"):
+        tilde_homology(d)
+    monkeypatch.undo()
+    # no homology at all leaves each class below the tensor factor's rank
+    monkeypatch.setattr(homology, "homology_ranks", lambda *args: {})
+    with pytest.raises(InternalInvariantError) as raised:
+        tilde_homology(d)
+    assert str(raised.value) == "Spin^c class 0 has rank 0 < 2^(n-1) = 2"
+
+
 def test_gn1_homology_rank_p():
     for p, q in ((5, 2), (3, -2)):
         for d in enumerate_grid_number_one(LensParams(p, q)):
@@ -307,6 +327,16 @@ def test_simplicity_requires_exact_extraction():
     table = tilde_homology(d)
     with pytest.raises(LensGridError):
         simplicity_report(table)
+
+
+def test_an_empty_class_and_an_unextracted_table():
+    assert homology._polynomial([]) == "0"
+    table = tilde_homology(enumerate_grid_number_one(LensParams(3, 1))[1])
+    assert table.hat_total_rank() is None
+    doc = homology_document(
+        dataclasses.replace(table, classes={**table.classes, 0: {}}))
+    assert doc["classes"]["0"] == [] and doc["poincare"]["0"] == "0"
+    assert "hfk_hat" not in doc and "hat_total_rank" not in doc
 
 
 def test_piece_cap_refusal():

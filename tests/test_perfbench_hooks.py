@@ -2,8 +2,9 @@ import ast
 import importlib
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lensgrid"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+PACKAGE = ROOT / "src" / "lensgrid"
 
 
 def test_every_traced_binding_resolves(monkeypatch):
@@ -48,3 +49,12 @@ def test_no_unused_imports_but_the_traced_bindings(monkeypatch):
               for path in PACKAGE.glob("*.py") if path.stem != "__init__"
               for name in unused_imports(path.read_text())}
     assert unused - traced == set()
+
+
+def test_no_unused_imports_in_tests_or_tools():
+    # the tracer wraps no binding of these files, so nothing is exempt
+    unused = {(path.parent.name, path.stem, name)
+              for folder in ("tests", "tools")
+              for path in (ROOT / folder).glob("*.py")
+              for name in unused_imports(path.read_text())}
+    assert unused == set()

@@ -6,11 +6,10 @@ import pytest
 from lensgrid import (Generator, GridDiagram, LensParams, S3GridDiagram,
                       enumerate_generators, extract_hfk_hat, generator_code,
                       generator_columns, grading_denominators, gradings_table,
-                      lift_diagram, lift_generator, maslov_grading,
-                      s3_alexander_total, s3_maslov,
-                      s3_tilde_homology, verify_cover_relations)
+                      lift_diagram, lift_generator, s3_alexander_total,
+                      s3_maslov, s3_tilde_homology, verify_cover_relations)
 from lensgrid import homology, s3
-from lensgrid.corpus import (coprime_qs, gn1_corpus, random_knot_diagram,
+from lensgrid.corpus import (gn1_corpus, random_knot_diagram,
                              random_knot_diagrams)
 from lensgrid.cover import s3_link_components
 from lensgrid.errors import InternalInvariantError, SizeCapError
