@@ -57,11 +57,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, permutations, product, repeat
+from itertools import chain, product, repeat
 from operator import lshift, or_
 
 from .errors import SizeCapError, ValidationError
-from .grid import Generator, require_valid
+from .grid import Generator, require_valid, sigma_codes
 from .gradings import grading_denominators, gradings_table, rational_text
 
 DEFAULT_GENERATOR_CAP = 10 ** 7
@@ -144,16 +144,6 @@ def require_generator_cap(n, p, cap):
            "> 10^100" if total is None else "= %d" % total, cap))
 
 
-def _sigma_codes(n):
-    """``(code, sigma)`` for every permutation sigma of range(n), the code
-    being sigma's digits in base n."""
-    for sigma in permutations(range(n)):
-        code = 0
-        for s in sigma:
-            code = code * n + s
-        yield code, sigma
-
-
 class generator_columns:
     """``(code, columns)`` of every generator of an n-row diagram on
     L(p, q), in code order; ``columns`` is ``Generator.columns``.  Like
@@ -169,7 +159,7 @@ class generator_columns:
     def __iter__(self):
         n, p = self.n, self.p
         width, size = n * p, p ** n
-        for base, sigma in _sigma_codes(n):
+        for base, sigma in sigma_codes(n):
             yield from zip(range(base * size, (base + 1) * size),
                            product(*(range(s, width, n) for s in sigma)))
 
@@ -343,7 +333,7 @@ def admissible_entries(table, n, p):
     by_pair = list(table.values())
     by_sigma = {top: ([sigma[i] * width + sigma[j] for i, j in table],
                       [1 << t * width + s for t, s in enumerate(sigma)])
-                for top, sigma in _sigma_codes(n)}
+                for top, sigma in sigma_codes(n)}
     offset = [[n * (x * width + y) for y in range(p)] for x in range(p)]
     index = [[offset[a[i]][a[j]] for a in product(range(p), repeat=n)]
              for i, j in table]
@@ -372,7 +362,7 @@ def label_decoder(n, p):
     lookups, as ``admissible_entries`` reads its columns."""
     size = p ** n
     sigmas = {code: " ".join(map(str, sigma))
-              for code, sigma in _sigma_codes(n)}
+              for code, sigma in sigma_codes(n)}
     offsets = [" ".join(map(str, digits))
                for digits in product(range(p), repeat=n)]
 
@@ -390,7 +380,7 @@ def collect_terms(torus, variant):
     entries_of = admissible_entries(
         parallelogram_table(torus, drop_mask(variant, n)), n, p)
     batches = (range(base * size, (base + 1) * size)   # one per permutation
-               for base, _ in _sigma_codes(n))
+               for base, _ in sigma_codes(n))
     return {code: _odd_terms([(code << shift) + e[8] for e in found])
             for codes in batches
             for code, found in zip(codes, entries_of(codes))}

@@ -15,7 +15,7 @@ import math
 from bisect import bisect_left, insort
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, permutations
+from itertools import accumulate, starmap
 from operator import add, getitem
 from typing import NamedTuple
 
@@ -24,7 +24,7 @@ from .errors import ValidationError
 # require_valid is unused here: perfbench/tracing.py wraps the
 # gradings.require_valid binding
 from .grid import (canonical_generator, require_knot,  # noqa: F401
-                   require_valid)
+                   require_valid, sigma_codes)
 
 
 class GradingTriple(NamedTuple):
@@ -349,20 +349,19 @@ def gradings_table(diagram, generators):
     Requires a knot diagram (the Alexander grading is only defined then).
     """
     require_knot(diagram)   # validates the diagram first
-    blocks = {first: list(map(GradingTriple, spins, maslovs, alexanders))
-              for first, spins, maslovs, alexanders
-              in permutation_gradings(diagram)}
-    size = diagram.lens.p ** diagram.n
-    return {code: blocks[code - code % size][code % size]
-            for code, _ in generators}
+    graded = {}
+    for codes, *grades in permutation_gradings(diagram):
+        graded.update(zip(codes, map(GradingTriple, *grades)))
+    return {code: graded[code] for code, _ in generators}
 
 
 def permutation_gradings(diagram):
-    """``(first, spins, maslovs, alexanders)`` per permutation sigma, in
-    code order: the Spin^c classes and the Maslov and Alexander numerators
-    of sigma's p^n generators, codes ``first, first + 1, ...``.  ``spins``
-    depends on sum(a) alone and is one list for every sigma.  It is the
-    only reader of ``_grading_tables``; its callers check the knot.
+    """``(codes, spins, maslovs, alexanders)`` per permutation sigma, in
+    code order: ``codes`` is the range of the codes of sigma's p^n
+    generators, and the three lists hold, in the same order, their Spin^c
+    classes and their Maslov and Alexander numerators.  ``spins`` depends
+    on sum(a) alone and is one list for every sigma.  It is the only
+    reader of ``_grading_tables``; its callers check the knot.
 
     The Spin^c and Alexander lists are outer sums of per-row values.  The
     Maslov pair sums are carried down the rows: each choice of the rows
@@ -376,10 +375,7 @@ def permutation_gradings(diagram):
     for _ in range(n):
         spins = [(s + a) % p for s in spins for a in range(p)]
 
-    def graded(sigma):
-        first = 0
-        for s in sigma:
-            first = first * n + s
+    def graded(top, sigma):
         alexanders = [alexander_base]
         for values in map(getitem, alexander_rows, sigma):
             alexanders = [v + w for v in alexanders for w in values]
@@ -390,5 +386,6 @@ def permutation_gradings(diagram):
                 pending = [list(map(add, vec, terms)) for vec in pending
                            for terms in pair[s, r]]
             maslovs = [m + v for m, vec in zip(maslovs, pending) for v in vec]
-        return first * size, spins, maslovs, alexanders
-    return map(graded, permutations(range(n)))
+        return (range(top * size, (top + 1) * size), spins, maslovs,
+                alexanders)
+    return starmap(graded, sigma_codes(n))

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import permutations
 
 from .errors import (InternalInvariantError, KnotRequiredError,
                      ParseError, ValidationError)
@@ -184,6 +185,16 @@ def require_valid(diagram):
     if diagram._violations:
         raise ValidationError(diagram._violations)
     return diagram
+
+
+def sigma_codes(n):
+    """``(code, sigma)`` for every permutation sigma of range(n), the code
+    being sigma's digits in base n."""
+    for sigma in permutations(range(n)):
+        code = 0
+        for s in sigma:
+            code = code * n + s
+        yield code, sigma
 
 
 def canonical_generator(diagram):

@@ -131,12 +131,14 @@ def homology_ranks(levels, entries_of, pivot="high", step=1):
     return out
 
 
-def _graded_pieces(graded, piece_cap, da):
-    """``{(S, A): {M: codes}}`` from ``graded``'s ``(code, (S, A, M))``
-    pairs, every piece checked against ``piece_cap`` in (S, A) order."""
+def _graded_pieces(blocks, piece_cap, da):
+    """``{(S, A): {M: codes}}`` from ``permutation_gradings``' blocks, each
+    block's codes taken as given, every piece checked against
+    ``piece_cap`` in (S, A) order."""
     levels = defaultdict(list)
-    for code, key in graded:
-        levels[key].append(code)
+    for codes, spins, maslovs, alexanders in blocks:
+        for code, key in zip(codes, zip(spins, alexanders, maslovs)):
+            levels[key].append(code)
     pieces = {}
     for (s, a, m), codes in levels.items():
         pieces.setdefault((s, a), {})[m] = codes
@@ -163,17 +165,17 @@ def _eliminate(pieces, keys, entries_of, pivot, dm, out):
         out.setdefault(s, {}).update(((m, a), h) for m, h in ranks.items())
 
 
-def graded_homology(graded, torus, denominators):
+def graded_homology(blocks, torus, denominators):
     """Ranks ``{S: {(M, A): rank}}`` of the tilde complex of ``torus``.
 
-    ``graded`` yields ``(code, (S, A, M))`` per generator, with A and M
-    the integer numerators of the gradings over ``denominators`` (Maslov
-    first).  The codes are bucketed into (S, A) pieces, and then each
-    piece is eliminated and dropped in turn, its boundary read one
+    ``blocks`` are ``permutation_gradings``' ``(codes, spins, maslovs,
+    alexanders)``, M and A being integer numerators over ``denominators``
+    (Maslov first).  The codes are bucketed into (S, A) pieces, and then
+    each piece is eliminated and dropped in turn, its boundary read one
     Maslov level at a time (the tilde differential preserves S and A).
     The result is keyed on the same numerators.
     """
-    pieces = _graded_pieces(graded, None, denominators[1])
+    pieces = _graded_pieces(blocks, None, denominators[1])
     out = {}
     _eliminate(pieces, sorted(pieces), _tilde_reader(torus), "high",
                denominators[0], out)
@@ -256,13 +258,10 @@ def tilde_homology(diagram, cap=DEFAULT_GENERATOR_CAP,
     p, q, n = diagram.lens.p, diagram.lens.q, diagram.n
     require_generator_cap(n, p, cap)
     k = require_knot(diagram).homology_class
-    size = p ** n
-    # one permutation's gradings at a time, never a table of every generator
-    graded = chain.from_iterable(
-        zip(range(first, first + size), zip(spins, alexanders, maslovs))
-        for first, spins, maslovs, alexanders in permutation_gradings(diagram))
     denominators = grading_denominators(diagram)
-    pieces = _graded_pieces(graded, piece_cap, denominators[1])
+    # one permutation's gradings at a time, never a table of every generator
+    pieces = _graded_pieces(permutation_gradings(diagram), piece_cap,
+                            denominators[1])
     entries_of = _tilde_reader(lens_torus(diagram))
     ranks = {s: {} for s in range(p)}
     _eliminate(pieces, sorted(key for key in pieces if key[1] >= 0),

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from operator import add
 
 from .complexes import (DEFAULT_GENERATOR_CAP, generator_code,
@@ -87,7 +88,7 @@ def _cover_gradings(n, q, lifted, components, columns):
     # 4A = 4*(I(X, g) - I(O, g)) + 2*(I(O, O) - I(X, X)) - 2*(N - components)
     maslov_base = N * (N - 1) // 2 - N + self_o + 1
     alexander_base = 2 * (self_o - self_x) - 2 * (N - components)
-    # lazily, so a caller holds no list of all the pairs
+    # lazily, so verify_cover_relations holds no list of all the pairs
     return ((maslov_base - h - 2 * o, 4 * (x - o) + alexander_base)
             for h, o, x in zip(higher, o_g, x_g))
 
@@ -120,15 +121,13 @@ def s3_tilde_homology(diagram, cap=DEFAULT_GENERATOR_CAP):
     ell = len(s3_link_components(diagram))   # validates the diagram first
     N = diagram.N
     require_generator_cap(N, 1, cap)
-    generators = generator_columns(N, 1)
+    codes, columns = zip(*generator_columns(N, 1))
     # a square grid is its own cover: N rows of one sheet, no shift
-    grades = _cover_gradings(N, 0, diagram, ell,
-                             [cols for _, cols in generators])
+    maslovs, alexanders = zip(*_cover_gradings(N, 0, diagram, ell, columns))
     # the square torus is the engine's p = 1, q = 0 case, with one Spin^c
-    # class; M is an integer and A a numerator over 4
-    graded = ((code, (0, a, m))
-              for (code, _), (m, a) in zip(generators, grades))
-    classes = graded_homology(graded, (N, 1, 0, diagram.O, diagram.X), (1, 4))
+    # class, and one block; M is an integer and A a numerator over 4
+    classes = graded_homology([(codes, repeat(0), maslovs, alexanders)],
+                              (N, 1, 0, diagram.O, diagram.X), (1, 4))
     return HomologyTable(spin_count=1, tensor_exponent=N - ell,
                          classes=classes, denominators=(1, 4))
 

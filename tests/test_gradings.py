@@ -16,14 +16,15 @@ from lensgrid import (Generator, GridDiagram, LensParams, ValidationError,
                       alexander_grading, canonical_generator, d_invariant,
                       dominance_count, generator_code, generator_columns,
                       grading_denominators, gradings_table, maslov_grading,
-                      spin_grading)
+                      spin_grading, tilde_homology)
+from lensgrid import gradings, homology
 from lensgrid.cover import lift_points
 from lensgrid.gradings import (_dedekind_sum_6k, _grading_tables,
                                _lift_non_inversions, _marker_cross_table,
                                _pair_table, permutation_gradings)
 from lensgrid.cli import main
-from lensgrid.corpus import (coprime_qs, random_knot_diagram,
-                             random_knot_diagrams)
+from lensgrid.corpus import (KNOT_HOMOLOGY_SHAPES, coprime_qs,
+                             random_knot_diagram, random_knot_diagrams)
 from lensgrid.errors import KnotRequiredError
 from lensgrid.grid import enumerate_grid_number_one, format_grid
 from lensgrid.selftest import build_corpus
@@ -317,10 +318,9 @@ def bulk_gradings(d):
     """``permutation_gradings(d)`` as ``{code: (S, M, A)}``."""
     size = d.lens.p ** d.n
     out = {}
-    for first, spins, maslovs, alexanders in permutation_gradings(d):
+    for codes, spins, maslovs, alexanders in permutation_gradings(d):
         assert len(spins) == len(maslovs) == len(alexanders) == size
-        out.update(zip(range(first, first + size),
-                       zip(spins, maslovs, alexanders)))
+        out.update(zip(codes, zip(spins, maslovs, alexanders)))
     return out
 
 
@@ -368,6 +368,42 @@ def test_permutation_gradings_match_gradings_table():
         reduced = GridDiagram(LensParams(d.lens.p, d.lens.q % d.lens.p),
                               d.n, d.O, d.X)
         assert bulk_gradings(reduced) == bulk, d
+
+
+def test_permutation_gradings_blocks_cover_the_codes_in_order():
+    # the stream's contract: one block of p^n codes per permutation, the
+    # blocks' codes together being generator_columns' codes in order
+    rng = random.Random(27)
+    for n in (1, 2, 3, 4):
+        for _ in range(3):
+            p = rng.randint(2, 5)
+            d = random_knot_diagram(p, rng.choice(coprime_qs(p)), n, rng)
+            blocks = [codes for codes, *_ in permutation_gradings(d)]
+            assert all(len(codes) == p ** n for codes in blocks), d
+            assert [code for codes in blocks for code in codes] == [
+                code for code, _ in generator_columns(n, p)], d
+
+
+def test_readers_take_each_blocks_codes_as_given(monkeypatch):
+    # the same blocks in reverse order, their codes as lists and each
+    # block's generators reversed too, give the same homology and the same
+    # gradings table: no reader rebuilds the block layout from a code
+    diagrams = [d for p, q, n in KNOT_HOMOLOGY_SHAPES
+                for d in random_knot_diagrams(p, q, n, 1, seed=1)]
+    expected = [(tilde_homology(d),
+                 gradings_table(d, generator_columns(d.n, d.lens.p)))
+                for d in diagrams]
+    real = permutation_gradings
+
+    def reversed_blocks(diagram):
+        return [[list(values)[::-1] for values in block]
+                for block in reversed(list(real(diagram)))]
+    monkeypatch.setattr(homology, "permutation_gradings", reversed_blocks)
+    monkeypatch.setattr(gradings, "permutation_gradings", reversed_blocks)
+    for d, (ranks, table) in zip(diagrams, expected):
+        assert tilde_homology(d) == ranks, d
+        got = gradings_table(d, generator_columns(d.n, d.lens.p))
+        assert list(got.items()) == list(table.items()), d
 
 
 def test_gradings_refuse_links():

@@ -1,26 +1,32 @@
 #!/usr/bin/env python3
 """Frontier bench: ``tilde_homology`` on the ROADMAP Baseline diagrams,
-one fresh process per run.
+one fresh process per run, checkouts interleaved.
 
     python3 tools/frontier.py --label change --out BENCH_10.json
     python3 tools/frontier.py --src /path/to/other/checkout/src \
-        --label parent --out BENCH_10.json
+        --label parent --src src --label change --out BENCH_27.json
 
 A case ``P,Q,N`` is the first diagram of
 ``corpus.random_knot_diagrams(P, Q, N, 1, seed=1)``.  Every run is a new
-Python process that imports lensgrid from ``--src``, builds the diagram
-and times the ``tilde_homology`` call alone, made without the generator
-and piece caps, since every case is chosen to finish; it reports those
-seconds, its own peak RSS (``ru_maxrss``) and a digest of the rows of
-the homology document, so that two checkouts can be seen to agree.
-After the timed call, in the first run of a case only, it counts the
-share of generators with Alexander grading A >= 0, the ones whose pieces
-``tilde_homology`` eliminates.
-Runs go one at a time.  A case reports the best (least) time of its
-``--repeat`` runs and the largest peak RSS among them.  The rows are
-stored in ``--out`` under ``--label``; labels already in the file are
-kept, so one file holds both sides of a comparison.  Standard library
-only.
+Python process that imports lensgrid from one ``--src``, builds the
+diagram and times the ``tilde_homology`` call alone, made without the
+generator and piece caps, since every case is chosen to finish; it
+reports those seconds, its own peak RSS (``ru_maxrss``) and a digest of
+the rows of the homology document, so that two checkouts can be seen to
+agree.  After the timed call, in the first run of a case only, it counts
+the share of generators with Alexander grading A >= 0, the ones whose
+pieces ``tilde_homology`` eliminates.
+``--src`` and ``--label`` are repeatable and go in pairs: the i-th
+label names the rows of the i-th checkout (default: this checkout's
+src).  Runs go one at a time, in rounds: for each case and each of its
+``--repeat`` repeats, every checkout runs once, and the checkout that
+runs first moves on by one from round to round, across cases too, so
+with two checkouts the first alternates and drift of the host during
+the bench falls on both alike.  A case reports, per checkout, the best
+(least) time of its runs and the largest peak RSS among them.  The rows
+are stored in ``--out`` under their labels; labels already in the file
+are kept, so one file holds both sides of a comparison.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -77,9 +83,8 @@ def run_once(src, case, count_share):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def measure(src, case, repeat):
-    # the share depends only on the diagram, so only the first run counts it
-    runs = [run_once(src, case, k == 0) for k in range(repeat)]
+def summary(case, runs):
+    """The row of one case on one checkout, from its runs."""
     if len({r["ranks_sha256"] for r in runs}) != 1:
         raise RuntimeError("runs of %s disagree on the homology" % (case,))
     p, q, n = case
@@ -95,6 +100,19 @@ def measure(src, case, repeat):
     }
 
 
+def measure(srcs, case, repeat, round_number):
+    """One row per checkout of ``srcs``: ``repeat`` rounds, each running
+    every checkout once, round k starting at checkout ``(round_number +
+    k) mod len(srcs)``."""
+    runs = [[] for _ in srcs]
+    for k in range(repeat):
+        start = (round_number + k) % len(srcs)
+        for i in [*range(start, len(srcs)), *range(start)]:
+            # the share depends only on the diagram: the first run counts it
+            runs[i].append(run_once(srcs[i], case, k == 0))
+    return [summary(case, r) for r in runs]
+
+
 def parse_case(text):
     p, q, n = map(int, text.split(","))
     return p, q, n
@@ -102,10 +120,13 @@ def parse_case(text):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", type=Path, default=ROOT / "src",
-                        help="the src directory to import lensgrid from")
-    parser.add_argument("--label", required=True,
-                        help="key of these rows in the output file")
+    parser.add_argument("--src", type=Path, action="append",
+                        help="a src directory to import lensgrid from "
+                             "(repeatable, one per --label); default: "
+                             "this checkout's")
+    parser.add_argument("--label", required=True, action="append",
+                        help="key of a checkout's rows in the output file "
+                             "(repeatable, one per --src)")
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--case", type=parse_case, action="append",
                         metavar="P,Q,N",
@@ -113,20 +134,29 @@ def main(argv=None):
                              "Baseline rows %s" % (BASELINE,))
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args(argv)
+    srcs = [src.resolve() for src in args.src or [ROOT / "src"]]
+    if len(srcs) != len(args.label):
+        parser.error("--src and --label go in pairs: got %d --src and %d "
+                     "--label" % (len(srcs), len(args.label)))
+    if len(set(args.label)) != len(args.label):
+        parser.error("each --label must differ")
 
-    rows = []
-    for case in args.case or BASELINE:
-        row = measure(args.src.resolve(), case, args.repeat)
-        print("%-14s %9.2f s %8.1f MB   A >= 0: %5.1f%%"
-              % (row["diagram"], row["seconds"], row["peak_rss_mb"],
-                 100 * row["a_nonnegative_share"]), flush=True)
-        rows.append(row)
+    rows = {label: [] for label in args.label}
+    for number, case in enumerate(args.case or BASELINE):
+        measured = measure(srcs, case, args.repeat, number * args.repeat)
+        for label, row in zip(args.label, measured):
+            print("%-14s %9.2f s %8.1f MB   A >= 0: %5.1f%%%s"
+                  % (row["diagram"], row["seconds"], row["peak_rss_mb"],
+                     100 * row["a_nonnegative_share"],
+                     "   " + label if len(srcs) > 1 else ""), flush=True)
+            rows[label].append(row)
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc[args.label] = {
-        "setup": {"python": platform.python_version(),
-                  "machine": platform.machine(), "repeat": args.repeat},
-        "rows": rows,
-    }
+    for label in args.label:
+        doc[label] = {
+            "setup": {"python": platform.python_version(),
+                      "machine": platform.machine(), "repeat": args.repeat},
+            "rows": rows[label],
+        }
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 
