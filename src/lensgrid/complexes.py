@@ -61,7 +61,7 @@ from itertools import chain, product, repeat
 from operator import lshift, or_
 
 from .errors import SizeCapError, ValidationError
-from .grid import Generator, require_valid, sigma_codes
+from .grid import Generator, code_blocks, require_valid
 from .gradings import grading_denominators, gradings_table, rational_text
 
 DEFAULT_GENERATOR_CAP = 10 ** 7
@@ -158,10 +158,9 @@ class generator_columns:
 
     def __iter__(self):
         n, p = self.n, self.p
-        width, size = n * p, p ** n
-        for base, sigma in sigma_codes(n):
-            yield from zip(range(base * size, (base + 1) * size),
-                           product(*(range(s, width, n) for s in sigma)))
+        for codes, sigma in code_blocks(n, p):
+            columns = (range(s, n * p, n) for s in sigma)
+            yield from zip(codes, product(*columns))
 
 
 def enumerate_generators(diagram, cap=DEFAULT_GENERATOR_CAP):
@@ -331,9 +330,10 @@ def admissible_entries(table, n, p):
     # column sigma_t + n*a_t: per sigma, pair cell bases and row bits; per
     # a, pair offsets (shared ints: a pointer each) and row shifts n*a_t
     by_pair = list(table.values())
-    by_sigma = {top: ([sigma[i] * width + sigma[j] for i, j in table],
+    by_sigma = {
+        codes.start: ([sigma[i] * width + sigma[j] for i, j in table],
                       [1 << t * width + s for t, s in enumerate(sigma)])
-                for top, sigma in sigma_codes(n)}
+        for codes, sigma in code_blocks(n, p)}
     offset = [[n * (x * width + y) for y in range(p)] for x in range(p)]
     index = [[offset[a[i]][a[j]] for a in product(range(p), repeat=n)]
              for i, j in table]
@@ -342,8 +342,8 @@ def admissible_entries(table, n, p):
     def entries_of(codes):
         out = []
         for code in codes:
-            top, bottom = divmod(code, size)
-            bases, row_bits = by_sigma[top]
+            bottom = code % size
+            bases, row_bits = by_sigma[code - bottom]
             keys, shifts = by_digits[bottom]
             occupied = sum(map(lshift, row_bits, shifts))
             found = []
@@ -361,14 +361,14 @@ def label_decoder(n, p):
     code, its digits separated by spaces, from the code by two table
     lookups, as ``admissible_entries`` reads its columns."""
     size = p ** n
-    sigmas = {code: " ".join(map(str, sigma))
-              for code, sigma in sigma_codes(n)}
+    sigmas = {codes.start: " ".join(map(str, sigma))
+              for codes, sigma in code_blocks(n, p)}
     offsets = [" ".join(map(str, digits))
                for digits in product(range(p), repeat=n)]
 
     def label(code):
-        top, bottom = divmod(code, size)
-        return "[%s|%s]" % (sigmas[top], offsets[bottom])
+        bottom = code % size
+        return "[%s|%s]" % (sigmas[code - bottom], offsets[bottom])
     return label
 
 
@@ -376,13 +376,11 @@ def collect_terms(torus, variant):
     """Mod-2 collected boundary terms of every generator of the torus,
     keyed by code, as ``SparseBoundary.terms`` holds them."""
     n, p = torus[0], torus[1]
-    shift, size = EXPONENT_BITS * n, p ** n
+    shift = EXPONENT_BITS * n
     entries_of = admissible_entries(
         parallelogram_table(torus, drop_mask(variant, n)), n, p)
-    batches = (range(base * size, (base + 1) * size)   # one per permutation
-               for base, _ in sigma_codes(n))
     return {code: _odd_terms([(code << shift) + e[8] for e in found])
-            for codes in batches
+            for codes, _ in code_blocks(n, p)   # one batch per permutation
             for code, found in zip(codes, entries_of(codes))}
 
 

@@ -23,8 +23,8 @@ from .cover import lift_points
 from .errors import ValidationError
 # require_valid is unused here: perfbench/tracing.py wraps the
 # gradings.require_valid binding
-from .grid import (canonical_generator, require_knot,  # noqa: F401
-                   require_valid, sigma_codes)
+from .grid import (canonical_generator, code_blocks,  # noqa: F401
+                   require_knot, require_valid)
 
 
 class GradingTriple(NamedTuple):
@@ -370,12 +370,11 @@ def permutation_gradings(diagram):
     """
     (p, n, spin_base, maslov_base, alexander_base, maslov_rows,
      alexander_rows, pair) = _grading_tables(diagram)
-    size = p ** n
     spins = [spin_base % p]
     for _ in range(n):
         spins = [(s + a) % p for s in spins for a in range(p)]
 
-    def graded(top, sigma):
+    def graded(codes, sigma):
         alexanders = [alexander_base]
         for values in map(getitem, alexander_rows, sigma):
             alexanders = [v + w for v in alexanders for w in values]
@@ -386,6 +385,5 @@ def permutation_gradings(diagram):
                 pending = [list(map(add, vec, terms)) for vec in pending
                            for terms in pair[s, r]]
             maslovs = [m + v for m, vec in zip(maslovs, pending) for v in vec]
-        return (range(top * size, (top + 1) * size), spins, maslovs,
-                alexanders)
-    return starmap(graded, sigma_codes(n))
+        return codes, spins, maslovs, alexanders
+    return starmap(graded, code_blocks(n, p))

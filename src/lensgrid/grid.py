@@ -187,14 +187,16 @@ def require_valid(diagram):
     return diagram
 
 
-def sigma_codes(n):
-    """``(code, sigma)`` for every permutation sigma of range(n), the code
-    being sigma's digits in base n."""
+def code_blocks(n, p):
+    """``(codes, sigma)`` per permutation sigma of range(n), in code order:
+    ``codes`` is the range of the codes of the p^n generators (sigma, a),
+    whose top digits are sigma in base n (``complexes.generator_code``)."""
+    size = p ** n
     for sigma in permutations(range(n)):
-        code = 0
+        top = 0
         for s in sigma:
-            code = code * n + s
-        yield code, sigma
+            top = top * n + s
+        yield range(top * size, (top + 1) * size), sigma
 
 
 def canonical_generator(diagram):

@@ -24,13 +24,13 @@ from itertools import repeat
 from operator import add
 
 from .complexes import (DEFAULT_GENERATOR_CAP, generator_code,
-                        generator_columns, generator_from_code,
-                        require_generator_cap)
+                        generator_columns, generator_count,
+                        generator_from_code, require_generator_cap)
 # lift_generator and s3_maslov are unused here: perfbench/tracing.py
 # wraps their s3 bindings
 from .cover import (lift_diagram, lift_generator,  # noqa: F401
                     s3_link_components)
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, SizeCapError
 from .gradings import (d_invariant, dominance_count, doubled_centres,
                        doubled_points, grading_denominators, gradings_table,
                        rational_text, s3_maslov)  # noqa: F401
@@ -156,11 +156,15 @@ def verify_cover_relations(diagram, cap=DEFAULT_GENERATOR_CAP):
     p*(A(x) - A(base)) = A~(x~) - A~(base~).  The canonical generator's
     lift must have square-grid Maslov grading -(p*n - 1), and the lifted
     link must have p / order(class) components.  Violations are report
-    content, not exceptions.
+    content, not exceptions.  ``cap`` bounds the generators and then the
+    n*p*n!*p^n lifted points the sweep visits, before the lift is built.
     """
     require_valid(diagram)
     p, q, n = diagram.lens.p, diagram.lens.q, diagram.n
     require_generator_cap(n, p, cap)
+    if cap is not None and n * p * generator_count(n, p) > cap:
+        raise SizeCapError("refusing to sweep %d lifted generator points "
+                           "(cap %d)" % (n * p * generator_count(n, p), cap))
     link = require_knot(diagram)
     lifted = lift_diagram(diagram)
     ell = len(s3_link_components(lifted))

@@ -323,6 +323,31 @@ def test_verify_cover_refuses_before_the_lift(grid_file, capsys, monkeypatch):
         assert "= %d generators (cap 4)" % total in err
 
 
+def test_verify_cover_refuses_a_sweep_over_the_cap(grid_file, capsys,
+                                                  monkeypatch):
+    # the sweep visits n*p lifted points per generator: GN1 has 5
+    # generators of 5 points each, LINK 18 of 6
+    code, out, _ = run(capsys, "verify-cover", grid_file(GN1), "--cap", "25")
+    assert code == 0 and out
+
+    def unreachable(*args):
+        raise AssertionError("lift built before the sweep cap check")
+
+    monkeypatch.setattr(s3, "lift_diagram", unreachable)
+    for text, cap, points in ((GN1, 24, 25), (LINK, 20, 108)):
+        code, out, err = run(capsys, "verify-cover", grid_file(text),
+                             "--cap", str(cap))
+        assert code == 2 and out == ""
+        assert err.startswith("refused:")
+        assert "%d lifted generator points (cap %d)" % (points, cap) in err
+    # L(200003,2) n=1 has 200003 generators, under the default cap, but
+    # 200003^2 lifted points
+    code, out, err = run_bounded(grid_file("200003 2 1\nO: 0\nX: 7\n"),
+                                 ("verify-cover",))
+    assert code == 2 and out == ""
+    assert "40001200009 lifted generator points (cap 10000000)" in err
+
+
 def test_size_cap_exit_two(grid_file, capsys):
     code, _, err = run(capsys, "homology", grid_file(KNOT_N2), "--cap", "3")
     assert code == 2 and "cap" in err
@@ -625,8 +650,10 @@ def run_bounded(path, command, seconds=5):
 
 
 FUZZED_COMMANDS = (("validate",), ("info", "--cap", "50"),
-                   ("gradings", "--cap", "50"), ("homology", "--cap", "50"),
-                   ("verify-cover", "--cap", "50"))
+                   ("lift", "--cap", "50"), ("gradings", "--cap", "50"),
+                   ("homology", "--cap", "50"),
+                   ("verify-cover", "--cap", "50"),
+                   ("boundary-export", "--cap", "50"))
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)

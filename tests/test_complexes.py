@@ -25,7 +25,7 @@ from lensgrid.complexes import (SparseBoundary, generator_columns,
                                 torus_winding)
 from lensgrid.corpus import (coprime_qs, random_diagram, random_knot_diagram,
                              random_knot_diagrams)
-from lensgrid.grid import format_grid
+from lensgrid.grid import code_blocks, format_grid
 from lensgrid.selftest import build_corpus, criterion_05
 
 import parallelogram_oracle as oracle
@@ -658,6 +658,25 @@ def test_generator_codes_round_trip_and_sort_like_sort_key():
         rng.shuffle(shuffled)
         assert (sorted(shuffled, key=lambda x: generator_code(x, p))
                 == sorted(shuffled, key=Generator.sort_key))
+
+
+def test_code_blocks_pin_the_code_layout():
+    # p = 1 is the square grid's case; the reference list is built by the
+    # encoder, which code_blocks does not call
+    for n, p in product(range(1, 5), range(1, 6)):
+        blocks = list(code_blocks(n, p))
+        label = complexes.label_decoder(n, p)
+        assert all(len(codes) == p ** n for codes, _ in blocks)
+        assert [codes.start for codes, _ in blocks] == sorted(
+            {codes.start for codes, _ in blocks})
+        assert [code for codes, _ in blocks for code in codes] == [
+            generator_code(Generator(sigma, a), p)
+            for sigma in permutations(range(n))
+            for a in product(range(p), repeat=n)]
+        for codes, sigma in blocks:
+            assert generator_from_code(codes.start, n, p).sigma == sigma
+            named = "[%s|" % " ".join(map(str, sigma))
+            assert all(label(code).startswith(named) for code in codes)
 
 
 def test_grading_drops_catch_a_shifted_maslov_grading(monkeypatch):

@@ -10,7 +10,7 @@ from lensgrid import (Generator, GridDiagram, LensParams, ParseError,
                       enumerate_grid_number_one, format_grid, parse_grid,
                       parse_s3_grid, reconstruct_link, require_knot, validate)
 from lensgrid.corpus import coprime_qs, gn1_corpus, random_diagram
-from lensgrid.errors import KnotRequiredError
+from lensgrid.errors import InternalInvariantError, KnotRequiredError
 from lensgrid.grid import require_valid
 from lensgrid.selftest import build_corpus
 
@@ -130,6 +130,18 @@ def test_reconstruct_link_matches_the_winding_scan():
         p = rng.randrange(2, 40)
         d = random_diagram(p, rng.choice(coprime_qs(p)), rng.randint(1, 4), rng)
         assert reconstruct_link(d).homology_class == scanned_homology_class(d)
+
+
+def test_reconstruct_link_refuses_an_odd_winding():
+    # a planted verdict the markers do not earn: both X cells sit in row 0,
+    # so the column arcs wind 5 rows, not a multiple of n; the winding
+    # check is the last guard behind validation
+    d = GridDiagram(LensParams(3, 1), 2, ((0, 0), (1, 1)), ((1, 0), (0, 0)))
+    assert d._violations
+    d.__dict__["_violations"] = []
+    with pytest.raises(InternalInvariantError,
+                       match="net row winding 5 not divisible by n=2"):
+        reconstruct_link(d)
 
 
 def test_require_knot_rejects_links():
