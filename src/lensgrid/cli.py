@@ -253,14 +253,16 @@ def build_parser():
                     "twisted toroidal grid diagrams.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, help, path=True, cap=False, seed=False):
+    def command(name, handler, help, path=True, cap=False, seed=False,
+                formats=True):
         sp = sub.add_parser(name, help=help)
         if path:
             sp.add_argument("path", help="grid diagram file")
         if seed:   # selftest lists --seed before --format
             sp.add_argument("--seed", type=int, default=selftest.DEFAULT_SEED)
-        sp.add_argument("--format", choices=("human", "structured"),
-                        default="human")
+        if formats:
+            sp.add_argument("--format", choices=("human", "structured"),
+                            default="human")
         if cap:
             sp.add_argument("--cap", type=int, default=DEFAULT_GENERATOR_CAP,
                             help="generator cap; info and lift cap the n*p "
@@ -279,7 +281,8 @@ def build_parser():
     sp.add_argument("--piece-cap", type=int, default=DEFAULT_PIECE_CAP,
                     help="per graded piece elimination cap")
     sp.add_argument("--pivot", choices=("low", "high"), default="high")
-    command("lift", cmd_lift, "emit the universal-cover grid file", cap=True)
+    command("lift", cmd_lift, "emit the universal-cover grid file", cap=True,
+            formats=False)   # it writes a grid file, never a document
     command("verify-cover", cmd_verify_cover,
             "cross-check gradings through the cover", cap=True)
     sp = command("enumerate-gn1", cmd_enumerate_gn1,

@@ -44,13 +44,20 @@ component in another row r lies inside depends on that key and c_r.
 ``parallelogram_table`` computes the entry of every embedded key once
 per call, and a generator's parallelograms are n(n-1) lookups plus one
 AND of each entry's block mask with the generator's own placement bits.
-All arithmetic is on integers.  For fixed (i, j, m) and SW column the
-table widens the box one column at a time: a marker or component at
-level b of the band lies inside once the width exceeds its offset
-``(s + b*shear - c_i) mod width``.  Contents only grow with the width,
-so a variant that drops the parallelograms containing certain markers
+All arithmetic is on integers.  The bands of SW row i are nested: the
+band of height h holds rows i .. i+h-1 below the NE row ``j = (i+h) mod
+n`` of band ``m = (i+h) // n``.  So the table walks row i's heights
+once, each step adding one band row's markers to a running
+marker-by-column list and its component bits (rows other than i) to a
+running per-column OR, whose row-j bits an entry's block leaves out: a
+band costs O(width), not O(h*width).  For the band and an SW column the table
+widens the box one column at a time: a marker or component at level b of
+the band lies inside once the width exceeds its offset ``(s + b*shear -
+c_i) mod width``.  Contents only grow with the width and the height, so
+a variant that drops the parallelograms containing certain markers
 (tilde: any; assoc-graded: an X; hat: the O in row 0) stops widening at
-the first one.
+the first one, widens only the SW columns with no dropped marker at
+offset 0, and ends row i's walk where none is left.
 """
 
 from __future__ import annotations
@@ -238,71 +245,76 @@ def parallelogram_table(torus, drop=0):
     size, code_shift = p ** n, EXPONENT_BITS * n
     weight = [[(c % n) * n ** (n - 1 - t) * size + (c // n) * p ** (n - 1 - t)
                for c in range(width)] for t in range(n)]
+    row_bits = [[1 << (t * width + c) for c in range(width)]
+                for t in range(n)]
     # a box whose top is k row periods up is embedded while its width is
     # below reach[k]: the shear offsets of the levels under the top stay
     # at least that far from zero on both sides
-    row_bits = [[1 << (t * width + c) for c in range(width)]
-                for t in range(n)]
     reach = [width]
     for b in range(1, winding):
         off = b * shear % width
         reach.append(min(reach[-1], off, width - off))
     counts = {}
-    table = {}
+    table = {(i, j): [()] * (width * width)
+             for i in range(n) for j in range(n) if i != j}
     for i in range(n):
-        for j in range(n):
-            if i == j:
+        w_i = weight[i]
+        # by column of the band (mod width, with each level's shear),
+        # twice over: the markers met, and the components of rows other
+        # than i; live: the SW columns with no dropped marker at offset 0
+        at, comps = [0] * (2 * width), [0] * (2 * width)
+        live = list(range(width))
+        for h in range(1, winding * n):
+            level, t = divmod(i + h - 1, n)
+            lift = level * shear
+            for cell, bit in ((o_cells[t], 1 << t), (x_cells[t], 1 << n + t)):
+                col = (cell[0] + lift) % width
+                at[col] |= bit
+                at[col + width] |= bit
+                if bit & drop and col in live:
+                    live.remove(col)
+            if t != i:
+                bits = row_bits[t]
+                cut = -lift % width
+                comps = list(map(or_, comps, (bits[cut:] + bits[:cut]) * 2))
+            if not live:   # no taller band can hold a box either
+                break
+            m, j = divmod(i + h, n)
+            if j == i:
                 continue
-            cells = table[i, j] = [()] * (width * width)
-            m0 = 0 if j > i else 1
-            w_i, w_j = weight[i], weight[j]
-            for m in range(m0, m0 + winding):
-                h, drift = j + m * n - i, m * shear
-                limit = reach[h // n]
-                # by column of the band of rows i .. i+h-1 (mod width,
-                # with their level's shear), twice over: the markers met,
-                # and the bits of the other rows' components there
-                at, comps = [0] * width, [0] * width
-                for row in range(i, i + h):
-                    t, lift = row % n, row // n * shear
-                    at[(o_cells[t][0] + lift) % width] |= 1 << t
-                    at[(x_cells[t][0] + lift) % width] |= 1 << (n + t)
-                    if t != i and t != j:
-                        bits = row_bits[t]
-                        cut = -lift % width
-                        comps = list(map(or_, comps, bits[cut:] + bits[:cut]))
-                at += at
-                comps += comps
-                for ci in range(width):
-                    inside = at[ci:ci + limit]   # markers at each offset
-                    new_j = (ci - drift) % width
-                    fixed = w_j[new_j] - w_i[ci]
-                    content = block = 0
-                    for w in range(1, limit):
-                        content |= inside[w - 1]
-                        if content & drop:
-                            break
-                        if w % n:   # else c_j would share c_i's residue mod n
-                            new_i = (ci + w) % width
-                            cj = (new_i - drift) % width
-                            pair = counts.get(content)
-                            if pair is None:
-                                o = tuple(content >> k & 1 for k in range(n))
-                                pair = counts[content] = (
-                                    o, tuple(content >> (n + k) & 1
-                                             for k in range(n)),
-                                    pack_term(0, o))
-                            delta = w_i[new_i] - w_j[cj] + fixed
-                            entry = (delta, block, pair[0], pair[1], w, h,
-                                     new_i, new_j,
-                                     (delta << code_shift) + pair[2])
-                            key = ci * width + cj
-                            if cells[key]:
-                                cells[key].append(entry)
-                            else:
-                                cells[key] = [entry]
-                        # components at offset w lie inside the wider boxes
-                        block |= comps[ci + w]
+            limit = reach[h // n]
+            drift, cells, w_j = m * shear, table[i, j], weight[j]
+            keep = ~(((1 << width) - 1) << j * width)   # row j's bits out
+            for ci in live:
+                new_j = (ci - drift) % width
+                fixed = w_j[new_j] - w_i[ci]
+                content = block = 0
+                for w in range(1, limit):
+                    content |= at[ci + w - 1]   # the markers at offset w - 1
+                    if content & drop:
+                        break
+                    if w % n:   # else c_j would share c_i's residue mod n
+                        new_i = (ci + w) % width
+                        cj = (new_i - drift) % width
+                        pair = counts.get(content)
+                        if pair is None:
+                            o = tuple(content >> k & 1 for k in range(n))
+                            pair = counts[content] = (
+                                o, tuple(content >> (n + k) & 1
+                                         for k in range(n)),
+                                pack_term(0, o))
+                        delta = w_i[new_i] - w_j[cj] + fixed
+                        entry = (delta, block & keep, pair[0], pair[1], w, h,
+                                 new_i, new_j,
+                                 (delta << code_shift) + pair[2])
+                        key = ci * width + cj
+                        found = cells[key]
+                        if found:
+                            found.append(entry)
+                        else:
+                            cells[key] = [entry]
+                    # components at offset w lie inside the wider boxes
+                    block |= comps[ci + w]
     return table
 
 

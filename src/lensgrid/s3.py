@@ -20,19 +20,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add
 
 from .complexes import (DEFAULT_GENERATOR_CAP, generator_code,
                         generator_columns, generator_count,
                         generator_from_code, require_generator_cap)
-# lift_generator and s3_maslov are unused here: perfbench/tracing.py
-# wraps their s3 bindings
+# gradings_table, lift_generator and s3_maslov are unused here:
+# perfbench/tracing.py wraps their s3 bindings
 from .cover import (lift_diagram, lift_generator,  # noqa: F401
                     s3_link_components)
 from .errors import InternalInvariantError, SizeCapError
-from .gradings import (d_invariant, dominance_count, doubled_centres,
-                       doubled_points, grading_denominators, gradings_table,
+from .gradings import (GradingTriple, d_invariant, dominance_count,
+                       doubled_centres, doubled_points, grading_denominators,
+                       gradings_table, permutation_gradings,
                        rational_text, s3_maslov)  # noqa: F401
 from .grid import canonical_generator, require_knot, require_valid
 from .homology import HomologyTable, graded_homology
@@ -41,10 +42,10 @@ from .homology import HomologyTable, graded_homology
 def _cover_gradings(n, q, lifted, components, columns):
     """An iterator of ``(M, 4A)`` for the point sets ``g`` on the square
     grid ``lifted`` with ``components`` link components, one per column
-    tuple of ``columns``, in order: the integers ``s3_maslov(g,
-    lifted.O)`` and ``4 * s3_alexander_total(g, lifted)``.  Row t + n*k
-    of ``g`` holds the point in column ``(cols[t] + n*q*k) mod N``
-    (``cover.lift_points``), so with ``lifted = lift_diagram(diagram)``
+    tuple of the iterable ``columns`` (read once), in order: the integers
+    ``s3_maslov(g, lifted.O)`` and ``4 * s3_alexander_total(g, lifted)``.
+    Row t + n*k of ``g`` holds the point in column ``(cols[t] + n*q*k) mod
+    N`` (``cover.lift_points``), so with ``lifted = lift_diagram(diagram)``
     and the n, q of that lens diagram ``g`` is the lift of the generator
     with columns ``cols``; with n = N and q = 0 it is a square grid's own.
 
@@ -57,7 +58,7 @@ def _cover_gradings(n, q, lifted, components, columns):
     """
     N = lifted.N
     by_row = list(zip(*columns))   # by_row[t]: every generator's column t
-    o_g, x_g, higher, masks = ([0] * len(columns) for _ in range(4))
+    o_g, x_g, higher, masks = ([0] * len(by_row[0]) for _ in range(4))
     below_o, below_x = [0] * N, [0] * N
     self_o = self_x = 0
     for row, ((oc, _), (xc, _)) in enumerate(zip(lifted.O, lifted.X)):
@@ -77,7 +78,7 @@ def _cover_gradings(n, q, lifted, components, columns):
         below_o[oc + 1:] = [v + 1 for v in below_o[oc + 1:]]
         below_x[xc + 1:] = [v + 1 for v in below_x[xc + 1:]]
     full = (1 << N) - 1
-    for cols, mask in zip(columns, masks):
+    for cols, mask in zip(zip(*by_row), masks):
         if mask != full:
             raise InternalInvariantError(
                 "lifted generator is not a bijection: columns %r" % (cols,))
@@ -178,19 +179,20 @@ def verify_cover_relations(diagram, cap=DEFAULT_GENERATOR_CAP):
     dm, _ = grading_denominators(diagram)
     # M = M~/p + d + (p-1)/p, times dm = p*den(d)
     shift = p * d.numerator + (p - 1) * d.denominator
-    generators = list(generator_columns(n, p))
-    table = gradings_table(diagram, generators)
-    # in the table's order, code order
+    # the sweep and the grading blocks, both in code order
     cover = _cover_gradings(n, q, lifted, ell,
-                            [cols for _, cols in generators])
+                            (cols for _, cols in generator_columns(n, p)))
+    graded = chain.from_iterable(
+        zip(codes, map(GradingTriple, *grades))
+        for codes, *grades in permutation_gradings(diagram))
     canon_code = generator_code(canonical_generator(diagram), p)
 
     rows = []
     base = None
-    for (code, t), (m_cover, a_cover) in zip(table.items(), cover):
+    for (code, t), (m_cover, a_cover) in zip(graded, cover):
         rows.append((code, t, m_cover, a_cover))
         if code == canon_code:
-            canon_maslov = m_cover
+            canon_maslov, canon_grading = m_cover, t.maslov
         if base is None:   # against itself the relations hold trivially
             base = (t.maslov, t.alexander, m_cover, a_cover)
         # p*dM = dM~ and p*dA = dA~, with M over p*den(d), A over 2p and A~
@@ -209,7 +211,6 @@ def verify_cover_relations(diagram, cap=DEFAULT_GENERATOR_CAP):
         violations.append("canonical generator's lift has square-grid Maslov "
                           "%d, expected %d" % (canon_maslov, -(p * n - 1)))
     # M = d - (n-1), times dm
-    canon_grading = table[canon_code].maslov
     if canon_grading != p * d.numerator - (n - 1) * dm:
         violations.append("canonical generator Maslov %s != d(p,q,q-1) - (n-1)"
                           % (rational_text(canon_grading, dm),))

@@ -201,6 +201,15 @@ def test_lift_roundtrip(grid_file, capsys):
     assert validate_s3(parse_s3_grid(out)) == []
 
 
+def test_lift_takes_no_format(grid_file, capsys):
+    # lift writes a square-grid file, so it has no --format to ignore
+    code, out, err = run(capsys, "lift", grid_file(GN1),
+                         "--format", "structured")
+    assert code == 1 and out == ""
+    assert err.startswith("usage: lensgrid")
+    assert "unrecognized arguments: --format structured" in err
+
+
 def test_verify_cover(grid_file, capsys):
     code, out, _ = run(capsys, "verify-cover", grid_file(GN1))
     assert code == 0 and "violations: 0" in out
@@ -451,17 +460,19 @@ def test_verify_cover_exits_three_on_violated_relations(grid_file, capsys,
     # a Maslov grading shifted by 1/p on one generator breaks the cover
     # relations, which the command reports and then treats as a bug
     d = random_knot_diagrams(5, 2, 2, 1, seed=3)[0]
-    real = s3.gradings_table
+    real = s3.permutation_gradings
+    codes = [code for code, _ in complexes.generator_columns(d.n, d.lens.p)]
+    victim = codes[len(codes) // 2]
 
-    def shifted(diagram, generators):
-        table = real(diagram, generators)
-        code = sorted(table)[len(table) // 2]
-        table[code] = table[code]._replace(
-            maslov=table[code].maslov
-            + grading_denominators(diagram)[0] // diagram.lens.p)
-        return table
+    def shifted(diagram):
+        for codes, spins, maslovs, alexanders in real(diagram):
+            if victim in codes:
+                maslovs = list(maslovs)
+                maslovs[victim - codes.start] += (
+                    grading_denominators(diagram)[0] // diagram.lens.p)
+            yield codes, spins, maslovs, alexanders
 
-    monkeypatch.setattr(s3, "gradings_table", shifted)
+    monkeypatch.setattr(s3, "permutation_gradings", shifted)
     violations = s3.verify_cover_relations(d).violations
     assert len(violations) == 2
     code, out, err = run(capsys, "verify-cover", grid_file(format_grid(d)),
@@ -499,24 +510,27 @@ def test_verify_cover_exits_three_on_each_structural_violation(
         real_cover = s3._cover_gradings
 
         def raised_lift(*args):
-            columns = args[-1]
+            columns = list(args[-1])   # the sweep reads its columns once
             return ((m + (cols == canon.columns), a)
-                    for cols, (m, a) in zip(columns, real_cover(*args)))
+                    for cols, (m, a) in zip(columns,
+                                            real_cover(*args[:-1], columns)))
 
         monkeypatch.setattr(s3, "_cover_gradings", raised_lift)
         expected = ("canonical generator's lift has square-grid Maslov %d, "
                     "expected %d" % (2 - p * n, 1 - p * n))
     else:
-        real_table = s3.gradings_table
+        real_blocks = s3.permutation_gradings
 
-        def raised_grading(diagram, generators):
-            table = real_table(diagram, generators)
+        def raised_grading(diagram):
             code = generator_code(canon, p)
-            table[code] = table[code]._replace(
-                maslov=table[code].maslov + grading_denominators(diagram)[0])
-            return table
+            for codes, spins, maslovs, alexanders in real_blocks(diagram):
+                if code in codes:
+                    maslovs = list(maslovs)
+                    maslovs[code - codes.start] += \
+                        grading_denominators(diagram)[0]
+                yield codes, spins, maslovs, alexanders
 
-        monkeypatch.setattr(s3, "gradings_table", raised_grading)
+        monkeypatch.setattr(s3, "permutation_gradings", raised_grading)
         expected = ("canonical generator Maslov %s != d(p,q,q-1) - (n-1)"
                     % (d_invariant(p, q, q - 1) - (n - 1) + 1,))
     violations = s3.verify_cover_relations(d).violations

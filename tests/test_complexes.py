@@ -29,6 +29,7 @@ from lensgrid.grid import code_blocks, format_grid
 from lensgrid.selftest import build_corpus, criterion_05
 
 import parallelogram_oracle as oracle
+from parallelogram_reference import reference_table
 
 GOLDEN = Path(__file__).parent / "golden" / "boundary_digests.json"
 VARIANTS = ("tilde", "assoc-graded", "hat", "minus")
@@ -527,6 +528,34 @@ def test_table_matches_per_generator_oracle(torus):
         assert sorted(found) == sorted(expected), (torus, x)
         total += len(found)
     assert total > 0
+
+
+def reference_tori():
+    """The n >= 2 diagrams of both golden digest files, long-winding knots
+    (L(7,3) n=3, L(13,5) n=2-3, q of both signs) on whose tilde tables the
+    kernel's per-row walk stops before its last height, and a lifted
+    square grid."""
+    gn1, rnd = build_corpus()
+    golden = [d for d in gn1 + rnd if d.n > 1]
+    for p, q, n, count in ((3, 1, 3, 2), (3, -1, 3, 2), (5, 2, 3, 2),
+                           (2, 1, 4, 1), (11, 3, 2, 2)):
+        golden += random_knot_diagrams(p, q, n, count, seed=1)
+    winding = [d for p, q, n in ((7, 3, 3), (7, -3, 3), (13, 5, 2),
+                                 (13, -5, 2), (13, 5, 3), (13, -5, 3))
+               for d in random_knot_diagrams(p, q, n, 1, seed=1)]
+    return [lens_torus(d) for d in golden + winding] + oracle_tori()[-1:]
+
+
+def test_table_equals_the_band_by_band_reference():
+    """The per-row walk builds the reference's table exactly: the same
+    cells, and the same entries in the same order inside each cell."""
+    for torus in reference_tori():
+        for variant in VARIANTS:
+            drop = complexes.drop_mask(variant, torus[0])
+            table = parallelogram_table(torus, drop)
+            reference = reference_table(torus, drop)
+            assert table == reference, (torus[:3], variant)
+            assert list(table) == list(reference)
 
 
 def reader_diagrams():

@@ -287,21 +287,25 @@ def test_verify_cover_reports_a_shifted_grading(monkeypatch, grading,
     # by 1/p breaks exactly that generator's relations of that grading
     d = random_knot_diagrams(5, 2, 2, 1, seed=3)[0]
     assert verify_cover_relations(d).ok
-    real = s3.gradings_table
+    real = s3.permutation_gradings
     gens = list(enumerate_generators(d))
     victim = gens[len(gens) // 2]
     code = generator_code(victim, 5)
     denominator = dict(zip(("maslov", "alexander"), grading_denominators(d)))
+    slot = {"maslov": 2, "alexander": 3}[grading]   # in (codes, S, M, A)
 
-    def shifted(diagram, generators):
-        # the table holds numerators: a shift by 1/p adds denominator/p
-        table = real(diagram, generators)
-        t = table[code]
-        table[code] = t._replace(**{grading: getattr(t, grading)
-                                    + denominator[grading] // diagram.lens.p})
-        return table
+    def shifted(diagram):
+        # the blocks hold numerators: a shift by 1/p adds denominator/p
+        for block in real(diagram):
+            codes = block[0]
+            if code in codes:
+                block = list(block)
+                block[slot] = list(block[slot])
+                block[slot][code - codes.start] += (
+                    denominator[grading] // diagram.lens.p)
+            yield block
 
-    monkeypatch.setattr(s3, "gradings_table", shifted)
+    monkeypatch.setattr(s3, "permutation_gradings", shifted)
     report = verify_cover_relations(d)
     assert report.violations == ["%s fails for %r" % (r, victim)
                                  for r in relations]
