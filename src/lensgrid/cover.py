@@ -12,6 +12,7 @@ lifts to a link with ``p/k`` components.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InternalInvariantError, ValidationError
 from .grid import Tokens, marker_violations, require_valid, row_cycles
@@ -27,6 +28,12 @@ class S3GridDiagram:
     N: int
     O: tuple
     X: tuple
+
+    @cached_property
+    def _violations(self):
+        """``validate_s3(self)``, computed once: a valid diagram holds only
+        ints and tuples, so its verdict cannot go stale."""
+        return validate_s3(self)
 
 
 def lift_points(points, p, q, n):
@@ -65,9 +72,9 @@ def lift_diagram(diagram):
     o_cells = tuple(sorted(lift_points(diagram.O, p, q, n), key=lambda c: c[1]))
     x_cells = tuple(sorted(lift_points(diagram.X, p, q, n), key=lambda c: c[1]))
     lifted = S3GridDiagram(N=n * p, O=o_cells, X=x_cells)
-    bad = validate_s3(lifted)
-    if bad:
-        raise InternalInvariantError("lifted diagram invalid: %s" % "; ".join(bad))
+    if lifted._violations:
+        raise InternalInvariantError("lifted diagram invalid: %s"
+                                     % "; ".join(lifted._violations))
     return lifted
 
 
@@ -85,9 +92,8 @@ def lift_generator(x, diagram):
 
 def s3_link_components(diagram):
     """Row cycles of the square-torus diagram, one per link component."""
-    violations = validate_s3(diagram)
-    if violations:
-        raise ValidationError(violations)
+    if diagram._violations:
+        raise ValidationError(diagram._violations)
     return row_cycles([c for (c, _) in diagram.O], [c for (c, _) in diagram.X])
 
 

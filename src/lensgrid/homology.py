@@ -9,7 +9,10 @@ integer numerators of the gradings and eliminated one at a time, each
 Maslov level's boundary read from the parallelogram table in one batch
 when its rows are built, so no whole boundary is ever held.  For a knot
 only the summands with A >= 0 are eliminated; the symmetry of the knot
-Floer groups gives the rest, and full elimination is the fallback.
+Floer groups gives the rest, and full elimination is the fallback.  A
+knot of grid number one has no parallelogram, since its one row has no
+pair of rows: its differential is zero, and its ranks are the summands'
+sizes, with nothing bucketed or eliminated.
 
 The homology of the fully blocked complex of a knot carries n-1 tensor
 factors of the rank-two bigraded space with summands in degrees (0, 0)
@@ -143,13 +146,21 @@ def _graded_pieces(blocks, piece_cap, da):
     for (s, a, m), codes in levels.items():
         pieces.setdefault((s, a), {})[m] = codes
     del levels   # so that each piece is freed once eliminated
-    for s, a in sorted(pieces):
-        size = sum(map(len, pieces[s, a].values()))
-        if piece_cap is not None and size > piece_cap:
-            raise SizeCapError("graded piece (S=%s, A=%s) has dimension %d "
-                               "(cap %d)" % (s, rational_text(a, da), size,
-                                             piece_cap))
+    _require_piece_cap(((key, sum(map(len, pieces[key].values())))
+                        for key in sorted(pieces)), piece_cap, da)
     return pieces
+
+
+def _require_piece_cap(sizes, piece_cap, da):
+    """Refuse the first piece whose size exceeds ``piece_cap`` (None: no
+    cap); ``sizes`` yields ``((S, A), size)`` in (S, A) order, and is read
+    only under a cap."""
+    if piece_cap is not None:
+        for (s, a), size in sizes:
+            if size > piece_cap:
+                raise SizeCapError("graded piece (S=%s, A=%s) has dimension "
+                                   "%d (cap %d)" % (s, rational_text(a, da),
+                                                    size, piece_cap))
 
 
 def _tilde_reader(torus):
@@ -253,28 +264,44 @@ def tilde_homology(diagram, cap=DEFAULT_GENERATOR_CAP,
     boundary work.  Only the A >= 0 pieces are eliminated; the A < 0
     ranks follow from the symmetry of HFK-hat (``_derived_ranks``), and
     when one of its checks fails, the A < 0 pieces are eliminated too.
+    With n = 1 the differential is zero: each rank is the number of
+    generators at its (S, M, A), and no piece is eliminated.
     """
     require_valid(diagram)
     p, q, n = diagram.lens.p, diagram.lens.q, diagram.n
     require_generator_cap(n, p, cap)
     k = require_knot(diagram).homology_class
     denominators = grading_denominators(diagram)
-    # one permutation's gradings at a time, never a table of every generator
-    pieces = _graded_pieces(permutation_gradings(diagram), piece_cap,
-                            denominators[1])
-    entries_of = _tilde_reader(lens_torus(diagram))
     ranks = {s: {} for s in range(p)}
-    _eliminate(pieces, sorted(key for key in pieces if key[1] >= 0),
-               entries_of, pivot, denominators[0], ranks)
-    derived = _derived_ranks(ranks, pieces, _mirror_class(p, q, k), n - 1,
-                             denominators)
-    if derived is not None:
-        pieces.clear()
-        for (s, a), by in derived.items():
-            ranks[s].update(((m, a), r) for m, r in by.items())
-    # the A < 0 pieces, when a check failed
-    _eliminate(pieces, sorted(pieces), entries_of, pivot, denominators[0],
-               ranks)
+    if n == 1:
+        # one row has no pair of rows, so there is no parallelogram: the
+        # differential is zero, and each rank is a count of generators
+        for _, spins, maslovs, alexanders in permutation_gradings(diagram):
+            for s, m, a in zip(spins, maslovs, alexanders):
+                by = ranks[s]
+                by[m, a] = by.get((m, a), 0) + 1
+        _require_piece_cap((((s, a), sum(r for (_, b), r in by.items()
+                                         if b == a))
+                            for s, by in ranks.items()
+                            for a in sorted({a for _, a in by})),
+                           piece_cap, denominators[1])
+    else:
+        # one permutation's gradings at a time, never a table of every
+        # generator
+        pieces = _graded_pieces(permutation_gradings(diagram), piece_cap,
+                                denominators[1])
+        entries_of = _tilde_reader(lens_torus(diagram))
+        _eliminate(pieces, sorted(key for key in pieces if key[1] >= 0),
+                   entries_of, pivot, denominators[0], ranks)
+        derived = _derived_ranks(ranks, pieces, _mirror_class(p, q, k), n - 1,
+                                 denominators)
+        if derived is not None:
+            pieces.clear()
+            for (s, a), by in derived.items():
+                ranks[s].update(((m, a), r) for m, r in by.items())
+        # the A < 0 pieces, when a check failed
+        _eliminate(pieces, sorted(pieces), entries_of, pivot, denominators[0],
+                   ranks)
 
     floor = 2 ** (n - 1)
     for s in range(p):
@@ -487,13 +514,19 @@ def _list_text(items, newline, seen):
     return "[" + inner + ("," + inner).join(texts) + newline + "]"
 
 
-def document_bytes(doc):
-    """The bytes of ``json.dumps(doc, indent=2, sort_keys=True) + "\n"``.
+def document_text(doc):
+    """The text of ``json.dumps(doc, indent=2, sort_keys=True) + "\n"``.
 
     A document holds only str, int, bool, None, and dicts with str keys,
     lists and tuples of these; anything else raises TypeError.
     """
     seen = {}
     text = _json_text(doc, "\n", seen)
-    seen.clear()   # frees the lists' texts before the two copies below
-    return (text + "\n").encode()
+    seen.clear()   # frees the lists' texts before the newline is added
+    text += "\n"   # in place, since nothing else holds the text
+    return text
+
+
+def document_bytes(doc):
+    """``document_text(doc)``, encoded."""
+    return document_text(doc).encode()

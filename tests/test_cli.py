@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lensgrid import cli, complexes, grid, homology, s3, selftest
+from lensgrid import cli, complexes, cover, grid, homology, s3, selftest
 from lensgrid.cli import main
 from lensgrid.complexes import generator_code
 from lensgrid.corpus import (KNOT_HOMOLOGY_SHAPES, gn1_corpus,
@@ -191,6 +191,16 @@ def test_piece_cap_refuses_before_the_boundary(grid_file, capsys,
                          "--piece-cap", "1")
     assert code == 2 and out == ""
     assert err.startswith("refused: graded piece") and "(cap 1)" in err
+
+
+def test_piece_cap_refuses_a_grid_number_one_knot(grid_file, capsys):
+    # with n = 1 nothing is eliminated, yet the piece cap still refuses
+    code, out, err = run(capsys, "homology", grid_file(GN1), "--piece-cap",
+                         "0")
+    assert code == 2 and out == ""
+    assert err == "refused: graded piece (S=0, A=-1/5) has dimension 1 " \
+                  "(cap 0)\n"
+    assert run(capsys, "homology", grid_file(GN1), "--piece-cap", "1")[0] == 0
 
 
 def test_lift_roundtrip(grid_file, capsys):
@@ -391,6 +401,24 @@ def test_each_command_validates_its_diagram_once(grid_file, capsys,
     assert code == 2 and err.startswith("refused:")
     code, _, err = run(capsys, "homology", grid_file(LINK))
     assert code == 1 and "knots only" in err
+
+
+@pytest.mark.parametrize("command", ["info", "lift", "verify-cover"])
+def test_each_lift_is_validated_once(grid_file, capsys, monkeypatch,
+                                     command):
+    # a square grid keeps its verdict, so counting the lift's components
+    # reads the check that lift_diagram made
+    calls = []
+    real = cover.validate_s3
+
+    def counting(diagram):
+        calls.append(diagram)
+        return real(diagram)
+
+    monkeypatch.setattr(cover, "validate_s3", counting)
+    code, out, _ = run(capsys, command, grid_file(KNOT_N2))
+    assert code == 0 and out
+    assert len(calls) == 1 and calls[0].N == 4
 
 
 def test_boundary_export_refuses_before_the_table(grid_file, capsys,

@@ -202,6 +202,27 @@ def test_rank_invariant_violations(monkeypatch):
     assert str(raised.value) == "Spin^c class 0 has rank 0 < 2^(n-1) = 2"
 
 
+def test_a_lost_generator_of_a_grid_number_one_knot_trips_the_rank_floor(
+        monkeypatch):
+    # with n = 1 the ranks are generator counts; one generator fewer leaves
+    # its class empty
+    d = enumerate_grid_number_one(LensParams(7, 3))[2]
+    assert tilde_homology(d).total_rank() == 7
+    real = homology.permutation_gradings
+    lost = []
+
+    def dropping(diagram):
+        for codes, spins, maslovs, alexanders in real(diagram):
+            lost.append(spins[-1])
+            yield codes[:-1], spins[:-1], maslovs[:-1], alexanders[:-1]
+
+    monkeypatch.setattr(homology, "permutation_gradings", dropping)
+    with pytest.raises(InternalInvariantError) as raised:
+        tilde_homology(d)
+    assert str(raised.value) == (
+        "Spin^c class %d has rank 0 < 2^(n-1) = 1" % lost[0])
+
+
 def test_gn1_homology_rank_p():
     for p, q in ((5, 2), (3, -2)):
         for d in enumerate_grid_number_one(LensParams(p, q)):

@@ -1,7 +1,8 @@
 """The symmetry of HFK-hat, and ``tilde_homology``'s use of it.
 
 ``tilde_homology`` eliminates only the (S, A) pieces with A >= 0 and
-derives the rest from the symmetry; full elimination, every piece through
+derives the rest from the symmetry; with one row it counts generators,
+the differential being zero.  Full elimination, every piece through
 ``homology_ranks`` as ``graded_homology`` does it, is the reference here.
 """
 
@@ -11,9 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from lensgrid import (GridDiagram, extract_hfk_hat, generator_columns,
-                      gradings_table, parse_grid, reconstruct_link,
-                      tilde_homology)
+from lensgrid import (GridDiagram, LensParams, enumerate_grid_number_one,
+                      extract_hfk_hat, generator_columns, gradings_table,
+                      parse_grid, reconstruct_link, tilde_homology)
 from lensgrid import homology
 from lensgrid.complexes import lens_torus
 from lensgrid.corpus import (KNOT_HOMOLOGY_SHAPES, coprime_qs, gn1_corpus,
@@ -103,6 +104,9 @@ def equivalence_sets():
     rng = random.Random(20)
     return {
         "grid-number-one, p <= 13": gn1_corpus(range(2, 14)),
+        "grid-number-one, p in 29, 61, 101": [
+            d for p in (29, 61, 101) for q in (2, -3, p // 2)
+            for d in enumerate_grid_number_one(LensParams(p, q))],
         "knot-homology shapes": [
             d for seed in (1, 2) for p, q, n in KNOT_HOMOLOGY_SHAPES
             for d in random_knot_diagrams(p, q, n, 3, seed)],
@@ -129,9 +133,13 @@ def test_derived_documents_equal_full_elimination(name, monkeypatch):
         full = document_bytes(homology_document(extract_hfk_hat(
             full_elimination(d))))
         assert derived == full, d
-    # every knot took the derivation, none the fallback
-    assert len(outcomes) == len(diagrams)
-    assert None not in outcomes
+    if name.startswith("grid-number-one"):
+        # one row has no parallelogram: nothing is derived
+        assert outcomes == []
+    else:
+        # every knot took the derivation, none the fallback
+        assert len(outcomes) == len(diagrams)
+        assert None not in outcomes
 
 
 def reading(monkeypatch):
@@ -169,18 +177,14 @@ def test_a_wrong_mirror_class_falls_back_to_full_elimination(
         assert sorted(asked) == everything
 
 
-def test_grid_number_one_knots_read_only_the_nonnegative_pieces(
-        monkeypatch):
-    # with n = 1 the derivation is the bare reflection: only the codes
-    # with A >= 0 are read, and the table is full elimination's
+def test_grid_number_one_knots_read_no_code(monkeypatch):
+    # with n = 1 the differential is zero: no code is read, and the table
+    # is full elimination's
     d = gn1_corpus((7,))[3]
     expected = full_elimination(d)
-    table = gradings_table(d, generator_columns(1, 7))
     asked = reading(monkeypatch)
     assert tilde_homology(d) == expected
-    assert sorted(asked) == sorted(code for code, t in table.items()
-                                   if t.alexander >= 0)
-    assert 0 < len(asked) < 7
+    assert asked == []
 
 
 # A trefoil-shaped class on integer gradings (denominators (1, 1)): HFK-hat
