@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 validation, parse or usage failure, 2 size-cap
-refusal, 3 internal invariant violation (a bug, never bad input).
+refusal or out of memory, 3 internal invariant violation (a bug, never
+bad input).
 """
 
 from __future__ import annotations
@@ -122,21 +123,18 @@ def cmd_gradings(args):
         diagram = GridDiagram(diagram.lens, diagram.n, diagram.X, diagram.O)
     n, p = diagram.n, diagram.lens.p
     require_generator_cap(n, p, args.cap)
-    table = gradings_table(diagram, generator_columns(n, p))
     label = label_decoder(n, p)
-    # the numerators sort as the gradings do; ties sort by label text
-    graded = sorted((t.spin, t.alexander, t.maslov, label(code))
-                    for code, t in table.items())
-    del table
     dm, da = grading_denominators(diagram)
     keys = ("generator", "S", "M", "A")
+    # the numerators sort as the gradings do; ties sort by label text.  No
+    # name holds the table or the sorted list, so each is freed once read
     rows = ((text, s, rational_text(m, dm), rational_text(a, da))
-            for s, a, m, text in graded)
+            for s, a, m, text in sorted(
+                (t.spin, t.alexander, t.maslov, label(code)) for code, t
+                in gradings_table(diagram, generator_columns(n, p)).items()))
     if args.format == "structured":
-        doc = {"input_sha256": digest, "swap_roles": bool(args.swap_roles),
-               "rows": [dict(zip(keys, r)) for r in rows]}
-        del graded, rows
-        _emit(doc)
+        _emit({"input_sha256": digest, "swap_roles": bool(args.swap_roles),
+               "rows": [dict(zip(keys, r)) for r in rows]})
     else:
         print("%-24s %4s %10s %10s" % keys)
         for r in rows:
@@ -322,6 +320,9 @@ def main(argv=None):
         return 1
     except SizeCapError as exc:
         print("refused: %s" % exc, file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("refused: out of memory in %s" % args.command, file=sys.stderr)
         return 2
     except InternalInvariantError as exc:
         print("internal invariant violated: %s" % exc, file=sys.stderr)

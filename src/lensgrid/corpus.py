@@ -7,10 +7,6 @@ import random
 
 from .grid import GridDiagram, LensParams, enumerate_grid_number_one, reconstruct_link
 
-# the (p, q, n) shapes of the random knots of the knot-homology benchmark
-KNOT_HOMOLOGY_SHAPES = ((2, 1, 3), (3, 1, 3), (3, -1, 3), (4, 1, 3),
-                        (4, -1, 3), (2, 1, 4))
-
 
 def coprime_qs(p):
     """All legal surgery numerators q for the given p."""

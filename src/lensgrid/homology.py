@@ -11,8 +11,8 @@ when its rows are built, so no whole boundary is ever held.  For a knot
 only the summands with A >= 0 are eliminated; the symmetry of the knot
 Floer groups gives the rest, and full elimination is the fallback.  A
 knot of grid number one has no parallelogram, since its one row has no
-pair of rows: its differential is zero, and its ranks are the summands'
-sizes, with nothing bucketed or eliminated.
+pair of rows: its differential is zero, and each generator is alone in
+its Spin^c class, of rank one; nothing is bucketed or eliminated.
 
 The homology of the fully blocked complex of a knot carries n-1 tensor
 factors of the rank-two bigraded space with summands in degrees (0, 0)
@@ -53,8 +53,9 @@ class HomologyTable:
     ``(m, a)`` is ``(Fraction(m, D_M), Fraction(a, D_A))``.  ``hfk_hat``
     has the same shape after the tensor factor has been divided out;
     ``extraction_exact`` records whether that division was exact.
-    ``denominators`` is keyword-only, so the other fields keep their
-    positions.
+    ``hfk_hat`` may share class dicts with ``classes``, so both are
+    read-only.  ``denominators`` is keyword-only, so the other fields
+    keep their positions.
     """
 
     spin_count: int
@@ -264,8 +265,8 @@ def tilde_homology(diagram, cap=DEFAULT_GENERATOR_CAP,
     boundary work.  Only the A >= 0 pieces are eliminated; the A < 0
     ranks follow from the symmetry of HFK-hat (``_derived_ranks``), and
     when one of its checks fails, the A < 0 pieces are eliminated too.
-    With n = 1 the differential is zero: each rank is the number of
-    generators at its (S, M, A), and no piece is eliminated.
+    With n = 1 the differential is zero and each generator is alone in its
+    class, of rank 1 at its (M, A); no piece is eliminated.
     """
     require_valid(diagram)
     p, q, n = diagram.lens.p, diagram.lens.q, diagram.n
@@ -274,17 +275,14 @@ def tilde_homology(diagram, cap=DEFAULT_GENERATOR_CAP,
     denominators = grading_denominators(diagram)
     ranks = {s: {} for s in range(p)}
     if n == 1:
-        # one row has no pair of rows, so there is no parallelogram: the
-        # differential is zero, and each rank is a count of generators
-        for _, spins, maslovs, alexanders in permutation_gradings(diagram):
-            for s, m, a in zip(spins, maslovs, alexanders):
-                by = ranks[s]
-                by[m, a] = by.get((m, a), 0) + 1
-        _require_piece_cap((((s, a), sum(r for (_, b), r in by.items()
-                                         if b == a))
-                            for s, by in ranks.items()
-                            for a in sorted({a for _, a in by})),
-                           piece_cap, denominators[1])
+        # one row has no pair of rows, so no parallelogram and a zero
+        # differential; generator a is alone in its class (base + a) mod p,
+        # and the rank floor below checks that every class got one
+        (_, spins, maslovs, alexanders), = permutation_gradings(diagram)
+        for s, m, a in zip(spins, maslovs, alexanders):
+            ranks[s][m, a] = 1
+        _require_piece_cap((((s, a), 1) for s, by in ranks.items()
+                            for _, a in by), piece_cap, denominators[1])
     else:
         # one permutation's gradings at a time, never a table of every
         # generator
@@ -346,20 +344,21 @@ def extract_hfk_hat(table):
     """Divide out the multi-marker tensor factor from a homology table.
 
     Returns a new table with ``hfk_hat`` filled in when the division by
-    (1 + u^-1 v^-1)^(n-1) is exact in every Spin^c class; otherwise the
-    undivided ranks are kept, ``extraction_exact`` is False and ``note``
-    carries a diagnostic.  The keys are the table's integer numerators,
-    on which (1, 1) in the gradings is the step ``table.denominators``.
+    (1 + u^-1 v^-1)^(n-1) is exact in every Spin^c class; otherwise
+    ``hfk_hat`` is ``table.classes``, ``extraction_exact`` is False and
+    ``note`` carries a diagnostic.  No undivided class is copied: at
+    tensor exponent 0 each ``hfk_hat[s]`` is ``table.classes[s]``.  The
+    keys are the table's integer numerators, on which (1, 1) in the
+    gradings is the step ``table.denominators``.
     """
     exponent = table.tensor_exponent
     hat = {}
-    for s, poly in table.classes.items():
-        q = dict(poly)
-        for _ in range(exponent):
+    for s, q in table.classes.items():
+        for _ in range(exponent):   # _divide_once copies, never mutates
             q = _divide_once(q, table.denominators)
             if q is None:
                 return replace(
-                    table, hfk_hat=dict(table.classes), extraction_exact=False,
+                    table, hfk_hat=table.classes, extraction_exact=False,
                     note="rank polynomial of Spin^c class %s is not divisible "
                          "by (1 + u^-1 v^-1)^%d" % (s, exponent))
         hat[s] = q
@@ -413,9 +412,9 @@ def homology_document(table, extra=None):
         "poincare": {s: _polynomial(rows) for s, rows in classes.items()},
     }
     if table.hfk_hat is not None:
-        # the extracted table is the tilde one when the tensor exponent is
-        # 0 or the extraction is inexact, and otherwise differs in every
-        # class; the same table reuses the formatted rows
+        # the extracted classes are the tilde ones, object for object, when
+        # the tensor exponent is 0 or the extraction is inexact, and
+        # otherwise differ in every class; the same ones reuse the rows
         doc["hfk_hat"] = classes if table.hfk_hat == table.classes else {
             str(s): _rank_rows(by, table.denominators)
             for s, by in sorted(table.hfk_hat.items())}

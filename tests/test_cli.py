@@ -3,8 +3,11 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import re
 import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,13 +16,14 @@ from hypothesis import given, settings, strategies as st
 from lensgrid import cli, complexes, cover, grid, homology, s3, selftest
 from lensgrid.cli import main
 from lensgrid.complexes import generator_code
-from lensgrid.corpus import (KNOT_HOMOLOGY_SHAPES, gn1_corpus,
-                             random_knot_diagrams)
+from lensgrid.corpus import gn1_corpus, random_knot_diagrams
 from lensgrid.cover import lift_diagram
 from lensgrid.errors import LensGridError
 from lensgrid.gradings import d_invariant, grading_denominators
 from lensgrid.grid import (canonical_generator, format_grid, parse_grid,
                            reconstruct_link)
+
+from benchmark_shapes import KNOT_HOMOLOGY_SHAPES
 
 GN1 = "5 2 1\nO: 0\nX: 2\n"
 KNOT_N2 = "2 1 2\nO: 0 1\nX: 1 0\n"
@@ -201,6 +205,43 @@ def test_piece_cap_refuses_a_grid_number_one_knot(grid_file, capsys):
     assert err == "refused: graded piece (S=0, A=-1/5) has dimension 1 " \
                   "(cap 0)\n"
     assert run(capsys, "homology", grid_file(GN1), "--piece-cap", "1")[0] == 0
+
+
+def test_running_out_of_memory_is_a_refusal(grid_file, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "tilde_homology", exhausted)
+    for fmt in ("structured", "human"):
+        assert run(capsys, "homology", grid_file(GN1), "--format", fmt) == (
+            2, "", "refused: out of memory in homology\n")
+
+
+# caps this process's own address space a margin above its size after the
+# imports, so that an allocation of the command itself fails
+LIMITED_CHILD = """\
+import resource, sys
+from lensgrid.cli import main
+with open("/proc/self/statm") as fh:
+    size = int(fh.read().split()[0]) * resource.getpagesize()
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (size + (32 << 20), hard))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/statm").exists(),
+                    reason="reads the address-space size from /proc")
+def test_a_failed_allocation_is_a_refusal(grid_file):
+    # L(200003,2) n=1 needs over 100 MB more than the imports
+    path = grid_file("200003 2 1\nO: 0\nX: 7\n")
+    src = str(Path(cli.__file__).parent.parent)   # the package under test
+    done = subprocess.run(
+        [sys.executable, "-c", LIMITED_CHILD, "homology", path, "--format",
+         "structured"], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", "refused: out of memory in homology\n")
 
 
 def test_lift_roundtrip(grid_file, capsys):

@@ -23,11 +23,13 @@ from lensgrid.gradings import (_dedekind_sum_6k, _grading_tables,
                                _lift_non_inversions, _marker_cross_table,
                                _pair_table, permutation_gradings)
 from lensgrid.cli import main
-from lensgrid.corpus import (KNOT_HOMOLOGY_SHAPES, coprime_qs,
-                             random_knot_diagram, random_knot_diagrams)
+from lensgrid.corpus import (coprime_qs, random_knot_diagram,
+                             random_knot_diagrams)
 from lensgrid.errors import KnotRequiredError
 from lensgrid.grid import enumerate_grid_number_one, format_grid
 from lensgrid.selftest import build_corpus
+
+from benchmark_shapes import KNOT_HOMOLOGY_SHAPES
 
 GOLDEN = Path(__file__).parent / "golden" / "grading_digests.json"
 GRADED_COMMANDS = ("gradings", "verify-cover", "homology")

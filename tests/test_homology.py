@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import fractions
 import json
@@ -223,6 +224,31 @@ def test_a_lost_generator_of_a_grid_number_one_knot_trips_the_rank_floor(
         "Spin^c class %d has rank 0 < 2^(n-1) = 1" % lost[0])
 
 
+@pytest.mark.parametrize("gradings", ("own", "shared"))
+def test_two_generators_in_one_grid_number_one_class_trip_the_rank_floor(
+        monkeypatch, gradings):
+    # with n = 1 each rank is set to 1, not counted: a generator moved into
+    # another's class, at its own gradings or at the other's, leaves its
+    # own class empty, and the rank floor names that class
+    d = enumerate_grid_number_one(LensParams(7, 3))[2]
+    real = homology.permutation_gradings
+    emptied = []
+
+    def moving(diagram):
+        for codes, spins, maslovs, alexanders in real(diagram):
+            emptied.append(spins[-1])
+            if gradings == "shared":
+                maslovs = maslovs[:-1] + maslovs[:1]
+                alexanders = alexanders[:-1] + alexanders[:1]
+            yield codes, spins[:-1] + spins[:1], maslovs, alexanders
+
+    monkeypatch.setattr(homology, "permutation_gradings", moving)
+    with pytest.raises(InternalInvariantError) as raised:
+        tilde_homology(d)
+    assert str(raised.value) == (
+        "Spin^c class %d has rank 0 < 2^(n-1) = 1" % emptied[0])
+
+
 def test_gn1_homology_rank_p():
     for p, q in ((5, 2), (3, -2)):
         for d in enumerate_grid_number_one(LensParams(p, q)):
@@ -296,6 +322,25 @@ def test_extraction_identity_at_n1():
     table = extract_hfk_hat(tilde_homology(d))
     assert table.extraction_exact
     assert table.hfk_hat == table.classes
+
+
+def test_extraction_copies_no_undivided_class():
+    # at tensor exponent 0 the extracted classes are the tilde ones, so
+    # the document's equality test is one identity check per class
+    table = tilde_homology(enumerate_grid_number_one(LensParams(7, 3))[2])
+    hat = extract_hfk_hat(table)
+    assert hat.extraction_exact
+    assert all(hat.hfk_hat[s] is table.classes[s] for s in range(7))
+    # an inexact extraction keeps the tilde table itself
+    inexact = extract_hfk_hat(HomologyTable(1, 1, {0: {(0, 0): 1}},
+                                            denominators=(1, 1)))
+    assert not inexact.extraction_exact
+    assert inexact.hfk_hat is inexact.classes
+    # a division starts from the class itself, and leaves it as it was
+    table = tilde_homology(random_knot_diagram(3, 1, 2, random.Random(9)))
+    before = copy.deepcopy(table.classes)
+    assert extract_hfk_hat(table).extraction_exact
+    assert table.classes == before
 
 
 def test_extraction_exact_on_random_knots():

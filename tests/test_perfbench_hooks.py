@@ -2,8 +2,6 @@ import ast
 import importlib
 from pathlib import Path
 
-from lensgrid.corpus import KNOT_HOMOLOGY_SHAPES
-
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 PACKAGE = ROOT / "src" / "lensgrid"
@@ -21,15 +19,6 @@ def test_every_traced_binding_resolves(monkeypatch):
                if not callable(getattr(importlib.import_module(
                    "lensgrid." + module), attr, None))]
     assert missing == []
-
-
-def test_knot_homology_shapes_follow_the_benchmark(monkeypatch):
-    # corpus.KNOT_HOMOLOGY_SHAPES names the knot-homology workload's shapes
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    workloads = importlib.import_module("workloads")
-    assert Path(workloads.__file__).parent == PERFBENCH
-    assert KNOT_HOMOLOGY_SHAPES == tuple(
-        dict.fromkeys(workloads.KNOT_HOMOLOGY))
 
 
 def unused_imports(source):

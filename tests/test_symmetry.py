@@ -17,8 +17,8 @@ from lensgrid import (GridDiagram, LensParams, enumerate_grid_number_one,
                       parse_grid, reconstruct_link, tilde_homology)
 from lensgrid import homology
 from lensgrid.complexes import lens_torus
-from lensgrid.corpus import (KNOT_HOMOLOGY_SHAPES, coprime_qs, gn1_corpus,
-                             random_knot_diagram, random_knot_diagrams)
+from lensgrid.corpus import (coprime_qs, gn1_corpus, random_knot_diagram,
+                             random_knot_diagrams)
 from lensgrid.errors import SizeCapError
 from lensgrid.gradings import (d_invariant, grading_denominators,
                                permutation_gradings, spin_grading)
@@ -26,6 +26,8 @@ from lensgrid.grid import canonical_generator
 from lensgrid.homology import (HomologyTable, document_bytes,
                                homology_document)
 from lensgrid.selftest import build_corpus
+
+from benchmark_shapes import KNOT_HOMOLOGY_SHAPES
 
 GOLDEN = Path(__file__).parent / "golden" / "grading_digests.json"
 
