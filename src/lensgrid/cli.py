@@ -15,20 +15,23 @@ from functools import cache
 from . import selftest
 from .complexes import (DEFAULT_GENERATOR_CAP, VARIANTS,
                         boundary_export_lines, bounded_generator_count,
-                        build_boundary, generator_columns, label_decoder,
-                        require_generator_cap, square_is_zero)
+                        build_boundary, label_decoder, require_generator_cap,
+                        square_is_zero)
 from .cover import format_s3_grid, lift_diagram, s3_link_components
 from .errors import (InternalInvariantError, LensGridError, ParseError,
                      SizeCapError, ValidationError)
-from .gradings import grading_denominators, gradings_table, rational_text
+# gradings_table is unused here: perfbench/tracing.py wraps the
+# cli.gradings_table binding
+from .gradings import (grading_denominators, gradings_table,  # noqa: F401
+                       permutation_gradings, rational_text)
 from .grid import (GridDiagram, LensParams, enumerate_grid_number_one,
-                   format_grid, parse_grid, reconstruct_link, require_valid,
-                   validate)
+                   format_grid, parse_grid, reconstruct_link, require_knot,
+                   require_valid, validate)
 # document_bytes is unused here: perfbench/tracing.py wraps the
 # cli.document_bytes binding
-from .homology import (DEFAULT_PIECE_CAP, _polynomial,  # noqa: F401
-                       document_bytes, document_text, extract_hfk_hat,
-                       homology_document, simplicity_report, tilde_homology)
+from .homology import (DEFAULT_PIECE_CAP, Rows, _polynomial,  # noqa: F401
+                       document_bytes, extract_hfk_hat, homology_document,
+                       simplicity_report, tilde_homology, write_document)
 from .s3 import verify_cover_relations
 
 
@@ -59,7 +62,7 @@ def _require_nonnegative_caps(args):
 
 
 def _emit(doc):
-    sys.stdout.write(document_text(doc))
+    write_document(doc, sys.stdout.write)
 
 
 def _capped_lift(diagram, cap):
@@ -123,22 +126,23 @@ def cmd_gradings(args):
         diagram = GridDiagram(diagram.lens, diagram.n, diagram.X, diagram.O)
     n, p = diagram.n, diagram.lens.p
     require_generator_cap(n, p, args.cap)
+    require_knot(diagram)
     label = label_decoder(n, p)
     dm, da = grading_denominators(diagram)
-    keys = ("generator", "S", "M", "A")
-    # the numerators sort as the gradings do; ties sort by label text.  No
-    # name holds the table or the sorted list, so each is freed once read
-    rows = ((text, s, rational_text(m, dm), rational_text(a, da))
-            for s, a, m, text in sorted(
-                (t.spin, t.alexander, t.maslov, label(code)) for code, t
-                in gradings_table(diagram, generator_columns(n, p)).items()))
+    # the numerators sort as the gradings do; ties sort by label text
+    graded = sorted((s, a, m, label(code))
+                    for codes, *grades in permutation_gradings(diagram)
+                    for code, s, m, a in zip(codes, *grades))
     if args.format == "structured":
         _emit({"input_sha256": digest, "swap_roles": bool(args.swap_roles),
-               "rows": [dict(zip(keys, r)) for r in rows]})
+               "rows": Rows(("A", "M", "S", "generator"), (
+                   (rational_text(a, da), rational_text(m, dm), s, text)
+                   for s, a, m, text in graded))})
     else:
-        print("%-24s %4s %10s %10s" % keys)
-        for r in rows:
-            print("%-24s %4d %10s %10s" % r)
+        print("%-24s %4s %10s %10s" % ("generator", "S", "M", "A"))
+        for s, a, m, text in graded:
+            print("%-24s %4d %10s %10s" % (text, s, rational_text(m, dm),
+                                            rational_text(a, da)))
     return 0
 
 
@@ -161,7 +165,7 @@ def cmd_homology(args):
         if table.extraction_exact:
             print("knot Floer groups (tensor factor divided out):")
             for s, rows in doc["hfk_hat"].items():
-                print("  class %s: %s" % (s, _polynomial(rows)))
+                print("  class %s: %s" % (s, _polynomial(rows.values)))
             print("total rank %d, classification: %s"
                   % (doc["hat_total_rank"], doc["classification"]))
         else:
@@ -180,28 +184,26 @@ def cmd_verify_cover(args):
     report = verify_cover_relations(diagram, args.cap)
     label = label_decoder(diagram.n, diagram.lens.p)
     dm, da = grading_denominators(diagram)
-    keys = ("generator", "S", "M", "A", "cover_M", "cover_A")
-    ok, violations = report.ok, report.violations
-    rows = ((label(code), t.spin, rational_text(t.maslov, dm),
-             rational_text(t.alexander, da), m_cover,
-             rational_text(a_cover, 4))
+    rows = ((rational_text(t.alexander, da), rational_text(t.maslov, dm),
+             t.spin, rational_text(a_cover, 4), m_cover, label(code))
             for code, t, m_cover, a_cover in report.rows)
-    del report   # only rows holds the report's rows
     if args.format == "structured":
-        doc = {"input_sha256": digest, "ok": ok, "violations": violations,
-               "rows": [dict(zip(keys, r)) for r in rows]}
-        del rows
-        _emit(doc)
+        _emit({"input_sha256": digest, "ok": report.ok,
+               "violations": report.violations,
+               "rows": Rows(("A", "M", "S", "cover_A", "cover_M",
+                             "generator"), rows)})
     else:
-        print("%-24s %4s %10s %10s %9s %9s" % keys)
-        for r in rows:
-            print("%-24s %4d %10s %10s %9d %9s" % r)
-        print("violations: %d" % len(violations))
-        for v in violations:
+        print("%-24s %4s %10s %10s %9s %9s" % ("generator", "S", "M", "A",
+                                                "cover_M", "cover_A"))
+        for a, m, s, a_cover, m_cover, text in rows:
+            print("%-24s %4d %10s %10s %9d %9s"
+                  % (text, s, m, a, m_cover, a_cover))
+        print("violations: %d" % len(report.violations))
+        for v in report.violations:
             print("  " + v)
-    if not ok:
+    if not report.ok:
         raise InternalInvariantError("cover relations violated: %s"
-                                     % violations[:2])
+                                     % report.violations[:2])
     return 0
 
 

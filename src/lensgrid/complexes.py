@@ -321,6 +321,8 @@ def parallelogram_table(torus, drop=0):
 def _odd_terms(found):
     """The terms occurring an odd number of times, sorted."""
     found.sort()
+    if len(set(found)) == len(found):   # most lists repeat no term
+        return tuple(found)
     kept = []
     for term in found:
         if kept and kept[-1] == term:

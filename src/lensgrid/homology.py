@@ -25,10 +25,13 @@ reported as data, never rounded away.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from functools import lru_cache
+from itertools import chain, islice, repeat, starmap
 from json.encoder import encode_basestring_ascii
 from math import comb
+from operator import add
 
 # unused here: perfbench/tracing.py wraps the homology.build_boundary binding
 from .complexes import (DEFAULT_GENERATOR_CAP, build_boundary,  # noqa: F401
@@ -346,12 +349,15 @@ def extract_hfk_hat(table):
     Returns a new table with ``hfk_hat`` filled in when the division by
     (1 + u^-1 v^-1)^(n-1) is exact in every Spin^c class; otherwise
     ``hfk_hat`` is ``table.classes``, ``extraction_exact`` is False and
-    ``note`` carries a diagnostic.  No undivided class is copied: at
-    tensor exponent 0 each ``hfk_hat[s]`` is ``table.classes[s]``.  The
-    keys are the table's integer numerators, on which (1, 1) in the
-    gradings is the step ``table.denominators``.
+    ``note`` carries a diagnostic.  Nothing undivided is copied: at
+    tensor exponent 0 ``hfk_hat`` is ``table.classes``.  The keys are the
+    table's integer numerators, on which (1, 1) in the gradings is the
+    step ``table.denominators``.
     """
     exponent = table.tensor_exponent
+    if not exponent:
+        return replace(table, hfk_hat=table.classes, extraction_exact=True,
+                       note="")
     hat = {}
     for s, q in table.classes.items():
         for _ in range(exponent):   # _divide_once copies, never mutates
@@ -384,32 +390,50 @@ def simplicity_report(table):
 
 
 def _rank_rows(by_bigrading, denominators):
-    """A document's rows, one per bigrading in grading order with M and A
-    as text; the keys are numerators over ``denominators``."""
+    """A document's rank rows, one per bigrading in grading order, as
+    ``Rows`` of ``(A, M, rank)`` with M and A as text; the keys are
+    numerators over ``denominators``."""
     dm, da = denominators
-    return [{"M": rational_text(m, dm), "A": rational_text(a, da), "rank": r}
-            for (m, a), r in sorted(by_bigrading.items())]
+    return Rows(("A", "M", "rank"), tuple([
+        (rational_text(a, da), rational_text(m, dm), r)
+        for (m, a), r in sorted(by_bigrading.items())]))
 
 
-def _polynomial(rows):
-    """Deterministic string form of a document's rank rows."""
-    if not rows:
-        return "0"
-    return " + ".join("%d*u^(%s)*v^(%s)" % (row["rank"], row["M"], row["A"])
-                      for row in rows)
+def _polynomial(values):
+    """Deterministic string form of a document's ``(A, M, rank)`` rows."""
+    return " + ".join(starmap("{2}*u^({1})*v^({0})".format, values)) or "0"
+
+
+class _Poincare(Mapping):
+    """``{key: Poincare polynomial of classes[key]}``, written on read from
+    the rows' texts, so that a document holds each class's texts once."""
+
+    def __init__(self, classes):
+        self.classes = classes
+
+    def __getitem__(self, key):
+        return _polynomial(self.classes[key].values)
+
+    def __iter__(self):
+        return iter(self.classes)
+
+    def __len__(self):
+        return len(self.classes)
 
 
 def homology_document(table, extra=None):
-    """Machine-readable result document (JSON-serialisable, deterministic)."""
-    classes = {str(s): _rank_rows(by, table.denominators)
-               for s, by in sorted(table.classes.items())}
+    """Machine-readable result document (deterministic), for
+    ``write_document``: each class's rank rows are ``Rows``, read as lists
+    of row dicts, and ``poincare`` is a mapping of str."""
+    classes = {str(s): _rank_rows(table.classes[s], table.denominators)
+               for s in sorted(table.classes)}
     doc = {
         "spin_count": table.spin_count,
         "tensor_exponent": table.tensor_exponent,
         "extraction_exact": table.extraction_exact,
         "total_rank": table.total_rank(),
         "classes": classes,
-        "poincare": {s: _polynomial(rows) for s, rows in classes.items()},
+        "poincare": _Poincare(classes),
     }
     if table.hfk_hat is not None:
         # the extracted classes are the tilde ones, object for object, when
@@ -426,104 +450,244 @@ def homology_document(table, extra=None):
     return doc
 
 
+class Rows:
+    """A document list of rows given by their values: ``dict(zip(keys,
+    t))`` per tuple t of ``values``, ``keys`` being distinct str in sorted
+    order.  The writer reads ``values`` once, so a one-shot iterator serves
+    a document written once.  Iterated, a Rows gives its rows as dicts, and
+    it equals a list of those."""
+
+    __slots__ = ("keys", "values")
+
+    def __init__(self, keys, values):
+        self.keys, self.values = tuple(keys), values
+
+    def __iter__(self):
+        return map(dict, map(zip, repeat(self.keys), self.values))
+
+    def __eq__(self, other):
+        if isinstance(other, (Rows, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+_CHUNK = 256   # rows, list items and mapping entries per write
 _LITERALS = {None: "null", True: "true", False: "false"}
 
 
-def _json_text(value, newline, seen):
-    """JSON text of a document value whose inner lines start ``newline``.
+def _row_template(keys, inner):
+    """The template of a row of ``keys`` at indent ``inner``: one ``%s``
+    per value."""
+    # checked before the cache, which a key of a str subclass would hit
+    if set(map(type, keys)) - {str}:
+        raise TypeError("document keys are str")
+    return _template(keys, inner)
 
-    ``seen`` is the document's cache: by id, the ``newline`` and text of
-    the last list or tuple written, and ``_list_text``'s row templates.
+
+@lru_cache(maxsize=256)
+def _template(keys, inner):
+    if list(keys) != sorted(set(keys)):
+        raise ValueError("row keys are distinct and sorted: %r" % (keys,))
+    deeper = inner + "  "
+    return "{%s%s}" % (deeper, ("," + deeper).join([
+        encode_basestring_ascii(name).replace("%", "%%") + ": %s"
+        for name in keys]) + inner) if keys else "{}"
+
+
+class _Writer:
+    """One document's text, passed to ``write`` in chunks.
+
+    ``parts`` holds the text since the last chunk, and ``held`` the rows,
+    list items and mapping entries in it; the parts are written before
+    they would hold over ``_CHUNK``, and ``writes`` counts the writes.
+    ``seen`` holds, by id, where in ``parts`` each mapping written since
+    the last write lies, so that one met again at the same indent is
+    copied, not written again.
     """
-    kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is dict:
-        if not value:
-            return "{}"
-        inner = newline + "  "
-        sep = "," + inner
+
+    def __init__(self, write):
+        self.write = write
+        self.parts, self.held, self.writes, self.seen = [], 0, 0, {}
+
+    def hold(self, count):
+        """Make room for ``count`` more rows or items."""
+        if self.held + count > _CHUNK and self.parts:
+            self.write("".join(self.parts))
+            self.parts.clear()
+            self.seen.clear()
+            self.held, self.writes = 0, self.writes + 1
+        self.held += count
+
+    def put(self, value, newline):
+        """Hold the text of ``value``, whose inner lines start ``newline``:
+        a list's items and a mapping's entries ``_CHUNK`` at a time."""
+        kind = type(value)
+        if kind is str:
+            self.parts.append(encode_basestring_ascii(value))
+        elif kind is int:
+            self.parts.append(int.__repr__(value))
+        elif value is None or kind is bool:
+            self.parts.append(_LITERALS[value])
+        elif kind is Rows:
+            self.rows(value.keys, value.values, newline)
+        elif kind is list or kind is tuple:
+            first = value[0] if value else None
+            if type(first) is dict and first and len(value) > 1 and all([
+                    type(row) is dict and row.keys() == first.keys()
+                    for row in value]):
+                keys = tuple(sorted(first))
+                self.rows(keys, [tuple(map(row.__getitem__, keys))
+                                 for row in value], newline)
+            else:
+                self.items(value, None, newline)
+        elif kind is dict or isinstance(value, Mapping):
+            keys = sorted(value)
+            if set(map(type, keys)) - {str}:
+                raise TypeError("document keys are str")
+            done = self.seen.get(id(value))
+            if done is not None and done[1] == newline:
+                text = "".join(self.parts[done[2]:done[3]])
+                self.hold(done[4])   # which may write the parts
+                self.parts.append(text)
+                return
+            start, held, writes = len(self.parts), self.held, self.writes
+            self.items(value, keys, newline)
+            if self.writes == writes:
+                # the value is kept, so that no other takes its id
+                self.seen[id(value)] = (value, newline, start, len(self.parts),
+                                        self.held - held)
+        else:
+            raise TypeError("%s is not a document type" % kind.__name__)
+
+    def items(self, value, keys, newline):
+        """Hold the items of the list ``value``, or the entries of the
+        mapping ``value`` in the order of its ``keys``.  A chunk of str
+        items is one join, and a chunk of ``Rows`` may be one ``%``."""
+        parts, inner = self.parts, newline + "  "
+        sep, size = "," + inner, len(value if keys is None else keys)
+        if not size:
+            parts.append("[]" if keys is None else "{}")
+            return
+        lead = ("[" if keys is None else "{") + inner
+        for k in range(0, size, _CHUNK):
+            if keys is None:
+                chunk = value[k:k + _CHUNK]
+                heads = [""] * len(chunk)
+            else:
+                heads = keys[k:k + _CHUNK]
+                chunk = list(map(value.__getitem__, heads))
+                heads = list(map(add, map(encode_basestring_ascii, heads),
+                                 repeat(": ")))
+            self.hold(len(chunk))
+            kind = type(chunk[0])
+            if kind is str and keys is None:
+                try:
+                    parts.append(lead + sep.join(map(encode_basestring_ascii,
+                                                     chunk)))
+                    lead = sep
+                    continue
+                except TypeError:   # not every item is a str
+                    pass
+            if kind is Rows and self.rows_of(chunk, heads, lead, inner):
+                lead = sep
+                continue
+            for head, item in zip(heads, chunk):
+                kind = type(item)
+                parts.append(lead + head)
+                if kind is str:
+                    parts.append(encode_basestring_ascii(item))
+                elif kind is int:
+                    parts.append(int.__repr__(item))
+                else:
+                    self.put(item, inner)
+                lead = sep
+        parts.append(newline + ("]" if keys is None else "}"))
+
+    def rows_of(self, chunk, heads, lead, inner):
+        """Hold a chunk of ``Rows`` of one key tuple and at most ``_CHUNK``
+        rows in all, given as lists or tuples, by one ``%``; False if the
+        chunk is not one."""
+        keys, deeper = chunk[0].keys, inner + "  "
+        row, lists, values = _row_template(keys, deeper), {}, []
+        template = [lead]
+        for head, rows in zip(heads, chunk):
+            if type(rows) is not Rows or rows.keys != keys or type(
+                    rows.values) not in (list, tuple):
+                return False
+            n = len(rows.values)
+            if n not in lists:
+                lists[n] = "[" + deeper + ("," + deeper).join(
+                    [row] * n) + inner + "]" if n else "[]"
+            template += head.replace("%", "%%"), lists[n], "," + inner
+            values += rows.values
+        if len(values) > _CHUNK:
+            return False
+        self.hold(len(values))
+        template[-1] = ""
+        self.parts.append("".join(template) % self.texts(
+            values, len(keys), deeper + "  "))
+        return True
+
+    def text(self, value, newline):
+        """The whole text of ``value``, whose inner lines start
+        ``newline``."""
         parts = []
-        for key, item in sorted(value.items()):
-            if type(key) is not str:
-                raise TypeError("document keys are str, not %s"
-                                % type(key).__name__)
-            parts += sep, encode_basestring_ascii(key), ": ", _json_text(
-                item, inner, seen)
-        # one join copies each item's text once, even a list's that
-        # seen keeps
-        parts[0] = "{" + inner
-        parts += newline, "}"
-        return "".join(parts)
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        done = seen.get(id(value))
-        if done is None or done[0] != newline:
-            done = seen[id(value)] = newline, _list_text(value, newline, seen)
-        return done[1]
-    if value is None or kind is bool:
-        return _LITERALS[value]
-    raise TypeError("%s is not a document type" % kind.__name__)
+        writer = _Writer(parts.append)
+        writer.put(value, newline)
+        return "".join(parts + writer.parts)
+
+    def texts(self, rows, width, newline):
+        """The texts of the values of ``rows``, ``width`` to a row, as a
+        tuple: str and int inline, any other value through ``text``."""
+        if set(map(len, rows)) - {width}:
+            raise TypeError("a row has other than %d values" % width)
+        return tuple([encode_basestring_ascii(v) if type(v) is str
+                      else int.__repr__(v) if type(v) is int
+                      else self.text(v, newline) for t in rows for v in t])
+
+    def rows(self, keys, values, newline):
+        """Hold the rows of ``keys`` from the tuples ``values``, read once,
+        by one ``%`` of the row template per ``_CHUNK`` rows: str and int
+        values are written inline, any other through ``text``."""
+        inner = newline + "  "
+        deeper, sep, width = inner + "  ", "," + inner, len(keys)
+        row = _row_template(keys, inner)
+        if type(values) in (list, tuple) and len(values) <= _CHUNK:
+            chunks = (values,)
+        else:
+            values = iter(values)
+            chunks = iter(lambda: list(islice(values, _CHUNK)), [])
+        lead = "[" + inner
+        for chunk in chunks:
+            if not chunk:
+                break
+            self.hold(len(chunk))
+            self.parts.append(lead + sep.join([row] * len(chunk))
+                              % self.texts(chunk, width, deeper))
+            lead = sep
+        self.parts.append("[]" if lead[0] == "[" else newline + "]")
 
 
-def _list_text(items, newline, seen):
-    """``_json_text`` of a nonempty list or tuple.
+def write_document(doc, write):
+    """Pass the text of ``json.dumps(doc, indent=2, sort_keys=True) +
+    "\\n"`` to ``write`` in chunks of at most ``_CHUNK`` rows, list items
+    and mapping entries, with the text around them.
 
-    Two or more dicts with one set of str keys are written by one ``%``
-    per 256 rows: the template of their sorted keys, built once per key
-    set and ``newline`` in ``seen``, repeated per row, with str and int
-    values inline and any other value through ``_json_text``.  A list of
-    str is one join.
+    A document holds only str, int, bool, None, ``Rows``, and dicts (or
+    mappings) with str keys, lists and tuples of these; anything else
+    raises TypeError.
     """
-    inner = newline + "  "
-    first = items[0]
-    if len(items) == 1:
-        return "[" + inner + _json_text(first, inner, seen) + newline + "]"
-    if type(first) is str and all([type(v) is str for v in items]):
-        texts = map(encode_basestring_ascii, items)
-    elif type(first) is dict and first and all([
-            type(row) is dict and row.keys() == first.keys()
-            for row in items]):
-        names, deeper = tuple(first), inner + "  "
-        cached = seen.get((names, inner))
-        if cached is None:
-            order = sorted(names)
-            for name in order:
-                if type(name) is not str:
-                    raise TypeError("document keys are str, not %s"
-                                    % type(name).__name__)
-            template = "{" + deeper + ("," + deeper).join(
-                encode_basestring_ascii(name).replace("%", "%%") + ": %s"
-                for name in order) + inner + "}"
-            cached = seen[names, inner] = order, template
-        order, template = cached
-        texts = []
-        for k in range(0, len(items), 256):   # 256 rows' values at a time
-            rows = items[k:k + 256]
-            texts.append(("," + inner).join([template] * len(rows)) % tuple([
-                encode_basestring_ascii(v) if type(v) is str
-                else int.__repr__(v) if type(v) is int
-                else _json_text(v, deeper, seen)
-                for row in rows for v in map(row.__getitem__, order)]))
-    else:
-        texts = [_json_text(v, inner, seen) for v in items]
-    return "[" + inner + ("," + inner).join(texts) + newline + "]"
+    writer = _Writer(write)
+    writer.put(doc, "\n")
+    writer.parts.append("\n")
+    write("".join(writer.parts))
 
 
 def document_text(doc):
-    """The text of ``json.dumps(doc, indent=2, sort_keys=True) + "\n"``.
-
-    A document holds only str, int, bool, None, and dicts with str keys,
-    lists and tuples of these; anything else raises TypeError.
-    """
-    seen = {}
-    text = _json_text(doc, "\n", seen)
-    seen.clear()   # frees the lists' texts before the newline is added
-    text += "\n"   # in place, since nothing else holds the text
-    return text
+    """The text ``write_document`` writes, joined."""
+    parts = []
+    write_document(doc, parts.append)
+    return "".join(parts)
 
 
 def document_bytes(doc):

@@ -311,6 +311,65 @@ def test_structured_output_is_indented_sorted_json(grid_file, capsys, text):
                                  sort_keys=True) + "\n", argv
 
 
+class _Stdout:
+    """A stdout that keeps each write, and fails the writes after
+    ``fail_after`` of them with MemoryError."""
+
+    def __init__(self, fail_after=None):
+        self.writes, self.fail_after = [], fail_after
+
+    def write(self, text):
+        if len(self.writes) == self.fail_after:
+            raise MemoryError
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def _streamed_argvs(grid_file):
+    """Structured commands whose documents hold over 256 rows or items:
+    L(5,2) n=3 has 750 generators, and L(1009,2) 1009 classes."""
+    knot = grid_file(format_grid(random_knot_diagrams(5, 2, 3, 1, 1)[0]))
+    gn1 = grid_file("1009 2 1\nO: 0\nX: 7\n", "gn1.grid")
+    return [("gradings", knot), ("verify-cover", knot), ("homology", gn1),
+            ("enumerate-gn1", "1009", "2")]
+
+
+def test_structured_documents_are_written_in_chunks(grid_file, capsys,
+                                                    monkeypatch):
+    # a document goes to stdout a chunk of at most 256 rows or items at a
+    # time, the head riding with the first, and joins to indented JSON
+    for argv in _streamed_argvs(grid_file):
+        stdout = _Stdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main([*argv, "--format", "structured"]) == 0, argv
+        out = "".join(stdout.writes)
+        assert out == json.dumps(json.loads(out), indent=2,
+                                 sort_keys=True) + "\n", argv
+        # the rows, or the class entries, open at an indent of four
+        starts = [m.start() for m in re.finditer(r"\n {4}[^ \]}]", out)]
+        assert len(starts) > 256 and len(stdout.writes) > 1, argv
+        longest = max(b - a for a, b in zip(starts, starts[1:]))
+        bound = starts[0] + 256 * longest + len(out) - starts[-1]
+        assert max(map(len, stdout.writes)) <= bound, argv
+    assert capsys.readouterr().err == ""
+
+
+def test_running_out_of_memory_while_writing_is_a_refusal(grid_file, capsys,
+                                                         monkeypatch):
+    # every table is built before the first write, so a failed write is
+    # the one way a refusal can follow part of a document
+    for argv in _streamed_argvs(grid_file):
+        stdout = _Stdout(fail_after=1)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main([*argv, "--format", "structured"]) == 2, argv
+        assert len(stdout.writes) == 1, argv
+        assert capsys.readouterr().err == (
+            "refused: out of memory in %s\n" % argv[0])
+
+
 def test_usage_errors_exit_one(grid_file, capsys):
     path = grid_file(KNOT_N2)
     for argv in (["homology"], ["frobnicate", path],

@@ -238,6 +238,24 @@ def test_packed_terms_round_trip_and_refuse_big_exponents():
             pack_term(1, bad)
 
 
+@pytest.mark.parametrize("found, kept", [
+    ([7, 3, 5], (3, 5, 7)),                  # no repeat: the fast return
+    ([9, 4, 9, 1], (1, 4)),                  # one pair cancels
+    ([6, 2, 6, 6], (2, 6)),                  # a triple is kept once
+    ([5, 8, 1, 8, 5, 3], (1, 3)),            # two pairs cancel
+])
+def test_odd_terms_keep_each_term_of_odd_multiplicity(found, kept):
+    # the walk over the sorted list, as the mod-2 sum of terms
+    walk = []
+    for term in sorted(found):
+        if walk and walk[-1] == term:
+            walk.pop()
+        else:
+            walk.append(term)
+    odd = tuple(sorted(t for t, c in Counter(found).items() if c % 2))
+    assert complexes._odd_terms(list(found)) == tuple(walk) == odd == kept
+
+
 def test_packed_square_check_matches_the_reference():
     """The packed d^2 check agrees with the tuple-keyed reference on every
     variant, and on boundaries with one term deleted, which it rejects."""

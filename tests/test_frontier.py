@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from lensgrid import generator_columns, gradings_table, tilde_homology
+from lensgrid.cli import main
 from lensgrid.corpus import random_knot_diagrams
+from lensgrid.grid import format_grid
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "frontier.py"
 
@@ -90,3 +92,61 @@ def test_frontier_bench_refuses_unpaired_labels(tmp_path, argv):
         load_frontier().main(argv + ["--out", str(tmp_path / "bench.json")])
     assert exc.value.code == 2
     assert not (tmp_path / "bench.json").exists()
+
+
+def test_frontier_bench_runs_a_command(tmp_path, capsys):
+    # each checkout's run writes the same document, hashed and counted
+    # as it is written; the src directory is this checkout's, twice
+    frontier = load_frontier()
+    out = tmp_path / "bench.json"
+    src = str(Path(frontier.__file__).parent.parent / "src")
+    assert frontier.main(["--src", src, "--label", "parent", "--src", src,
+                          "--label", "change", "--out", str(out), "--case",
+                          "2,1,2", "--repeat", "1", "--command",
+                          "homology"]) == 0
+    doc = json.loads(out.read_text())
+    assert "homology" in capsys.readouterr().out
+    (d,) = random_knot_diagrams(2, 1, 2, 1, seed=1)
+    path = tmp_path / "case.grid"
+    path.write_text(format_grid(d))
+    assert main(["homology", str(path), "--format", "structured"]) == 0
+    text = capsys.readouterr().out
+    for label in ("parent", "change"):
+        (row,) = doc[label]["rows"]
+        assert row["command"] == "homology" and len(row["runs"]) == 1
+        assert row["seconds"] > 0 and row["peak_rss_mb"] > 0
+        assert row["bytes"] == len(text.encode())
+        assert row["sha256"] == hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_frontier_bench_refuses_checkouts_that_disagree(tmp_path,
+                                                        monkeypatch):
+    frontier = load_frontier()
+
+    def run_command(src, case, command):
+        return {"seconds": 1.0, "peak_rss_mb": 1.0, "bytes": 2,
+                "sha256": src.name}
+    monkeypatch.setattr(frontier, "run_command", run_command)
+    with pytest.raises(RuntimeError, match="checkouts disagree"):
+        frontier.main(["--src", str(tmp_path / "a"), "--label", "parent",
+                       "--src", str(tmp_path / "b"), "--label", "change",
+                       "--out", str(tmp_path / "bench.json"), "--case",
+                       "2,1,2", "--repeat", "1", "--command", "gradings"])
+
+
+def test_frontier_bench_keeps_the_rows_of_other_commands(tmp_path,
+                                                         monkeypatch):
+    # one file holds each command's rows, and a rerun replaces its own
+    frontier = load_frontier()
+
+    def run_command(src, case, command):
+        return {"seconds": 1.0, "peak_rss_mb": 1.0, "bytes": 2,
+                "sha256": command}
+    monkeypatch.setattr(frontier, "run_command", run_command)
+    out = tmp_path / "bench.json"
+    for command in ("gradings", "homology", "gradings"):
+        assert frontier.main(["--label", "change", "--out", str(out),
+                              "--case", "2,1,2", "--repeat", "1",
+                              "--command", command]) == 0
+    rows = json.loads(out.read_text())["change"]["rows"]
+    assert [row["command"] for row in rows] == ["homology", "gradings"]

@@ -19,8 +19,10 @@ from lensgrid.cli import main
 from lensgrid.corpus import coprime_qs, random_knot_diagram
 from lensgrid.errors import (InternalInvariantError, LensGridError,
                              SizeCapError)
-from lensgrid.homology import (HomologyTable, _divide_once, document_bytes,
-                               homology_document, rational_text)
+from lensgrid.homology import (HomologyTable, Rows, _divide_once,
+                               document_bytes, document_text,
+                               homology_document, rational_text,
+                               write_document)
 
 
 def test_gf2_rank_small():
@@ -531,6 +533,16 @@ def test_hat_rows_reuse_the_tilde_rows(monkeypatch):
     assert doc["hfk_hat"] != doc["classes"]
 
 
+def test_extraction_at_tensor_exponent_zero_copies_nothing():
+    # one generator per class at grid number one: nothing to divide, so
+    # hfk_hat is the classes dict itself, and the document writes it once
+    table = extract_hfk_hat(tilde_homology(
+        GridDiagram(LensParams(7, 3), 1, ((0, 0),), ((4, 0),))))
+    assert table.hfk_hat is table.classes and table.extraction_exact
+    doc = homology_document(table)
+    assert doc["hfk_hat"] is doc["classes"]
+
+
 def test_homology_tables_hold_integer_numerators(monkeypatch):
     # a table's keys are integer numerators over its own denominators,
     # and no Fraction is built between the gradings and the bytes
@@ -647,3 +659,62 @@ def test_shared_lists_match_json_dumps(shared):
 def test_document_bytes_refuse_other_types(doc):
     with pytest.raises(TypeError):
         document_bytes(doc)
+
+
+# lazy rows: sorted distinct keys ("%" among them), one tuple of values per
+# row, repeated to a row count on either side of a multiple of 256
+_row_sets = st.lists(_keys, max_size=4, unique=True).map(sorted).flatmap(
+    lambda keys: st.tuples(st.just(tuple(keys)), st.lists(
+        st.tuples(*[_values] * len(keys)), min_size=1, max_size=3)))
+
+
+def _rows_in(part, indent):
+    """The rows of a document part whose list items start at ``indent``."""
+    return part.count("\n" + " " * indent + "{")
+
+
+@settings(max_examples=100, deadline=None)
+@given(_row_sets, st.sampled_from([0, 1, 2, 256, 257, 513]), st.booleans())
+def test_lazy_rows_match_json_dumps(row_set, count, one_shot):
+    keys, distinct = row_set
+    values = [distinct[k % len(distinct)] for k in range(count)]
+    dicts = [dict(zip(keys, t)) for t in values]
+    rows = Rows(keys, iter(values) if one_shot else values)
+    assert document_text({"rows": rows}) == json.dumps(
+        {"rows": dicts}, indent=2, sort_keys=True) + "\n"
+    # one Rows under two keys, written in parts of at most 256 rows
+    shared = Rows(keys, values)
+    doc = {"a": shared, "b": shared, "c": {"d": shared}}
+    parts = []
+    write_document(doc, parts.append)
+    assert "".join(parts) == document_text(doc) == json.dumps(
+        {"a": dicts, "b": dicts, "c": {"d": dicts}}, indent=2,
+        sort_keys=True) + "\n"
+    assert all(_rows_in(part, 4) + _rows_in(part, 6) <= 256 for part in parts)
+    assert len(parts) >= 3 * count // 256
+    # a mapping of count short Rows, zero to two rows each
+    by_key = {str(k): Rows(keys, values[:k % 3]) for k in range(count)}
+    parts = []
+    write_document(by_key, parts.append)
+    assert "".join(parts) == json.dumps(
+        {k: list(rows) for k, rows in by_key.items()}, indent=2,
+        sort_keys=True) + "\n"
+    assert all(_rows_in(part, 4) <= 256 for part in parts)
+
+
+def test_rows_read_as_row_dicts():
+    rows = Rows(("A", "M"), [("0", "1/2"), ("1", "3/2")])
+    assert list(rows) == [{"A": "0", "M": "1/2"}, {"A": "1", "M": "3/2"}]
+    assert rows == list(rows) and rows != [] and Rows((), []) == []
+
+
+@pytest.mark.parametrize("rows", [
+    Rows(("A", "M"), [("0", "1"), ("1",)]),     # a tuple of the wrong length
+    Rows(("A", "M"), [("0", "1"), ("1", "2", "3"), ("2",)]),
+    Rows(("A", 1), [("0", "1")]),               # a key that is not str
+    Rows(("A", _Key("M")), [("0", "1")]),
+    Rows(("A", "M"), [("0", 0.5)]),             # a float value
+])
+def test_lazy_rows_refuse_other_rows(rows):
+    with pytest.raises(TypeError):
+        document_text({"rows": rows})
