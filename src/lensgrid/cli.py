@@ -29,9 +29,9 @@ from .grid import (GridDiagram, LensParams, enumerate_grid_number_one,
                    require_valid, validate)
 # document_bytes is unused here: perfbench/tracing.py wraps the
 # cli.document_bytes binding
-from .homology import (DEFAULT_PIECE_CAP, Rows, _polynomial,  # noqa: F401
-                       document_bytes, extract_hfk_hat, homology_document,
-                       simplicity_report, tilde_homology, write_document)
+from .document import Rows, document_bytes, write_document  # noqa: F401
+from .homology import (DEFAULT_PIECE_CAP, _polynomial, extract_hfk_hat,
+                       homology_document, simplicity_report, tilde_homology)
 from .s3 import verify_cover_relations
 
 

@@ -26,8 +26,9 @@ from .gradings import (alexander_grading, d_invariant, grading_denominators,
                        gradings_table)
 from .grid import (GridDiagram, LensParams, canonical_generator,
                    enumerate_grid_number_one)
-from .homology import (document_bytes, extract_hfk_hat, homology_document,
-                       simplicity_report, tilde_homology)
+from .document import document_bytes
+from .homology import (extract_hfk_hat, homology_document, simplicity_report,
+                       tilde_homology)
 from .s3 import s3_maslov, s3_tilde_homology, verify_cover_relations
 
 DEFAULT_SEED = 20260808

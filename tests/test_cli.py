@@ -574,10 +574,13 @@ def test_selftest_reports_each_check(capsys, monkeypatch, failing):
     code, out, _ = run(capsys, "selftest", "--seed", "7",
                        "--format", "structured")
     assert code == int(failing)
-    assert json.loads(out) == {"seed": 7, "results": [
+    expected = {"seed": 7, "results": [
         {"id": "C01", "name": "first check", "ok": True, "detail": "fine"},
         {"id": "C02", "name": "second check", "ok": not failing,
          "detail": "two of two"}]}
+    assert json.loads(out) == expected
+    # a list of same-keyed dicts, written through the generic path
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
     run(capsys, "selftest")
     assert seeds == [7, 7, selftest.DEFAULT_SEED]
 

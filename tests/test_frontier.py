@@ -119,6 +119,32 @@ def test_frontier_bench_runs_a_command(tmp_path, capsys):
         assert row["sha256"] == hashlib.sha256(text.encode()).hexdigest()
 
 
+def test_frontier_bench_runs_enumerate_gn1(tmp_path, capsys):
+    # a case P,Q,1 is enumerate-gn1's p and q, with no grid file
+    frontier = load_frontier()
+    out = tmp_path / "bench.json"
+    assert frontier.main(["--label", "change", "--out", str(out), "--case",
+                          "5,2,1", "--repeat", "1", "--command",
+                          "enumerate-gn1"]) == 0
+    capsys.readouterr()
+    assert main(["enumerate-gn1", "5", "2", "--format", "structured"]) == 0
+    text = capsys.readouterr().out
+    (row,) = json.loads(out.read_text())["change"]["rows"]
+    assert row["command"] == "enumerate-gn1" and row["diagram"] == "L(5,2) n=1"
+    assert row["bytes"] == len(text.encode())
+    assert row["sha256"] == hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("cases", [["--case", "5,2,2"], []])
+def test_frontier_bench_refuses_enumerate_gn1_past_one_row(tmp_path, cases):
+    with pytest.raises(SystemExit) as exc:
+        load_frontier().main(["--label", "change", "--out",
+                              str(tmp_path / "bench.json"), "--command",
+                              "enumerate-gn1", *cases])
+    assert exc.value.code == 2
+    assert not (tmp_path / "bench.json").exists()
+
+
 def test_frontier_bench_refuses_checkouts_that_disagree(tmp_path,
                                                         monkeypatch):
     frontier = load_frontier()

@@ -19,10 +19,10 @@ from lensgrid.cli import main
 from lensgrid.corpus import coprime_qs, random_knot_diagram
 from lensgrid.errors import (InternalInvariantError, LensGridError,
                              SizeCapError)
-from lensgrid.homology import (HomologyTable, Rows, _divide_once,
-                               document_bytes, document_text,
-                               homology_document, rational_text,
+from lensgrid.document import (Rows, document_bytes, document_text,
                                write_document)
+from lensgrid.homology import (HomologyTable, _divide_once,
+                               homology_document, rational_text)
 
 
 def test_gf2_rank_small():

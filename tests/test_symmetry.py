@@ -23,8 +23,8 @@ from lensgrid.errors import SizeCapError
 from lensgrid.gradings import (d_invariant, grading_denominators,
                                permutation_gradings, spin_grading)
 from lensgrid.grid import canonical_generator
-from lensgrid.homology import (HomologyTable, document_bytes,
-                               homology_document)
+from lensgrid.document import document_bytes
+from lensgrid.homology import HomologyTable, homology_document
 from lensgrid.selftest import build_corpus
 
 from benchmark_shapes import KNOT_HOMOLOGY_SHAPES

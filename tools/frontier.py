@@ -7,6 +7,8 @@ one fresh process per run, checkouts interleaved.
         --label parent --src src --label change --out BENCH_27.json
     python3 tools/frontier.py --command gradings --case 7,3,5 \
         --label change --out BENCH_32.json
+    python3 tools/frontier.py --command enumerate-gn1 --case 1000003,2,1 \
+        --label change --out BENCH_33.json
 
 A case ``P,Q,N`` is the first diagram of
 ``corpus.random_knot_diagrams(P, Q, N, 1, seed=1)``.  Every run is a new
@@ -22,7 +24,9 @@ With ``--command CMD`` a run instead writes the case's diagram to a
 temporary grid file and times ``lensgrid.cli.main([CMD, path, "--format",
 "structured"])``, its standard output hashed and counted as it is written
 and never kept; it reports those seconds, its peak RSS, the document's
-bytes and their sha256.
+bytes and their sha256.  ``--command enumerate-gn1`` takes no grid
+file: a case ``P,Q,1`` runs ``enumerate-gn1 P Q --format structured``,
+and a case with any other N is a usage error.
 ``--src`` and ``--label`` are repeatable and go in pairs: the i-th
 label names the rows of the i-th checkout (default: this checkout's
 src).  Runs go one at a time, in rounds: for each case and each of its
@@ -106,12 +110,15 @@ class Digest:
 
 
 with tempfile.TemporaryDirectory() as tmp:
-    path = os.path.join(tmp, "case.grid")
-    with open(path, "w") as fh:
-        fh.write(format_grid(random_knot_diagrams(p, q, n, 1, seed=1)[0]))
+    if command == "enumerate-gn1":   # it takes p and q, not a grid file
+        args = [str(p), str(q)]
+    else:
+        args = [os.path.join(tmp, "case.grid")]
+        with open(args[0], "w") as fh:
+            fh.write(format_grid(random_knot_diagrams(p, q, n, 1, seed=1)[0]))
     stdout, sys.stdout = sys.stdout, Digest()
     start = time.perf_counter()
-    code = main([command, path, "--format", "structured"])
+    code = main([command, *args, "--format", "structured"])
     seconds = time.perf_counter() - start
     digest, sys.stdout = sys.stdout, stdout
 if code:
@@ -214,6 +221,9 @@ def main(argv=None):
                      "--label" % (len(srcs), len(args.label)))
     if len(set(args.label)) != len(args.label):
         parser.error("each --label must differ")
+    if args.command == "enumerate-gn1" and any(
+            n != 1 for _, _, n in args.case or BASELINE):
+        parser.error("enumerate-gn1 takes cases P,Q,1")
 
     rows = {label: [] for label in args.label}
     for number, case in enumerate(args.case or BASELINE):
